@@ -9,6 +9,7 @@ violation.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
@@ -102,20 +103,18 @@ def cmd_compare(args) -> int:
         if name not in STRATEGIES:
             raise BadParameters(f"unknown strategy: {name!r}")
     seeds = [args.seed + i for i in range(args.reps)]
-    table = compare_runs(
-        region, names, seeds, reps=args.reps, max_steps=args.max_steps, env_label=args.env
-    )
+    table = compare_runs(region, names, seeds, reps=args.reps, max_steps=args.max_steps)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(CSV_HEADER + "\n")
+        header = CSV_HEADER.split(",")
+        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
             for name, seed, metrics, err in table.rows:
                 if metrics is not None:
-                    fh.write(metrics.csv_row(args.env, region, name, seed) + "\n")
+                    writer.writerow(metrics.csv_fields(args.env, region, name, seed))
                 else:
-                    fh.write(
-                        f"{args.env},{region.door[0]},{region.door[1]},"
-                        f"{len(region.cells)},{name},{seed},error:{err},,,,,,,\n"
-                    )
+                    row = [args.env, *region.door, len(region.cells), name, seed, f"error:{err}"]
+                    writer.writerow(row + [""] * (len(header) - len(row)))
     width = max(len(n) for n in names)
     print(f"{'strategy':<{width}}  runs  total (max)")
     for summary in table.summaries:

@@ -13,13 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CollisionError, InvariantViolation
-from .grid import (
-    DIR_NAMES,
-    DIR_VECTORS,
-    Cell,
-    Region,
-    manhattan,
-)
+from .grid import DIR_VECTORS, Cell, Region, manhattan
 from . import topology
 from .metrics import RunMetrics
 
@@ -60,15 +54,19 @@ class SensorView:
 
     def occupied_dir(self, d: int) -> bool:
         dx, dy = DIR_VECTORS[d]
-        return self.occupied_offset(dx, dy)
+        cell = (self._pos[0] + dx, self._pos[1] + dy)
+        return cell not in self._cells or cell in self._occupied
 
     def free_dirs(self) -> list[int]:
         """Unoccupied neighbor directions in clockwise order from Up."""
-        return [d for d in range(4) if not self.occupied_dir(d)]
-
-    def snapshot(self) -> tuple[bool, ...]:
-        """All 12 offsets as a flat tuple (for view-equality tests)."""
-        return tuple(self.occupied_offset(dx, dy) for dx, dy in VIEW_OFFSETS)
+        x, y = self._pos
+        cells = self._cells
+        occupied = self._occupied
+        return [
+            d
+            for d, cell in enumerate(((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)))
+            if cell in cells and cell not in occupied
+        ]
 
 
 class Robot:
@@ -147,6 +145,14 @@ class SimulationTrace:
 
 
 class Simulation:
+    """One run in progress.
+
+    ``robots`` holds every robot ever spawned, in id order; ``active``
+    holds the robots that have not settled, also in id order. Settled
+    robots never act again, so with recording off every per-step walk
+    reads ``active`` only and a step costs O(active robots).
+    """
+
     def __init__(
         self,
         region: Region,
@@ -159,6 +165,7 @@ class Simulation:
         self.strategy = strategy
         self.seed = seed
         self.robots: list[Robot] = []
+        self.active: list[Robot] = []
         self.occupied: dict[Cell, Robot] = {}
         self.t = 0
         self.outcome: Outcome | None = None
@@ -167,7 +174,6 @@ class Simulation:
             self.trace.steps = None
         self.checker = checker
         self._seen_configs: set = set()
-        self._settled_count = 0
 
     @property
     def covered(self) -> bool:
@@ -176,39 +182,37 @@ class Simulation:
     def sense(self, pos: Cell) -> SensorView:
         return SensorView(pos, self.occupied, self.region.cells)
 
-    def active_robots(self) -> list[Robot]:
-        return [r for r in self.robots if r.active]
-
     def step(self) -> None:
         """Advance one synchronized Look-Compute-Move step."""
         assert self.outcome is None, "simulation already terminated"
         t = self.t + 1
         region = self.region
+        cells = region.cells
         occupied = self.occupied  # mutated only after all decisions
+        strategy = self.strategy
         if self.checker is not None:
             self.checker.before_step(self)
         spawn_pending = region.door not in occupied
-        existing = list(self.robots)
-        actions: dict[int, int] = {}
-        if self.strategy.privileged:
-            actions = self.strategy.decide_all(self)
+        stepping = self.active  # robots active at the start of the step
+        n_robots = len(self.robots)
+        if strategy.privileged:
+            actions = strategy.decide_all(self)
         else:
-            for robot in existing:
-                if not robot.active:
-                    continue
-                view = self.sense(robot.pos)
-                act, robot.mem = self.strategy.decide(view, robot.mem)
+            actions = {}
+            for robot in stepping:
+                act, robot.mem = strategy.decide(self.sense(robot.pos), robot.mem)
                 actions[robot.id] = act
 
         # Validate moves against the snapshot.
         targets: dict[Cell, int] = {}
-        for robot in existing:
+        movers = []
+        for robot in stepping:
             act = actions.get(robot.id)
             if act is None or act >= A_STAY:
                 continue
             dx, dy = DIR_VECTORS[act]
             target = (robot.pos[0] + dx, robot.pos[1] + dy)
-            if target not in region.cells or target in occupied:
+            if target not in cells or target in occupied:
                 raise CollisionError(
                     f"t={t}: robot {robot.id} at {robot.pos} moved into "
                     f"occupied cell {target}"
@@ -219,38 +223,37 @@ class Simulation:
                     f"target {target}"
                 )
             targets[target] = robot.id
+            movers.append((robot, target))
 
         # Apply all moves simultaneously, then settles.
-        movers = []
-        for robot in existing:
-            act = actions.get(robot.id)
-            if act is not None and act < A_STAY:
-                movers.append((robot, act))
-        for robot, act in movers:
+        for robot, _ in movers:
             del occupied[robot.pos]
-        for robot, act in movers:
-            dx, dy = DIR_VECTORS[act]
-            robot.pos = (robot.pos[0] + dx, robot.pos[1] + dy)
-            occupied[robot.pos] = robot
+        for robot, target in movers:
+            robot.pos = target
+            occupied[target] = robot
             robot.moves += 1
         settled_now = []
-        for robot in existing:
-            if actions.get(robot.id) == A_SETTLE:
+        for robot in stepping:
+            act = actions.get(robot.id)
+            if act == A_SETTLE:
                 robot.active = False
                 settled_now.append(robot)
-            elif robot.id in actions:
+            elif act is not None:
                 robot.travel += 1  # active at both step boundaries
+        if settled_now:
+            self.active = [r for r in stepping if r.active]
 
         # Spawn: door free in the snapshot and still free after moves
         # (a robot cycling back through the door suppresses emergence).
         spawned = None
         if spawn_pending and region.door not in occupied:
-            mem = None if self.strategy.privileged else self.strategy.fresh_memory()
-            spawned = Robot(len(self.robots) + 1, region.door, mem)
+            mem = None if strategy.privileged else strategy.fresh_memory()
+            spawned = Robot(n_robots + 1, region.door, mem)
             self.robots.append(spawned)
+            self.active.append(spawned)
             occupied[region.door] = spawned
-            if self.strategy.privileged:
-                self.strategy.on_spawn(self, spawned)
+            if strategy.privileged:
+                strategy.on_spawn(self, spawned)
 
         self.t = t
         if self.trace.steps is not None:
@@ -262,7 +265,7 @@ class Simulation:
                     "A" if r.active else "S",
                     ACTION_CHARS[actions[r.id]] if r.id in actions else ".",
                 )
-                for r in existing
+                for r in self.robots[:n_robots]
             )
             self.trace.steps.append((t, spawned.id if spawned else None, rows))
         if self.checker is not None:
@@ -272,7 +275,6 @@ class Simulation:
             self.outcome = Outcome("covered", t)
             return
         if settled_now:
-            self._settled_count += len(settled_now)
             self._seen_configs.clear()
         key = self._config_key()
         if key in self._seen_configs:
@@ -281,10 +283,13 @@ class Simulation:
         self._seen_configs.add(key)
 
     def _config_key(self):
+        """Active positions and memories plus the strategy's run state.
+
+        Settled robots are left out: the seen set is cleared on every
+        settle, so between two clears they are the same in every key.
+        """
         robots = tuple(
-            (r.pos, r.mem.key() if r.mem is not None else None)
-            for r in self.robots
-            if r.active
+            (r.pos, r.mem.key() if r.mem is not None else None) for r in self.active
         )
         return (robots, self.strategy.state_key())
 
@@ -359,18 +364,26 @@ class RunChecker:
     - no Stay actions.
 
     These hold for the FCDFS family on simply connected regions.
+
+    Settled robots never move or change memory again, so every check
+    walks only the robots active at the start of the step plus the one
+    spawned during it. ``residual`` (the region minus settled cells) is
+    kept incrementally: a cell leaves it when its robot settles.
     """
 
     def __init__(self, region: Region, dist_cache: topology.DistanceCache | None = None):
         self.region = region
         self.dist = dist_cache or topology.DistanceCache(region)
+        self.residual: set | None = None
         self._positions: dict[int, list] = {}  # id -> [pos at t-1, pos at t]
         self._primaries: dict[int, object] = {}
-        self._residual: set | None = None
+        self._stepping: list = []  # robots active at the start of the step
+        self._n_robots = 0  # robots spawned before the step
 
     def before_step(self, sim: Simulation) -> None:
         t = sim.t + 1
-        active = sim.active_robots()
+        # A copy: the engine appends the robot spawned this step to sim.active.
+        active = list(sim.active)
         for i, a in enumerate(active):
             for b in active[i + 1 :]:
                 bound = 2 * (b.id - a.id)
@@ -381,15 +394,17 @@ class RunChecker:
                         f"t={t}: robots {a.id} at {a.pos} and {b.id} at "
                         f"{b.pos} are closer than {bound}"
                     )
-        self._residual = set(self.region.cells) - {
-            r.pos for r in sim.robots if not r.active
-        }
-        for r in sim.robots:
-            self._primaries[r.id] = getattr(r.mem, "primary", None)
+        if self.residual is None:
+            self.residual = set(self.region.cells) - {
+                r.pos for r in sim.robots if not r.active
+            }
+        self._stepping = active
+        self._n_robots = len(sim.robots)
+        self._primaries = {r.id: getattr(r.mem, "primary", None) for r in active}
 
     def after_step(self, sim: Simulation, actions, settled_now) -> None:
         t = sim.t
-        residual = self._residual
+        residual = self.residual
         for rid, act in actions.items():
             if act == A_STAY:
                 raise InvariantViolation(f"t={t}: robot {rid} issued Stay")
@@ -400,8 +415,8 @@ class RunChecker:
                     f"t={t}: robot {robot.id} settled at {robot.pos}, a "
                     f"{cls.kind} of the residual region"
                 )
-        for robot in sim.robots:
-            before = self._primaries.get(robot.id)
+        for robot in self._stepping:
+            before = self._primaries[robot.id]
             after = getattr(robot.mem, "primary", None)
             if before is None or after is None or before == after:
                 continue
@@ -417,7 +432,8 @@ class RunChecker:
         # Follow the leader: position of A_{i+1} at the end of this step
         # must equal A_i's position two step-boundaries earlier, as long
         # as A_i was active at the start of the step.
-        for robot in sim.robots:
+        robots = self._stepping + sim.robots[self._n_robots :]
+        for robot in robots:
             pred_hist = self._positions.get(robot.id - 1)
             if not pred_hist or len(pred_hist) < 2:
                 continue
@@ -429,8 +445,9 @@ class RunChecker:
                     f"t={t}: robot {robot.id} at {robot.pos} does not "
                     f"follow robot {robot.id - 1} (expected {pred_hist[0]})"
                 )
-        for robot in sim.robots:
+        for robot in robots:
             hist = self._positions.setdefault(robot.id, [])
             hist.append(robot.pos if robot.active else None)
             if len(hist) > 2:
                 del hist[0]
+        residual.difference_update(robot.pos for robot in settled_now)

@@ -21,7 +21,6 @@ Cell = tuple[int, int]
 
 # Direction codes in clockwise scan order starting from "up".
 UP, RIGHT, DOWN, LEFT = range(4)
-DIRECTIONS = (UP, RIGHT, DOWN, LEFT)
 DIR_VECTORS: tuple[Cell, ...] = ((0, 1), (1, 0), (0, -1), (-1, 0))
 DIR_NAMES = "URDL"
 
@@ -40,11 +39,6 @@ def rotate_ccw(d: int, quarters: int = 1) -> int:
 
 def opposite(d: int) -> int:
     return (d + 2) % 4
-
-
-def step_cell(cell: Cell, d: int) -> Cell:
-    dx, dy = DIR_VECTORS[d]
-    return (cell[0] + dx, cell[1] + dy)
 
 
 def manhattan(a: Cell, b: Cell) -> int:

@@ -29,25 +29,27 @@ class RunMetrics:
     robots: int
 
     def csv_row(self, env: str, region: Region, strategy: str, seed: int) -> str:
+        return ",".join(self.csv_fields(env, region, strategy, seed))
+
+    def csv_fields(self, env: str, region: Region, strategy: str, seed: int) -> list[str]:
+        """The CSV_HEADER columns of this run, as strings."""
         makespan = "" if self.makespan is None else str(self.makespan)
-        return ",".join(
-            [
-                env,
-                str(region.door[0]),
-                str(region.door[1]),
-                str(self.V),
-                strategy,
-                str(seed),
-                self.outcome,
-                makespan,
-                str(self.total_travel),
-                str(self.max_travel),
-                str(self.total_moves),
-                str(self.max_moves),
-                str(self.optimum),
-                str(self.optimal).lower(),
-            ]
-        )
+        return [
+            env,
+            str(region.door[0]),
+            str(region.door[1]),
+            str(self.V),
+            strategy,
+            str(seed),
+            self.outcome,
+            makespan,
+            str(self.total_travel),
+            str(self.max_travel),
+            str(self.total_moves),
+            str(self.max_moves),
+            str(self.optimum),
+            str(self.optimal).lower(),
+        ]
 
 
 def compute_metrics(trace, r: Region) -> RunMetrics:
@@ -126,7 +128,6 @@ def compare_runs(
     seeds: list[int],
     reps: int = 1,
     max_steps: int | None = None,
-    env_label: str = "region",
 ) -> ComparisonTable:
     """Run every (strategy, seed) cell and aggregate per strategy.
 

@@ -54,7 +54,7 @@ class Dflf(Strategy):
         self.occ: dict[Cell, list[int]] = {}
         for i, cell in enumerate(self.walk):
             self.occ.setdefault(cell, []).append(i)
-        self.index: dict[int, int] = {}  # robot id -> position on the walk
+        self.index: dict[int, int] = {}  # active robot id -> position on the walk
 
     def _build_walk(self) -> list[Cell]:
         """Full DFS traversal from the door, recording every visit
@@ -85,9 +85,7 @@ class Dflf(Strategy):
     def decide_all(self, sim) -> dict[int, int]:
         actions: dict[int, int] = {}
         claimed: set[Cell] = set()
-        for robot in sim.robots:
-            if not robot.active:
-                continue
+        for robot in sim.active:
             i = self.index[robot.id]
             settle = False
             target = None
@@ -103,10 +101,12 @@ class Dflf(Strategy):
                     i = occ[bisect_right(occ, i)]
                     continue
                 break
-            self.index[robot.id] = i
             if settle:
+                del self.index[robot.id]
                 actions[robot.id] = A_SETTLE
-            elif target in sim.occupied or target in claimed:
+                continue
+            self.index[robot.id] = i
+            if target in sim.occupied or target in claimed:
                 actions[robot.id] = A_STAY
             else:
                 claimed.add(target)
@@ -115,7 +115,10 @@ class Dflf(Strategy):
         return actions
 
     def state_key(self):
-        return tuple(sorted(self.index.items()))
+        # Active robots only, in spawn (= id) order: the engine clears its
+        # seen configurations on every settle, so settled robots, whose
+        # entries are dropped in decide_all, need not be in the key.
+        return tuple(self.index.items())
 
 
 class Bflf(Strategy):
@@ -127,7 +130,7 @@ class Bflf(Strategy):
         self.region = region
         self.rng = random.Random(seed)
         self.claimed: set[Cell] = set()
-        self.targets: dict[int, Cell] = {}
+        self.targets: dict[int, Cell] = {}  # active robot id -> target
         self.paths: dict[int, list[Cell]] = {}  # remaining cells to target
 
     # -- target assignment -------------------------------------------------
@@ -183,9 +186,7 @@ class Bflf(Strategy):
     def _route(self, sim, src: Cell, dst: Cell, avoid_active: bool = False) -> list[Cell]:
         """Shortest path src -> dst through unsettled cells (excluding
         src); empty when none exists."""
-        blocked = {r.pos for r in sim.robots if not r.active}
-        if avoid_active:
-            blocked |= {r.pos for r in sim.robots if r.active and r.pos != src}
+        occupied = sim.occupied
         cells = self.region.cells
         prev: dict[Cell, Cell] = {src: src}
         todo = deque([src])
@@ -199,9 +200,13 @@ class Bflf(Strategy):
                 path.reverse()
                 return path[1:]
             for nb in _nbrs(v):
-                if nb in cells and nb not in blocked and nb not in prev:
-                    prev[nb] = v
-                    todo.append(nb)
+                if nb not in cells or nb in prev:
+                    continue
+                holder = occupied.get(nb)
+                if holder is not None and (avoid_active or not holder.active):
+                    continue
+                prev[nb] = v
+                todo.append(nb)
         return []
 
     def on_spawn(self, sim, robot) -> None:
@@ -211,11 +216,11 @@ class Bflf(Strategy):
         actions: dict[int, int] = {}
         claimed_now: set[Cell] = set()
         spawn_pending = self.region.door not in sim.occupied
-        for robot in sim.robots:
-            if not robot.active:
-                continue
+        for robot in sim.active:
             target = self.targets[robot.id]
             if robot.pos == target:
+                del self.targets[robot.id]
+                del self.paths[robot.id]
                 actions[robot.id] = A_SETTLE
                 continue
             path = self.paths.get(robot.id) or []
@@ -254,4 +259,5 @@ class Bflf(Strategy):
         return actions
 
     def state_key(self):
-        return (len(self.claimed), tuple(sorted(self.targets.items())))
+        # Active robots only, in spawn (= id) order; see Dflf.state_key.
+        return (len(self.claimed), tuple(self.targets.items()))

@@ -1,9 +1,14 @@
+import csv
 import json
+import pathlib
+import shlex
 
 import pytest
 
-from dispersim.cli import main
+from dispersim.cli import build_parser, main
 from dispersim.envgen import rect
+from dispersim.strategies import STRATEGIES
+from dispersim.strategies.base import Strategy
 
 
 @pytest.fixture
@@ -99,6 +104,43 @@ def test_compare_table_and_csv(tmp_path, capsys):
     lines = csv_out.read_text().splitlines()
     assert len(lines) == 5  # header + 2 strategies x 2 reps
     assert lines[0].startswith("env,door_x")
+
+
+class _Broken(Strategy):
+    name = "broken"
+
+    def fresh_memory(self):
+        return None
+
+    def decide(self, view, mem):
+        raise RuntimeError("stuck at (0, 1), no way out")
+
+
+def test_compare_csv_quotes_error_text(corridor_map, tmp_path, monkeypatch):
+    monkeypatch.setitem(STRATEGIES, "broken", _Broken)
+    csv_out = tmp_path / "rows.csv"
+    code = main(["compare", "--env", corridor_map, "--strategies", "fcdfs,broken",
+                 "--reps", "2", "--csv", str(csv_out)])
+    assert code == 0
+    text = csv_out.read_text()
+    rows = list(csv.reader(text.splitlines()))
+    assert len(rows) == 5
+    assert all(len(row) == 14 for row in rows)
+    assert rows[3][4:7] == ["broken", "0", "error:RuntimeError: stuck at (0, 1), no way out"]
+    assert rows[3][7:] == [""] * 7
+    # Successful rows are written exactly as `run` prints them.
+    assert text.splitlines()[1] == f"{corridor_map},0,0,5,fcdfs,0,covered,9,10,4,10,4,10,true"
+
+
+def test_readme_cli_examples_parse():
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    examples = [
+        line for line in readme.read_text().splitlines() if line.startswith("dispersim ")
+    ]
+    assert len(examples) >= 6
+    parser = build_parser()
+    for line in examples:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_compare_unknown_strategy(tmp_path):

@@ -1,17 +1,23 @@
+import random
+from types import SimpleNamespace
+
 import pytest
 
+from dispersim import engine, topology
 from dispersim.engine import (
     A_SETTLE,
     A_STAY,
     VIEW_OFFSETS,
+    Robot,
+    RunChecker,
     Simulation,
     SensorView,
     run,
 )
-from dispersim.envgen import rect
-from dispersim.errors import CollisionError, InvariantViolation
-from dispersim.grid import Region, UP, RIGHT
-from dispersim.strategies import make_strategy
+from dispersim.envgen import random_simply_connected, rect
+from dispersim.errors import CollisionError, DispersimError, InvariantViolation
+from dispersim.grid import Region, UP, RIGHT, manhattan
+from dispersim.strategies import STRATEGIES, make_strategy
 from dispersim.strategies.base import Strategy
 
 
@@ -192,3 +198,198 @@ def test_checker_flags_settling_at_interior():
     # Door in the middle of a corridor: an interior cell.
     with pytest.raises(InvariantViolation):
         run(rect(3, 1, (1, 0)), EagerSettler(), max_steps=5, check=True)
+
+
+# -- the active set ------------------------------------------------------
+
+ACTIVE_SET_REGIONS = [rect(6, 6, (2, 2)), random_simply_connected(60, seed=7)]
+
+
+def _step_to_end(sim):
+    """Step ``sim`` to its end (or 4V steps), yielding after each step."""
+    limit = 4 * len(sim.region.cells)
+    while sim.outcome is None and sim.t < limit:
+        sim.step()
+        yield sim.t
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_active_list_is_the_active_robots_in_id_order(name):
+    for r in ACTIVE_SET_REGIONS:
+        sim = Simulation(r, make_strategy(name, r, 1), record=False)
+        for _ in _step_to_end(sim):
+            assert sim.active == [rb for rb in sim.robots if rb.active]
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_settled_robots_are_never_decided(name):
+    for r in ACTIVE_SET_REGIONS:
+        strategy = make_strategy(name, r, 1)
+        sim = Simulation(r, strategy, record=False)
+        settled_mems: set[int] = set()
+        decided: list[int] = []
+
+        if strategy.privileged:
+            decide_all = strategy.decide_all
+
+            def checked_all(sim):
+                actions = decide_all(sim)
+                assert set(actions) <= {rb.id for rb in sim.active}
+                decided.append(len(actions))
+                return actions
+
+            strategy.decide_all = checked_all
+        else:
+            decide = strategy.decide
+
+            def checked(view, mem):
+                assert id(mem) not in settled_mems
+                decided.append(1)
+                return decide(view, mem)
+
+            strategy.decide = checked
+        for _ in _step_to_end(sim):
+            settled_mems.update(id(rb.mem) for rb in sim.robots if not rb.active)
+        assert decided
+        # Every robot is decided exactly on the steps it is active.
+        assert sum(decided) == sum(rb.travel for rb in sim.robots) + sum(
+            not rb.active for rb in sim.robots
+        )
+
+
+def test_checker_residual_is_region_minus_settled_cells():
+    for r in ACTIVE_SET_REGIONS:
+        checker = RunChecker(r)
+        sim = Simulation(r, make_strategy("fcdfs", r, 0), record=False, checker=checker)
+        for _ in _step_to_end(sim):
+            settled = {rb.pos for rb in sim.robots if not rb.active}
+            assert checker.residual == set(r.cells) - settled
+        assert sim.outcome.kind == "covered"
+
+
+class NaiveChecker:
+    """The runtime invariants of RunChecker, with every piece of state
+    rebuilt from all of ``sim.robots`` on every step."""
+
+    def __init__(self, region):
+        self.region = region
+        self.dist = topology.DistanceCache(region)
+        self.positions: dict[int, list] = {}
+        self.primaries: dict[int, object] = {}
+        self.residual = None
+
+    def before_step(self, sim):
+        t = sim.t + 1
+        active = [rb for rb in sim.robots if rb.active]
+        for i, a in enumerate(active):
+            for b in active[i + 1 :]:
+                bound = 2 * (b.id - a.id)
+                if manhattan(a.pos, b.pos) < bound and self.dist.distance(a.pos, b.pos) < bound:
+                    raise InvariantViolation(
+                        f"t={t}: robots {a.id} at {a.pos} and {b.id} at "
+                        f"{b.pos} are closer than {bound}"
+                    )
+        self.residual = set(self.region.cells) - {rb.pos for rb in sim.robots if not rb.active}
+        self.primaries = {rb.id: getattr(rb.mem, "primary", None) for rb in sim.robots}
+
+    def after_step(self, sim, actions, settled_now):
+        t = sim.t
+        for rid, act in actions.items():
+            if act == A_STAY:
+                raise InvariantViolation(f"t={t}: robot {rid} issued Stay")
+        for rb in settled_now:
+            kind = topology.classify_cells(self.residual, rb.pos).kind
+            if kind != topology.CORNER:
+                raise InvariantViolation(
+                    f"t={t}: robot {rb.id} settled at {rb.pos}, a "
+                    f"{kind} of the residual region"
+                )
+        for rb in sim.robots:
+            before = self.primaries.get(rb.id)
+            after = getattr(rb.mem, "primary", None)
+            if before is None or after is None or before == after:
+                continue
+            hist = self.positions.get(rb.id)
+            at = hist[-1] if hist else rb.pos
+            kind = topology.classify_cells(self.residual, at).kind
+            if kind != topology.HALL:
+                raise InvariantViolation(
+                    f"t={t}: robot {rb.id} changed primary at {at}, a "
+                    f"{kind} of the residual region"
+                )
+        for rb in sim.robots:
+            pred = self.positions.get(rb.id - 1)
+            own = self.positions.get(rb.id)
+            if not pred or len(pred) < 2 or pred[-1] is None:
+                continue
+            if (not own or own[-1] is not None) and rb.pos != pred[0]:
+                raise InvariantViolation(
+                    f"t={t}: robot {rb.id} at {rb.pos} does not "
+                    f"follow robot {rb.id - 1} (expected {pred[0]})"
+                )
+        for rb in sim.robots:
+            hist = self.positions.setdefault(rb.id, [])
+            hist.append(rb.pos if rb.active else None)
+            del hist[:-2]
+
+
+def _checked_outcome(region, name, seed):
+    try:
+        _, m = run(region, make_strategy(name, region, seed), record=False, check=True)
+    except DispersimError as exc:
+        return type(exc).__name__, str(exc)
+    return m
+
+
+def test_checker_agrees_with_naive_reference(monkeypatch):
+    rng = random.Random(2024)
+    regions = [random_simply_connected(rng.randint(2, 150), seed=500 + i) for i in range(30)]
+    outcomes = {}
+    for i, r in enumerate(regions):
+        for name in sorted(STRATEGIES):
+            outcomes[i, name] = _checked_outcome(r, name, i)
+    monkeypatch.setattr(engine, "RunChecker", NaiveChecker)
+    kinds = set()
+    for i, r in enumerate(regions):
+        for name in sorted(STRATEGIES):
+            expected = _checked_outcome(r, name, i)
+            assert outcomes[i, name] == expected, (i, name)
+            kinds.add(type(expected).__name__)
+    # Both verdicts occur, so the comparison covers passes and violations.
+    assert kinds == {"RunMetrics", "tuple"}
+
+
+def _late_emergence(checker):
+    """Feed ``checker`` a hand-written run on a corridor: robot 1 walks up
+    from the door, and robot 2 emerges one step late, at t=4, when robot 1
+    stood at (0, 1) two step boundaries earlier."""
+    sim = SimpleNamespace(t=0, robots=[], active=[])
+    r1 = Robot(1, (0, 0), None)
+
+    def step(moved_to, spawn):
+        checker.before_step(sim)
+        actions = {}
+        if moved_to is not None:
+            r1.pos = moved_to
+            actions[r1.id] = UP
+        sim.t += 1
+        if spawn is not None:
+            sim.robots.append(spawn)
+            sim.active.append(spawn)
+        checker.after_step(sim, actions, [])
+
+    step(None, r1)
+    step((0, 1), None)
+    step((0, 2), None)
+    step((0, 3), Robot(2, (0, 0), None))
+
+
+def test_checker_follow_the_leader_covers_the_robot_spawned_this_step():
+    r = rect(1, 5, (0, 0))
+    messages = []
+    for checker in (RunChecker(r), NaiveChecker(r)):
+        with pytest.raises(InvariantViolation) as info:
+            _late_emergence(checker)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0] == "t=4: robot 2 at (0, 0) does not follow robot 1 (expected (0, 1))"
