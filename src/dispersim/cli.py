@@ -151,18 +151,15 @@ def cmd_render(args) -> int:
         with open(args.trace, encoding="utf-8") as fh:
             data = json.load(fh)
         trace = SimulationTrace.from_json_dict(data)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"bad trace: {exc}", file=sys.stderr)
         return EXIT_IO
-    last = len(trace.steps)
+    if args.every < 1:
+        raise BadParameters("--every must be >= 1")
     if args.format == "ascii":
-        for t in range(args.every, last + 1, args.every):
+        for t, frame in render.ascii_frames(trace, render.frame_steps(trace, args.every)):
             print(f"t={t}")
-            print(render.ascii_frame(trace, t))
-            print()
-        if last % args.every:
-            print(f"t={last}")
-            print(render.ascii_frame(trace, last))
+            print(frame)
             print()
     else:
         out = args.out or "."

@@ -12,15 +12,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CollisionError, InvariantViolation
-from .grid import DIR_VECTORS, Cell, Region, manhattan
+from .errors import CollisionError, InvariantViolation, MapError
+from .grid import DIR_NAMES, DIR_VECTORS, Cell, Region, manhattan
 from . import topology
 from .metrics import RunMetrics
 
 # Action codes: 0..3 move in that direction, then stay, then settle.
 A_STAY = 4
 A_SETTLE = 5
-ACTION_CHARS = "URDL.X"
+
+# Trace event codes: a move is its direction's letter.
+EV_MOVES = {name: d for d, name in enumerate(DIR_NAMES)}
+EV_SETTLE = "X"
+EV_SPAWN = "+"
 
 # Relative offsets visible to a robot: Manhattan distance 1 and 2.
 VIEW_OFFSETS = tuple(
@@ -87,60 +91,177 @@ class Outcome:
     t: int
 
 
-class SimulationTrace:
-    """Per-step record of a run plus spawn/settle events.
+class ReplayRobot:
+    """One robot as :meth:`SimulationTrace.replay` rebuilds it.
 
-    ``steps`` is a list of ``(t, spawn_id, robots)`` tuples where
-    ``robots`` holds ``(id, x, y, state_char, act_char)`` for every robot
-    that existed at the start of the step, with its end-of-step state.
-    None when the run was made without recording.
+    ``heading`` is the letter of its last move ("U" before the first),
+    ``spawned`` the step it emerged in, ``settled`` the step it settled
+    in (None while active) and ``last`` the step of its latest event.
+    """
+
+    __slots__ = ("id", "pos", "heading", "spawned", "settled", "last", "moves")
+
+    def __init__(self, rid: int, pos: Cell, t: int):
+        self.id = rid
+        self.pos = pos
+        self.heading = "U"
+        self.spawned = t
+        self.settled = None
+        self.last = t
+        self.moves = 0
+
+    @property
+    def active(self) -> bool:
+        return self.settled is None
+
+
+class SimulationTrace:
+    """The event log of a run: only what changed, so it costs O(events).
+
+    ``events`` lists ``(t, id, what)`` tuples in the order the engine
+    applied them. Within step t come the moves (``what`` is the
+    direction letter, "U", "R", "D" or "L"), then the settles ("X"),
+    then the spawn at the door ("+"). Stays and robots without an action
+    leave no event: a robot is active from its spawn to its settle, and
+    its position changes only by its moves. ``events`` is None when the
+    run was made without recording. :meth:`replay` rebuilds every step.
     """
 
     def __init__(self, region: Region, strategy_name: str, seed: int):
         self.region = region
         self.strategy = strategy_name
         self.seed = seed
-        self.steps: list | None = []
+        self.events: list | None = []
         self.outcome: Outcome | None = None
 
+    def replay(self):
+        """Yield ``(t, robots)`` at the end of every step t, from 1 to
+        ``outcome.t``.
+
+        ``robots`` lists a :class:`ReplayRobot` per robot spawned by t,
+        in id order; the next step updates it in place. Raises
+        ValueError at the first event the engine could not have
+        recorded: an event out of step order or past the outcome, for an
+        unknown or settled robot, a second event of a robot in one step,
+        a move off the region or onto a cell occupied at the start of
+        the step, or a spawn onto an occupied door.
+        """
+        if self.events is None:
+            raise ValueError("trace was recorded without events")
+        region = self.region
+        cells = region.cells
+        door = region.door
+        last = self.outcome.t
+        robots: list[ReplayRobot] = []
+        occupied: dict[Cell, ReplayRobot] = {}
+        vacated: set[Cell] = set()  # cells left during step t
+        t = 1
+        for when, rid, what in self.events:
+            if when != t:
+                if not t < when <= last:
+                    raise ValueError(
+                        f"event {[when, rid, what]} out of step order "
+                        f"(at step {t}, outcome at step {last})"
+                    )
+                while t < when:
+                    yield t, robots
+                    t += 1
+                vacated.clear()
+            if what == EV_SPAWN:
+                if rid != len(robots) + 1:
+                    raise ValueError(f"t={t}: spawn of robot {rid}, expected {len(robots) + 1}")
+                if door in occupied or door in vacated:
+                    raise ValueError(f"t={t}: robot {rid} spawned onto the occupied door")
+                robot = ReplayRobot(rid, door, t)
+                robots.append(robot)
+                occupied[door] = robot
+                continue
+            if not 1 <= rid <= len(robots):
+                raise ValueError(f"t={t}: event {what!r} for robot {rid}, which was never spawned")
+            robot = robots[rid - 1]
+            if not robot.active:
+                raise ValueError(f"t={t}: event {what!r} for robot {rid}, which has settled")
+            if robot.last == t:
+                raise ValueError(f"t={t}: second event {what!r} for robot {rid} in one step")
+            robot.last = t
+            if what == EV_SETTLE:
+                robot.settled = t
+                continue
+            d = EV_MOVES.get(what)
+            if d is None:
+                raise ValueError(f"t={t}: unknown event {what!r} for robot {rid}")
+            dx, dy = DIR_VECTORS[d]
+            target = (robot.pos[0] + dx, robot.pos[1] + dy)
+            if target not in cells:
+                raise ValueError(f"t={t}: robot {rid} at {robot.pos} moved {what} off the region")
+            if target in occupied or target in vacated:
+                raise ValueError(
+                    f"t={t}: robot {rid} at {robot.pos} moved {what} onto occupied cell {target}"
+                )
+            del occupied[robot.pos]
+            vacated.add(robot.pos)
+            occupied[target] = robot
+            robot.pos = target
+            robot.heading = what
+            robot.moves += 1
+        if self.outcome.kind == "covered" and len(occupied) != len(cells):
+            raise ValueError(f"outcome covered, but {len(cells) - len(occupied)} cells are empty")
+        while t <= last:
+            yield t, robots
+            t += 1
+
     def to_json_dict(self) -> dict:
-        steps = []
-        for t, spawn, robots in self.steps or ():
-            steps.append(
-                {
-                    "t": t,
-                    "spawn": spawn,
-                    "robots": [
-                        {"id": rid, "pos": [x, y], "state": state, "act": act}
-                        for rid, x, y, state, act in robots
-                    ],
-                }
-            )
+        region = self.region
         return {
-            "env": self.region.to_ascii(),
+            "env": region.to_ascii(),
+            "origin": [region.min_x, region.min_y],
             "strategy": self.strategy,
             "seed": self.seed,
-            "steps": steps,
+            "events": [list(ev) for ev in self.events or ()],
             "outcome": {"kind": self.outcome.kind, "t": self.outcome.t},
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SimulationTrace":
+        """Read a trace written by :meth:`to_json_dict`.
+
+        The data comes from outside the program, so it is checked in
+        full: a malformed or inconsistent trace raises ValueError, as
+        does the old per-step snapshot format, which is no longer read.
+        """
         from .grid import from_ascii
 
-        trace = cls(from_ascii(data["env"]), data["strategy"], data["seed"])
-        trace.steps = [
-            (
-                step["t"],
-                step["spawn"],
-                tuple(
-                    (r["id"], r["pos"][0], r["pos"][1], r["state"], r["act"])
-                    for r in step["robots"]
-                ),
+        if not isinstance(data, dict):
+            raise ValueError("a trace is a JSON object")
+        if "events" not in data and "steps" in data:
+            raise ValueError(
+                "per-step snapshot trace ('steps', no 'events'): this format is "
+                "no longer read; record the run again"
             )
-            for step in data["steps"]
-        ]
-        trace.outcome = Outcome(data["outcome"]["kind"], data["outcome"]["t"])
+        try:
+            env, origin = data["env"], tuple(data["origin"])
+            if not isinstance(env, str):
+                raise ValueError(f"env must be an ASCII map string, got {type(env).__name__}")
+            if [type(v) for v in origin] != [int, int]:
+                raise ValueError(f"origin must be two integers, got {data['origin']!r}")
+            region = from_ascii(env, origin)
+            outcome = Outcome(data["outcome"]["kind"], data["outcome"]["t"])
+            trace = cls(region, data["strategy"], data["seed"])
+            trace.events = [tuple(ev) for ev in data["events"]]
+        except MapError as exc:
+            raise ValueError(f"bad env: {exc}") from exc
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed trace: {type(exc).__name__}: {exc}") from exc
+        if outcome.kind not in ("covered", "deadlock", "limit"):
+            raise ValueError(f"unknown outcome kind {outcome.kind!r}")
+        if type(outcome.t) is not int or outcome.t < 0:
+            raise ValueError(f"outcome t must be an integer >= 0, got {outcome.t!r}")
+        for ev in trace.events:
+            if [type(v) for v in ev] != [int, int, str]:
+                raise ValueError(f"event {list(ev)} is not [t, robot id, what]")
+        trace.outcome = outcome
+        for _ in trace.replay():
+            pass
         return trace
 
 
@@ -149,8 +270,9 @@ class Simulation:
 
     ``robots`` holds every robot ever spawned, in id order; ``active``
     holds the robots that have not settled, also in id order. Settled
-    robots never act again, so with recording off every per-step walk
-    reads ``active`` only and a step costs O(active robots).
+    robots never act again, so every per-step walk reads ``active`` only
+    and a step costs O(active robots). Recording appends only the step's
+    events to the trace.
     """
 
     def __init__(
@@ -171,7 +293,7 @@ class Simulation:
         self.outcome: Outcome | None = None
         self.trace = SimulationTrace(region, strategy.name, seed)
         if not record:
-            self.trace.steps = None
+            self.trace.events = None
         self.checker = checker
         self._seen_configs: set = set()
 
@@ -194,7 +316,6 @@ class Simulation:
             self.checker.before_step(self)
         spawn_pending = region.door not in occupied
         stepping = self.active  # robots active at the start of the step
-        n_robots = len(self.robots)
         if strategy.privileged:
             actions = strategy.decide_all(self)
         else:
@@ -248,7 +369,7 @@ class Simulation:
         spawned = None
         if spawn_pending and region.door not in occupied:
             mem = None if strategy.privileged else strategy.fresh_memory()
-            spawned = Robot(n_robots + 1, region.door, mem)
+            spawned = Robot(len(self.robots) + 1, region.door, mem)
             self.robots.append(spawned)
             self.active.append(spawned)
             occupied[region.door] = spawned
@@ -256,18 +377,12 @@ class Simulation:
                 strategy.on_spawn(self, spawned)
 
         self.t = t
-        if self.trace.steps is not None:
-            rows = tuple(
-                (
-                    r.id,
-                    r.pos[0],
-                    r.pos[1],
-                    "A" if r.active else "S",
-                    ACTION_CHARS[actions[r.id]] if r.id in actions else ".",
-                )
-                for r in self.robots[:n_robots]
-            )
-            self.trace.steps.append((t, spawned.id if spawned else None, rows))
+        events = self.trace.events
+        if events is not None:
+            events.extend((t, robot.id, DIR_NAMES[actions[robot.id]]) for robot, _ in movers)
+            events.extend((t, robot.id, EV_SETTLE) for robot in settled_now)
+            if spawned is not None:
+                events.append((t, spawned.id, EV_SPAWN))
         if self.checker is not None:
             self.checker.after_step(self, actions, settled_now)
 

@@ -117,8 +117,8 @@ class Region:
     def to_ascii(self) -> str:
         """Render the bounding box as an ASCII map, padding with '#'.
 
-        Inverse of :func:`from_ascii` for regions whose bounding box has
-        its minimum corner at the origin.
+        Inverse of :func:`from_ascii` given the bounding box's minimum
+        corner ``(min_x, min_y)`` as its origin.
         """
         rows = []
         for y in range(self.max_y, self.min_y - 1, -1):
@@ -147,12 +147,12 @@ def flood_fill(cells: frozenset | set, start: Cell) -> set[Cell]:
     return seen
 
 
-def from_ascii(text: str) -> Region:
+def from_ascii(text: str, origin: Cell = (0, 0)) -> Region:
     """Parse an ASCII map into a Region.
 
     The map must be a rectangular block of '#', '.' and 'S' characters
     with exactly one 'S'; row 0 is the top. A trailing newline is
-    allowed.
+    allowed. The bottom-left character of the map is the cell ``origin``.
     """
     lines = text.split("\n")
     if lines and lines[-1] == "":
@@ -165,11 +165,12 @@ def from_ascii(text: str) -> Region:
     cells = set()
     door = None
     height = len(lines)
+    x0, y0 = origin
     for row, line in enumerate(lines):
         if len(line) != width:
             raise MalformedMap(f"line {row} has length {len(line)}, expected {width}")
-        y = height - 1 - row
-        for x, ch in enumerate(line):
+        y = y0 + height - 1 - row
+        for x, ch in enumerate(line, x0):
             if ch == WALL_CHAR:
                 continue
             if ch == DOOR_CHAR:
@@ -180,7 +181,7 @@ def from_ascii(text: str) -> Region:
             elif ch == FLOOR_CHAR:
                 cells.add((x, y))
             else:
-                raise MalformedMap(f"bad character {ch!r} at row {row}, col {x}")
+                raise MalformedMap(f"bad character {ch!r} at row {row}, col {x - x0}")
     if door is None:
         raise NoDoor("map has no 'S' cell")
     return Region(cells, door)

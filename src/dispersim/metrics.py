@@ -55,46 +55,34 @@ class RunMetrics:
 def compute_metrics(trace, r: Region) -> RunMetrics:
     """Recompute metrics from a recorded trace.
 
-    Independent of the engine's streaming counters: travel is counted as
-    steps where a robot appears active at both step boundaries, moves as
-    position changes between consecutive records.
+    Independent of the engine's streaming counters: the trace's replay
+    rebuilds every robot from the event log. Travel is the number of
+    steps a robot is active at both step boundaries, from its spawn to
+    its settle or the end of the run; moves are its move events.
     """
-    if trace.steps is None:
-        raise TraceRegionMismatch("trace was recorded without steps")
+    if trace.events is None:
+        raise TraceRegionMismatch("trace was recorded without events")
     if trace.region.cells != r.cells or trace.region.door != r.door:
         raise TraceRegionMismatch("trace does not belong to this region")
-    travel: dict[int, int] = {}
-    moves: dict[int, int] = {}
-    prev_pos: dict[int, tuple] = {}
-    prev_active: dict[int, bool] = {}
-    for t, spawn, robots in trace.steps:
-        for rid, x, y, state, act in robots:
-            pos = (x, y)
-            active_end = state == "A"
-            if prev_active.get(rid, False) and active_end:
-                travel[rid] = travel.get(rid, 0) + 1
-            if rid in prev_pos and prev_pos[rid] != pos:
-                moves[rid] = moves.get(rid, 0) + 1
-            prev_pos[rid] = pos
-            prev_active[rid] = active_end
-        if spawn is not None:
-            prev_pos[spawn] = r.door
-            prev_active[spawn] = True
-            travel.setdefault(spawn, 0)
-            moves.setdefault(spawn, 0)
+    robots = []
+    for _, robots in trace.replay():
+        pass
+    last = trace.outcome.t
+    travel = [(last if rb.active else rb.settled - 1) - rb.spawned for rb in robots]
+    moves = [rb.moves for rb in robots]
     optimum = sum_distances(r, r.door)
-    total_travel = sum(travel.values())
+    total_travel = sum(travel)
     return RunMetrics(
         V=len(r.cells),
         makespan=trace.outcome.t if trace.outcome.kind == "covered" else None,
         total_travel=total_travel,
-        max_travel=max(travel.values(), default=0),
-        total_moves=sum(moves.values()),
-        max_moves=max(moves.values(), default=0),
+        max_travel=max(travel, default=0),
+        total_moves=sum(moves),
+        max_moves=max(moves, default=0),
         optimum=optimum,
         optimal=total_travel == optimum,
         outcome=trace.outcome.kind,
-        robots=len(travel),
+        robots=len(robots),
     )
 
 

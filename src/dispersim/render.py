@@ -16,35 +16,41 @@ _ARROWS = {"U": "^", "R": ">", "D": "v", "L": "<"}
 _SVG_ROT = {"U": 0, "R": 90, "D": 180, "L": 270}
 
 
-def _frame_state(trace, t: int):
-    """Robot positions and glyph directions at the end of step t.
-
-    Returns {id: (cell, state_char, dir_char)} built by replaying the
-    recorded steps, so Stay actions keep the previous arrow direction.
-    """
-    if trace.steps is None:
-        raise ValueError("trace was recorded without steps")
-    if not 1 <= t <= len(trace.steps):
-        raise StepOutOfRange(f"step {t} not in [1, {len(trace.steps)}]")
-    robots: dict[int, tuple[Cell, str, str]] = {}
-    for step_t, spawn, rows in trace.steps[:t]:
-        for rid, x, y, state, act in rows:
-            prev_dir = robots[rid][2] if rid in robots else "U"
-            d = act if act in _ARROWS else prev_dir
-            robots[rid] = ((x, y), state, d)
-        if spawn is not None:
-            robots[spawn] = (trace.region.door, "A", "U")
-    return robots
+def frame_steps(trace, every: int) -> list[int]:
+    """Steps every, 2*every, ... plus the final step, in order."""
+    if every < 1:
+        raise ValueError("every must be >= 1")
+    last = trace.outcome.t
+    steps = list(range(every, last + 1, every))
+    if last % every:
+        steps.append(last)
+    return steps
 
 
-def ascii_frame(trace, t: int) -> str:
-    """One character per bounding-box cell: '#' wall, '.' empty, 'S'
-    empty door, '^>v<' active robots, 'o' settled."""
-    region = trace.region
-    robots = _frame_state(trace, t)
-    at: dict[Cell, str] = {}
-    for cell, state, d in robots.values():
-        at[cell] = "o" if state == "S" else _ARROWS[d]
+def _frames(trace, steps):
+    """Yield ``(t, robots)`` for each t of ``steps`` in ascending order,
+    all from one forward pass of the trace's replay."""
+    steps = sorted(set(steps))
+    last = trace.outcome.t
+    for t in steps:
+        if not 1 <= t <= last:
+            raise StepOutOfRange(f"step {t} not in [1, {last}]")
+    todo = iter(steps)
+    want = next(todo, None)
+    if want is None:
+        return
+    for t, robots in trace.replay():
+        if t == want:
+            yield t, robots
+            want = next(todo, None)
+            if want is None:
+                return
+
+
+def _ascii(region, robots) -> str:
+    at: dict[Cell, str] = {
+        rb.pos: _ARROWS[rb.heading] if rb.active else "o" for rb in robots
+    }
     x0, x1, y0, y1 = region.min_x, region.max_x, region.min_y, region.max_y
     lines = []
     for y in range(y1, y0 - 1, -1):
@@ -63,9 +69,21 @@ def ascii_frame(trace, t: int) -> str:
     return "\n".join(lines)
 
 
-def _svg_frame(trace, t: int) -> str:
-    region = trace.region
-    robots = _frame_state(trace, t)
+def ascii_frames(trace, steps):
+    """Yield ``(t, frame)`` for each t of ``steps`` in ascending order,
+    in one forward pass; see :func:`ascii_frame`."""
+    for t, robots in _frames(trace, steps):
+        yield t, _ascii(trace.region, robots)
+
+
+def ascii_frame(trace, t: int) -> str:
+    """One character per bounding-box cell at the end of step t: '#'
+    wall, '.' empty, 'S' empty door, '^>v<' active robots pointing along
+    their last move (up before the first), 'o' settled."""
+    return next(ascii_frames(trace, [t]))[1]
+
+
+def _svg_frame(region, robots, t: int) -> str:
     x0, x1, y0, y1 = region.min_x, region.max_x, region.min_y, region.max_y
     w = x1 - x0 + 1
     h = y1 - y0 + 1
@@ -91,16 +109,15 @@ def _svg_frame(trace, t: int) -> str:
         f'<rect x="{dx}" y="{dy}" width="{s}" height="{s}" fill="none" '
         f'stroke="#2a7" stroke-width="2"/>'
     )
-    for rid in sorted(robots):
-        cell, state, d = robots[rid]
-        px, py = corner(cell)
+    for rb in robots:
+        px, py = corner(rb.pos)
         cx, cy = px + s // 2, py + s // 2
-        if state == "S":
+        if not rb.active:
             pts = f"{cx},{py + 3} {px + s - 3},{cy} {cx},{py + s - 3} {px + 3},{cy}"
             parts.append(f'<polygon points="{pts}" fill="#c33"/>')
         else:
             pts = f"{cx},{py + 3} {px + s - 4},{py + s - 4} {px + 4},{py + s - 4}"
-            rot = _SVG_ROT[d]
+            rot = _SVG_ROT[rb.heading]
             parts.append(
                 f'<polygon points="{pts}" fill="#36c" '
                 f'transform="rotate({rot} {cx} {cy})"/>'
@@ -112,18 +129,13 @@ def _svg_frame(trace, t: int) -> str:
 
 def svg_frames(trace, every: int, out_dir) -> list[str]:
     """Write frame_%06d.svg for steps every, 2*every, ... plus the final
-    step; returns the file paths written."""
-    if every < 1:
-        raise ValueError("every must be >= 1")
-    if trace.steps is None:
-        raise ValueError("trace was recorded without steps")
-    last = len(trace.steps)
-    steps = sorted(set(range(every, last + 1, every)) | {last})
+    step, in one forward pass; returns the file paths written."""
+    steps = frame_steps(trace, every)
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    for t in steps:
+    for t, robots in _frames(trace, steps):
         path = os.path.join(out_dir, f"frame_{t:06d}.svg")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_svg_frame(trace, t))
+            fh.write(_svg_frame(trace.region, robots, t))
         written.append(path)
     return written

@@ -110,7 +110,7 @@ def test_criterion_3_automaton_equivalence(suite):
     for i, r in enumerate(suite):
         t1, m1 = run(r, make_strategy("fcdfs", r, 0))
         t2, m2 = run(r, make_strategy("fcdfs5", r, 0))
-        if t1.steps != t2.steps or t1.outcome != t2.outcome or m1 != m2:
+        if t1.events != t2.events or t1.outcome != t2.outcome or m1 != m2:
             diffs.append(i)
             continue
         if i % 20 == 0:

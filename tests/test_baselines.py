@@ -28,7 +28,8 @@ def test_dflf_deterministic_per_seed():
     r = rect(7, 7, (0, 0))
     a, _ = run(r, make_strategy("dflf", r, 5))
     b, _ = run(r, make_strategy("dflf", r, 5))
-    assert a.steps == b.steps
+    assert a.events == b.events
+    assert a.outcome == b.outcome
 
 
 def test_bflf_covers_and_pauses_do_not_count_as_moves():

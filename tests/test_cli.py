@@ -189,3 +189,39 @@ def test_render_bad_trace(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["render", "--trace", str(bad)]) == 1
+
+
+def test_render_rejects_snapshot_format_trace(tmp_path, capsys):
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({
+        "env": "S.",
+        "strategy": "fcdfs",
+        "seed": 0,
+        "steps": [{"t": 1, "spawn": 1, "robots": []}],
+        "outcome": {"kind": "limit", "t": 1},
+    }))
+    assert main(["render", "--trace", str(old)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bad trace: per-step snapshot trace")
+
+
+def test_render_rejects_corrupted_event(corridor_map, tmp_path, capsys):
+    trace_file = tmp_path / "t.json"
+    main(["run", "--env", corridor_map, "--strategy", "fcdfs",
+          "--trace", str(trace_file)])
+    data = json.loads(trace_file.read_text())
+    assert data["events"][1] == [2, 1, "U"]
+    data["events"][1] = [2, 1, "D"]  # the door is the corridor's bottom cell
+    trace_file.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["render", "--trace", str(trace_file)]) == 1
+    err = capsys.readouterr().err
+    assert err == "bad trace: t=2: robot 1 at (0, 0) moved D off the region\n"
+
+
+def test_render_every_must_be_positive(corridor_map, tmp_path, capsys):
+    trace_file = tmp_path / "t.json"
+    main(["run", "--env", corridor_map, "--strategy", "fcdfs",
+          "--trace", str(trace_file)])
+    assert main(["render", "--trace", str(trace_file), "--every", "0"]) == 2
+    assert "--every must be >= 1" in capsys.readouterr().err

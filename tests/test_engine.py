@@ -1,3 +1,4 @@
+import json
 import random
 from types import SimpleNamespace
 
@@ -12,11 +13,14 @@ from dispersim.engine import (
     RunChecker,
     Simulation,
     SensorView,
+    SimulationTrace,
     run,
 )
 from dispersim.envgen import random_simply_connected, rect
 from dispersim.errors import CollisionError, DispersimError, InvariantViolation
 from dispersim.grid import Region, UP, RIGHT, manhattan
+from dispersim.metrics import compute_metrics
+from dispersim.render import ascii_frames
 from dispersim.strategies import STRATEGIES, make_strategy
 from dispersim.strategies.base import Strategy
 
@@ -41,13 +45,10 @@ def test_sensor_view_walls_and_robots_indistinguishable():
 def test_spawn_every_other_step():
     r = rect(1, 9, (0, 0))
     sim = Simulation(r, make_strategy("fcdfs", r, 0))
-    spawn_steps = []
     for _ in range(8):
         sim.step()
-        t, spawn, _rows = sim.trace.steps[-1]
-        if spawn is not None:
-            spawn_steps.append(t)
-    assert spawn_steps == [1, 3, 5, 7]
+    spawns = [(t, rid) for t, rid, what in sim.trace.events if what == "+"]
+    assert spawns == [(1, 1), (3, 2), (5, 3), (7, 4)]
 
 
 def test_corridor_run_is_covered_in_2v_minus_1():
@@ -139,30 +140,53 @@ def test_trace_json_shape():
     r = rect(2, 2, (0, 0))
     trace, _ = run(r, make_strategy("fcdfs", r, 0))
     d = trace.to_json_dict()
-    assert list(d) == ["env", "strategy", "seed", "steps", "outcome"]
+    assert list(d) == ["env", "origin", "strategy", "seed", "events", "outcome"]
+    assert d["env"] == "..\nS."
+    assert d["origin"] == [0, 0]
     assert d["strategy"] == "fcdfs"
-    first = d["steps"][0]
-    assert first["t"] == 1
-    assert first["spawn"] == 1
-    assert first["robots"] == []
-    assert d["outcome"]["kind"] == "covered"
+    # Step 1 only spawns robot 1; within a step, moves come before
+    # settles and settles before the spawn.
+    assert d["events"] == [
+        [1, 1, "+"],
+        [2, 1, "U"],
+        [3, 1, "R"], [3, 2, "+"],
+        [4, 2, "U"], [4, 1, "X"],
+        [5, 2, "X"], [5, 3, "+"],
+        [6, 3, "R"],
+        [7, 3, "X"], [7, 4, "+"],
+    ]
+    assert d["outcome"] == {"kind": "covered", "t": 7}
+
+
+def _json_round_trip(trace):
+    return SimulationTrace.from_json_dict(json.loads(json.dumps(trace.to_json_dict())))
 
 
 def test_trace_json_round_trip():
-    from dispersim.engine import SimulationTrace
-
     r = rect(3, 2, (1, 0))
     trace, _ = run(r, make_strategy("fcdfs", r, 0))
-    clone = SimulationTrace.from_json_dict(trace.to_json_dict())
-    assert clone.steps == trace.steps
+    clone = _json_round_trip(trace)
+    assert clone.events == trace.events
     assert clone.outcome == trace.outcome
     assert clone.region == trace.region
+
+
+def test_trace_round_trip_keeps_a_negative_origin():
+    r = random_simply_connected(40, seed=10)
+    assert r.door == (0, 0) and (r.min_x, r.min_y) == (-3, -7)
+    trace, m = run(r, make_strategy("fcdfs", r, 0))
+    clone = _json_round_trip(trace)
+    assert clone.region == r
+    assert (clone.region.min_x, clone.region.min_y) == (-3, -7)
+    assert compute_metrics(clone, r) == m
+    steps = range(1, trace.outcome.t + 1)
+    assert list(ascii_frames(clone, steps)) == list(ascii_frames(trace, steps))
 
 
 def test_run_without_recording_keeps_metrics():
     r = rect(4, 4, (0, 0))
     trace, m = run(r, make_strategy("fcdfs", r, 0), record=False)
-    assert trace.steps is None
+    assert trace.events is None
     assert m.outcome == "covered"
     assert m.makespan == 31
 
@@ -265,6 +289,78 @@ def test_checker_residual_is_region_minus_settled_cells():
             settled = {rb.pos for rb in sim.robots if not rb.active}
             assert checker.residual == set(r.cells) - settled
         assert sim.outcome.kind == "covered"
+
+
+# -- the event log ------------------------------------------------------
+
+RING = Region({(x, y) for x in range(3) for y in range(3)} - {(1, 1)}, (0, 0))
+EVENT_LOG_REGIONS = [rect(5, 4, (2, 1)), random_simply_connected(40, seed=10), RING]
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_replay_rebuilds_every_step_of_the_run(name):
+    """The state the replay rebuilds from the event log equals the
+    engine's own robots after every step, on a rectangle, a region with
+    a negative origin and the ring (where the local strategies
+    deadlock)."""
+    for r in EVENT_LOG_REGIONS:
+        sim = Simulation(r, make_strategy(name, r, 3), record=False)
+        expected = [[(rb.id, rb.pos, rb.active) for rb in sim.robots] for _ in _step_to_end(sim)]
+        trace, m = run(r, make_strategy(name, r, 3))
+        replayed = [[(rb.id, rb.pos, rb.active) for rb in robots] for _, robots in trace.replay()]
+        assert replayed == expected, (name, r)
+        assert trace.outcome.t == sim.t
+        if sim.outcome is not None:
+            assert trace.outcome == sim.outcome
+        assert compute_metrics(trace, r) == m
+
+
+def _corrupted(data):
+    """``data`` with one defect, each paired with the error it must raise."""
+    ev = data["events"]
+    # ev: [1,1,+] [2,1,U] [3,1,R] [3,2,+] [4,2,U] [4,1,X] [5,2,X] [5,3,+]
+    #     [6,3,R] [7,3,X] [7,4,+]; robot 1 ends at (1,1), robot 2 at (0,1).
+    old = {k: v for k, v in data.items() if k not in ("origin", "events")}
+    return [
+        ("snapshot", {**old, "steps": []}),
+        ("never spawned", {**data, "events": ev + [[7, 9, "U"]]}),
+        ("out of step order", {**data, "events": [ev[0], ev[2], ev[1]] + ev[3:]}),
+        ("out of step order", {**data, "events": ev + [[8, 4, "U"]]}),
+        ("off the region", {**data, "events": ev[:1] + [[2, 1, "D"]] + ev[2:]}),
+        ("onto occupied cell", {**data, "events": ev[:8] + [[6, 3, "U"]] + ev[9:]}),
+        ("which has settled", {**data, "events": ev + [[7, 1, "U"]]}),
+        ("second event", {**data, "events": ev[:2] + [[2, 1, "X"]] + ev[2:]}),
+        ("unknown event", {**data, "events": ev[:1] + [[2, 1, "Q"]] + ev[2:]}),
+        ("spawned onto the occupied door", {**data, "events": ev[:1] + [[2, 2, "+"]]}),
+        # Cells free only after this step's moves are still occupied.
+        ("onto occupied cell \\(1, 0\\)", {
+            **data,
+            "events": [[1, 1, "+"], [2, 1, "R"], [3, 2, "+"], [4, 1, "U"], [4, 2, "R"]],
+            "outcome": {"kind": "limit", "t": 4},
+        }),
+        ("spawned onto the occupied door", {
+            **data,
+            "events": [[1, 1, "+"], [2, 1, "R"], [2, 2, "+"]],
+            "outcome": {"kind": "limit", "t": 2},
+        }),
+        ("cells are empty", {**data, "events": ev[:-1]}),
+        (r"not \[t, robot id, what\]", {**data, "events": [[1, 1]]}),
+        ("origin must be two integers", {**data, "origin": [0]}),
+        ("unknown outcome kind", {**data, "outcome": {"kind": "won", "t": 7}}),
+        ("env must be", {**data, "env": None}),
+        ("malformed trace", {**data, "outcome": None}),
+        ("a trace is a JSON object", []),
+    ]
+
+
+def test_from_json_dict_rejects_inconsistent_traces():
+    r = rect(2, 2, (0, 0))
+    trace, _ = run(r, make_strategy("fcdfs", r, 0))
+    data = json.loads(json.dumps(trace.to_json_dict()))
+    for message, bad in _corrupted(data):
+        with pytest.raises(ValueError, match=message):
+            SimulationTrace.from_json_dict(bad)
+    assert SimulationTrace.from_json_dict(data).events == trace.events
 
 
 class NaiveChecker:

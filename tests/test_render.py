@@ -38,9 +38,8 @@ def test_frame_dimensions_and_glyph_count():
         lines = frame.splitlines()
         assert len(lines) == 4 and all(len(l) == 5 for l in lines)
         live = sum(frame.count(ch) for ch in "^>v<o")
-        _, spawn, rows = trace.steps[t - 1]
-        expected = len(rows) + (1 if spawn is not None else 0)
-        assert live == expected
+        spawned = sum(1 for when, _, what in trace.events if what == "+" and when <= t)
+        assert live == spawned
 
 
 def test_frame_out_of_range():
@@ -49,7 +48,7 @@ def test_frame_out_of_range():
     with pytest.raises(StepOutOfRange):
         ascii_frame(trace, 0)
     with pytest.raises(StepOutOfRange):
-        ascii_frame(trace, len(trace.steps) + 1)
+        ascii_frame(trace, trace.outcome.t + 1)
 
 
 def test_svg_frames_count_and_determinism(tmp_path):

@@ -65,7 +65,8 @@ def test_fcdfs_and_five_bit_agree_on_small_regions():
         r = random_simply_connected(rng.randint(2, 80), seed=500 + i)
         t1, m1 = run(r, make_strategy("fcdfs", r, 0))
         t2, m2 = run(r, make_strategy("fcdfs5", r, 0))
-        assert t1.steps == t2.steps
+        assert t1.events == t2.events
+        assert t1.outcome == t2.outcome
         assert m1 == m2
 
 
@@ -77,8 +78,10 @@ def test_rand_corner_rotations_cover_and_differ():
         assert m.outcome == "covered"
         assert m.total_travel == m.optimum
         assert m.makespan == 2 * len(r.cells) - 1
-        _, _, rows = trace.steps[1]
-        seen_first_moves.add(rows[0][4])
+        # Robot 1 spawns at t=1 and moves first at t=2.
+        t, _, what = next(ev for ev in trace.events if ev[1] == 1 and ev[2] != "+")
+        assert t == 2 and what in "URDL"
+        seen_first_moves.add(what)
     assert len(seen_first_moves) > 1  # the rotation draw actually varies
 
 
@@ -86,7 +89,8 @@ def test_rand_corner_deterministic_per_seed():
     r = rect(6, 6, (0, 0))
     a, _ = run(r, make_strategy("rand-corner", r, 3))
     b, _ = run(r, make_strategy("rand-corner", r, 3))
-    assert a.steps == b.steps
+    assert a.events == b.events
+    assert a.outcome == b.outcome
 
 
 def test_left_hand_l_tromino():
