@@ -17,7 +17,10 @@ BFLF: each spawned robot is assigned the nearest unclaimed cell whose
 claim keeps the unclaimed remainder connected to the door, and walks a
 shortest path through the unsettled cells toward it, pausing (Stay)
 whenever blocked by an active robot. Pauses count as travel but not as
-moves.
+moves. The door stays unclaimed until it is the last cell and every
+claim keeps the unclaimed cells connected, so a claim is safe exactly
+when the cell is not an articulation point of the unclaimed cells: one
+Hopcroft-Tarjan pass from the door per spawn finds them all.
 """
 
 from __future__ import annotations
@@ -40,6 +43,44 @@ def _move_action(src: Cell, dst: Cell) -> int:
 def _nbrs(cell: Cell):
     x, y = cell
     return ((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y))
+
+
+def cut_cells(cells, root: Cell) -> set[Cell]:
+    """Articulation points of the 4-connected cells reachable from
+    ``root`` within ``cells``: one iterative Hopcroft-Tarjan (1973)
+    depth-first pass, O(cells), with no recursion."""
+    depth = {root: 0}
+    low = {root: 0}
+    cut: set[Cell] = set()
+    root_children = 0
+    stack = [(root, iter(_nbrs(root)))]
+    while stack:
+        v, todo = stack[-1]
+        for w in todo:
+            if w not in cells:
+                continue
+            if w in depth:
+                # A back edge, or the tree edge to v's parent, which can
+                # only lower low[v] to its parent's depth: harmless here.
+                if depth[w] < low[v]:
+                    low[v] = depth[w]
+            else:
+                depth[w] = low[w] = len(depth)
+                stack.append((w, iter(_nbrs(w))))
+                break
+        else:
+            stack.pop()
+            if stack:
+                parent = stack[-1][0]
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+                if parent == root:
+                    root_children += 1
+                elif low[v] >= depth[parent]:
+                    cut.add(parent)
+    if root_children > 1:
+        cut.add(root)
+    return cut
 
 
 class Dflf(Strategy):
@@ -129,56 +170,27 @@ class Bflf(Strategy):
         super().__init__(region, seed)
         self.region = region
         self.rng = random.Random(seed)
-        self.claimed: set[Cell] = set()
+        self.unclaimed: set[Cell] = set(region.cells)
+        # Cells without a settled robot. decide_all removes a cell when it
+        # issues the settle; only on_spawn reads the set, after the settle
+        # has been applied.
+        self.unsettled: set[Cell] = set(region.cells)
         self.targets: dict[int, Cell] = {}  # active robot id -> target
         self.paths: dict[int, list[Cell]] = {}  # remaining cells to target
 
     # -- target assignment -------------------------------------------------
 
-    def _safe_claim(self, cell: Cell) -> bool:
-        """A claim is safe when the unclaimed remainder stays connected
-        to the door."""
-        unclaimed = set(self.region.cells) - self.claimed
-        unclaimed.discard(cell)
-        if not unclaimed:
-            return True
-        door = self.region.door
-        if door not in unclaimed:
-            return False
-        reached = {door}
-        todo = deque([door])
-        while todo:
-            v = todo.popleft()
-            for nb in _nbrs(v):
-                if nb in unclaimed and nb not in reached:
-                    reached.add(nb)
-                    todo.append(nb)
-        return len(reached) == len(unclaimed)
-
     def _assign_target(self, sim, robot) -> None:
-        unclaimed = set(self.region.cells) - self.claimed
-        settled = {r.pos for r in sim.robots if not r.active}
-        dist = bfs_distances_cells(self.region.cells - settled, self.region.door)
+        unclaimed = self.unclaimed
         door = self.region.door
-        order = sorted(
-            (c for c in unclaimed if c in dist and (c != door or len(unclaimed) == 1)),
-            key=lambda c: (dist[c], c),
-        )
-        pool: list[Cell] = []
-        for cand in order:
-            if pool and dist[cand] > dist[pool[0]]:
-                break
-            if self._safe_claim(cand):
-                pool.append(cand)
-        if not pool:
-            # No nearest tie is safe; fall back to the first safe cell.
-            for cand in order:
-                if self._safe_claim(cand):
-                    pool = [cand]
-                    break
+        dist = bfs_distances_cells(self.unsettled, door)
+        cut = cut_cells(unclaimed, door)
+        safe = [c for c in unclaimed if c not in cut and (c != door or len(unclaimed) == 1)]
+        nearest = min(dist[c] for c in safe)
+        pool = sorted(c for c in safe if dist[c] == nearest)
         target = self.rng.choice(pool)
         self.targets[robot.id] = target
-        self.claimed.add(target)
+        unclaimed.discard(target)
         self.paths[robot.id] = self._route(sim, robot.pos, target)
 
     # -- routing -----------------------------------------------------------
@@ -221,6 +233,7 @@ class Bflf(Strategy):
             if robot.pos == target:
                 del self.targets[robot.id]
                 del self.paths[robot.id]
+                self.unsettled.discard(target)
                 actions[robot.id] = A_SETTLE
                 continue
             path = self.paths.get(robot.id) or []
@@ -260,4 +273,4 @@ class Bflf(Strategy):
 
     def state_key(self):
         # Active robots only, in spawn (= id) order; see Dflf.state_key.
-        return (len(self.claimed), tuple(self.targets.items()))
+        return (len(self.unclaimed), tuple(self.targets.items()))

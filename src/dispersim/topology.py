@@ -31,7 +31,8 @@ class HallTree:
     """Hall-separated components of a simply connected region.
 
     Each component cell-set includes its adjacent halls; components
-    sharing a hall are joined by an edge; the root is the component
+    sharing a hall are joined by an edge; a staircase of two or more
+    halls is a component of its own; the root is the component
     containing the door.
     """
 
@@ -115,43 +116,43 @@ def _enclosed_walls(cells, min_x, max_x, min_y, max_y) -> bool:
 
 
 def hall_tree(r: Region) -> HallTree:
-    """Decompose a simply connected region into its hall tree."""
+    """Decompose a simply connected region into its hall tree.
+
+    The hall-free cells fall into 4-connected components. The halls
+    form maximal 4-connected runs. A one-hall run joins the components
+    it touches: the hall belongs to each, and they share an edge. A run
+    of two or more halls (a staircase) is a component of its own; each
+    end hall is shared with the component it touches, which the run is
+    joined to.
+    """
     if not is_simply_connected(r):
         raise NotSimplyConnected(
             "hall tree is only defined for simply connected regions"
         )
     hall_set = set(halls(r))
-    rest = set(r.cells) - hall_set
     comps: list[set] = []
-    unassigned = set(rest)
+    comp_of: dict[Cell, int] = {}  # hall-free cell -> its component
+    unassigned = set(r.cells) - hall_set
     while unassigned:
-        seed = min(unassigned)
-        comp = flood_fill(unassigned, seed)
+        comp = flood_fill(unassigned, min(unassigned))
         unassigned -= comp
+        comp_of.update(dict.fromkeys(comp, len(comps)))
         comps.append(comp)
-    if not comps:
-        # Degenerate: every cell is a hall (e.g. a single bend of 3 cells
-        # cannot occur, but a lone hall cell can when V is tiny).
-        comps = [set()]
-    # Re-attach each hall to every component it is adjacent to.
-    hall_members: dict[Cell, list[int]] = {}
-    for h in sorted(hall_set):
-        touching = []
-        hx, hy = h
-        for i, comp in enumerate(comps):
-            for nb in ((hx, hy + 1), (hx + 1, hy), (hx, hy - 1), (hx - 1, hy)):
-                if nb in comp:
-                    touching.append(i)
-                    break
-        for i in touching:
-            comps[i].add(h)
-        hall_members[h] = touching
     edges = set()
-    for h, touching in hall_members.items():
-        for i in touching:
-            for j in touching:
-                if i < j:
-                    edges.add((i, j))
+    unassigned = set(hall_set)
+    while unassigned:
+        run = flood_fill(unassigned, min(unassigned))
+        unassigned -= run
+        # (hall, component) for each run hall next to a hall-free cell.
+        touching = {(h, comp_of[nb]) for h in run for nb in r.neighbors(h) if nb in comp_of}
+        if len(run) == 1:
+            joined = {i for _, i in touching}
+        else:
+            joined = {len(comps)}
+            comps.append(set(run))
+        for h, i in touching:
+            comps[i].add(h)
+            edges.update((min(i, j), max(i, j)) for j in joined if j != i)
     root = next(i for i, comp in enumerate(comps) if r.door in comp)
     return HallTree(
         components=tuple(frozenset(c) for c in comps),

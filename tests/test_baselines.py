@@ -1,8 +1,15 @@
+import hashlib
 import random
+from dataclasses import astuple
+
+from hypothesis import given, settings, strategies as st
 
 from dispersim.engine import run
 from dispersim.envgen import random_simply_connected, rect
+from dispersim.grid import Region
 from dispersim.strategies import make_strategy
+from dispersim.strategies.baselines import cut_cells
+from dispersim.topology import articulation_points
 
 
 def test_dflf_corridor_total_moves_exact():
@@ -58,3 +65,59 @@ def test_baseline_ordering_on_open_square():
         results[name] = m.total_moves
     assert results["dflf"] > results["bflf"] > results["fcdfs"]
     assert results["fcdfs"] == m.optimum
+
+
+@settings(max_examples=60, deadline=None)
+@given(V=st.integers(1, 80), seed=st.integers(0, 2**20), claims=st.randoms(use_true_random=False))
+def test_cut_cells_match_the_brute_force_oracle_under_safe_claims(V, seed, claims):
+    # BFLF's claim sequence in miniature: claim a random cell whose loss
+    # keeps the unclaimed cells connected, the door last.
+    r = random_simply_connected(V, seed)
+    unclaimed = set(r.cells)
+    while unclaimed:
+        expected = articulation_points(Region(unclaimed, r.door))
+        assert cut_cells(unclaimed, r.door) == expected
+        safe = sorted(unclaimed - expected - {r.door}) or [r.door]
+        unclaimed.remove(claims.choice(safe))
+
+
+def test_cut_cells_on_a_long_corridor_needs_no_recursion():
+    corridor = rect(3000, 1, (0, 0))
+    assert cut_cells(corridor.cells, (0, 0)) == corridor.cells - {(0, 0), (2999, 0)}
+    assert cut_cells(corridor.cells, (1500, 0)) == corridor.cells - {(0, 0), (2999, 0)}
+
+
+# BFLF's exact choices: a SHA-256 of repr(trace.events) and the RunMetrics
+# fields (V, makespan, total/max travel, total/max moves, optimum, optimal,
+# outcome, robots) per (region, seed). Seed 69 on the square deadlocks.
+BFLF_PINNED = {
+    ("rect12", 0): ("6bb69686f52fd2d3bea9762874ae70e8586603db150b50fdcd24134c67ebb6eb", (144, 287, 3640, 49, 3640, 49, 864, False, 'covered', 144)),
+    ("rect12", 1): ("110b9a1969cca0ba02d66d5ac26e4b3544a607ab74c98d29853021739121fc02", (144, 287, 3652, 52, 3652, 52, 864, False, 'covered', 144)),
+    ("rect12", 2): ("66c3991b772085d8c69cd01d49ccd4885ce14e798fcaad83d869baeb9a44acf6", (144, 287, 3942, 52, 3942, 52, 864, False, 'covered', 144)),
+    ("rect12", 3): ("cc423386c093a7b45d1ed2fab672522e7ae238b2ac1d225676a49688d0ccc5aa", (144, 287, 3428, 46, 3428, 46, 864, False, 'covered', 144)),
+    ("rect12", 4): ("c9ff4cf2b71404049844cff089716df251e2d7cce54c51fe3af39006d8325965", (144, 287, 3588, 48, 3588, 48, 864, False, 'covered', 144)),
+    ("rect12", 69): ("432cf7202dfefb3032dc86c2a3dce1ab5f875813925925cba5c8f41912361153", (144, None, 305, 26, 239, 26, 864, False, 'deadlock', 35)),
+    ("rand70", 0): ("62025500880e0bcbb852061a7bfe34d1b7ac393420eea3826954f9c768f54d2d", (70, 139, 714, 24, 714, 24, 402, False, 'covered', 70)),
+    ("rand70", 1): ("7551bf9b75858b2c55ef289494a6adab2314056dc2f90867c604508588e3492e", (70, 139, 700, 23, 700, 23, 402, False, 'covered', 70)),
+    ("rand70", 2): ("a2e0f0f949a82e79b72fdf6415a2738dc40e1800e2723af8051d099b070fe6c1", (70, 139, 698, 22, 698, 22, 402, False, 'covered', 70)),
+    ("rand70", 3): ("3a5752a2d0edd0a0e6325ff75bb1896d81046e988953f27cf65701663e7ae82c", (70, 139, 688, 22, 688, 22, 402, False, 'covered', 70)),
+    ("rand70", 4): ("5c0e0c3ab2423d038aa35adc2720e54f88d26f38f034d96cf0c834bba6d5220d", (70, 139, 658, 20, 658, 20, 402, False, 'covered', 70)),
+    ("rand110", 0): ("c3d8bb7704179b3b25d2433865864ebe54cf4ab2869e15496d244a5fd07a04bf", (110, 219, 1722, 32, 1722, 32, 702, False, 'covered', 110)),
+    ("rand110", 1): ("6440c686da8563c6d43845b3aad361e3592bc0d252cafd5c87b81fc301bf1a8d", (110, 219, 1554, 27, 1554, 27, 702, False, 'covered', 110)),
+    ("rand110", 2): ("239cd43c55d3ac4f3aa5218ef81d378739aae01f8fae65d12c6da7d5516edb6d", (110, 219, 1570, 28, 1570, 28, 702, False, 'covered', 110)),
+    ("rand110", 3): ("3b9bd7f466cea13d20108f14ceef1a7593505eefbba7ac905728617801e95633", (110, 219, 1888, 32, 1888, 32, 702, False, 'covered', 110)),
+    ("rand110", 4): ("8271afe5e5bd37e8740918790bc5607f6126a9ff1334d8f32d34b84d24ace428", (110, 219, 1952, 37, 1952, 37, 702, False, 'covered', 110)),
+}
+
+
+def test_bflf_choices_pinned():
+    regions = {
+        "rect12": rect(12, 12, (5, 5)),
+        "rand70": random_simply_connected(70, 31),
+        "rand110": random_simply_connected(110, 57),
+    }
+    for (name, seed), (digest, fields) in BFLF_PINNED.items():
+        r = regions[name]
+        trace, m = run(r, make_strategy("bflf", r, seed), max_steps=60 * len(r.cells))
+        assert astuple(m) == fields, (name, seed)
+        assert hashlib.sha256(repr(trace.events).encode()).hexdigest() == digest, (name, seed)

@@ -169,6 +169,15 @@ def test_oracle_l_tromino(tmp_path, capsys):
     assert "hall_tree_components=2" in out
 
 
+def test_oracle_staircase_of_halls(tmp_path, capsys):
+    env = tmp_path / "stair.map"
+    env.write_text("..#\n#S.\n##.\n")
+    assert main(["oracle", "--env", str(env)]) == 0
+    out = capsys.readouterr().out
+    assert "halls=3" in out
+    assert "hall_tree_components=3" in out
+
+
 def test_render_ascii_and_svg(corridor_map, tmp_path, capsys):
     trace_file = tmp_path / "t.json"
     main(["run", "--env", corridor_map, "--strategy", "fcdfs",

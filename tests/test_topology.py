@@ -1,11 +1,14 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dispersim import topology as tp
-from dispersim.envgen import rect
+from dispersim.envgen import random_simply_connected, rect
 from dispersim.errors import NotSimplyConnected
 from dispersim.grid import Region, from_ascii
 
 L_TROMINO = from_ascii("S#\n..")
+# Three halls in a row, the door in the middle one.
+STAIRCASE = from_ascii("..#\n#S.\n##.")
 RING = Region({(x, y) for x in range(3) for y in range(3)} - {(1, 1)}, (0, 0))
 
 
@@ -49,6 +52,45 @@ def test_hall_tree_l_tromino():
     assert len(tree.edges) == 1
     root_cells = tree.components[tree.root]
     assert L_TROMINO.door in root_cells
+
+
+def _assert_hall_tree(r, tree):
+    """The components cover the region, the root holds the door, and
+    the edges form a tree on the components."""
+    n = len(tree.components)
+    assert frozenset().union(*tree.components) == r.cells
+    assert r.door in tree.components[tree.root]
+    assert len(tree.edges) == n - 1
+    adj = {i: set() for i in range(n)}
+    for i, j in tree.edges:
+        assert 0 <= i < j < n
+        adj[i].add(j)
+        adj[j].add(i)
+    seen, todo = {tree.root}, [tree.root]
+    while todo:
+        for j in adj[todo.pop()] - seen:
+            seen.add(j)
+            todo.append(j)
+    assert len(seen) == n
+
+
+def test_hall_tree_staircase_is_its_own_component():
+    assert tp.halls(STAIRCASE) == [(1, 1), (1, 2), (2, 1)]
+    tree = tp.hall_tree(STAIRCASE)
+    assert sorted(map(sorted, tree.components)) == [
+        [(0, 2), (1, 2)],
+        [(1, 1), (1, 2), (2, 1)],
+        [(2, 0), (2, 1)],
+    ]
+    assert tree.components[tree.root] == {(1, 1), (1, 2), (2, 1)}
+    _assert_hall_tree(STAIRCASE, tree)
+
+
+@settings(max_examples=150, deadline=None)
+@given(V=st.integers(1, 150), seed=st.integers(0, 2**20))
+def test_hall_tree_is_a_tree_covering_the_region(V, seed):
+    r = random_simply_connected(V, seed)
+    _assert_hall_tree(r, tp.hall_tree(r))
 
 
 def test_hall_tree_requires_simple_connectivity():
