@@ -2,8 +2,8 @@
 
 Exit codes encode run outcomes so experiment scripts can branch on them
 without parsing output: 0 covered, 1 input/generator error, 2 bad
-arguments or unknown strategy, 3 deadlock, 4 step limit, 5 invariant
-violation.
+arguments, unknown strategy or ``--check`` on a strategy that declares
+no runtime invariants, 3 deadlock, 4 step limit, 5 invariant violation.
 """
 
 from __future__ import annotations
@@ -79,6 +79,8 @@ def cmd_gen(args) -> int:
 def cmd_run(args) -> int:
     region = _load_region(args.env)
     strategy = make_strategy(args.strategy, region, args.seed)
+    if args.check and strategy.invariants is None:
+        raise BadParameters(f"{args.strategy} declares no runtime invariants to check")
     record = args.trace is not None
     try:
         trace, metrics = run(
@@ -193,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--trace", help="write the run trace as JSON")
-    p.add_argument("--check", action="store_true", help="assert runtime invariants")
+    p.add_argument("--check", action="store_true", help="assert the strategy's runtime invariants")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("compare", help="run several strategies and tabulate")

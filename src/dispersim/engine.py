@@ -1,21 +1,21 @@
 """Synchronous Look-Compute-Move scheduler.
 
-Each step: take an occupancy snapshot, let every active robot compute an
-action from its radius-2 sensor view and private memory, apply all moves
-simultaneously (targets must have been unoccupied in the snapshot), then
-settle robots and spawn a new one at the door if the door was free in the
-snapshot. Runs end on full coverage, an exact configuration repeat
-(deadlock) or a step limit.
+Each step: take an occupancy snapshot, let the strategy decide every
+active robot's action (a local strategy from that robot's radius-2
+sensor view and private memory alone), apply all moves simultaneously
+(targets must have been unoccupied in the snapshot), then settle robots
+and spawn a new one at the door if the door was free in the snapshot.
+Runs end on full coverage, an exact configuration repeat (deadlock) or
+a step limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CollisionError, InvariantViolation, MapError
-from .grid import DIR_NAMES, DIR_VECTORS, Cell, Region, manhattan
-from . import topology
-from .metrics import RunMetrics
+from .errors import CollisionError, MapError
+from .grid import DIR_NAMES, DIR_VECTORS, Cell, Region
+from .metrics import RunMetrics, run_metrics
 
 # Action codes: 0..3 move in that direction, then stay, then settle.
 A_STAY = 4
@@ -273,6 +273,13 @@ class Simulation:
     robots never act again, so every per-step walk reads ``active`` only
     and a step costs O(active robots). Recording appends only the step's
     events to the trace.
+
+    Every step asks ``strategy.decide_all`` for the actions and hands a
+    new robot to ``strategy.on_spawn``. The engine's own checks are
+    always on: moves must not collide, and only active robots act.
+    ``checker``, when given, is called as ``before_step(sim)`` and
+    ``after_step(sim, actions, settled_now)`` around every step and
+    raises to stop the run.
     """
 
     def __init__(
@@ -281,7 +288,7 @@ class Simulation:
         strategy,
         seed: int = 0,
         record: bool = True,
-        checker: "RunChecker | None" = None,
+        checker=None,
     ):
         self.region = region
         self.strategy = strategy
@@ -316,13 +323,7 @@ class Simulation:
             self.checker.before_step(self)
         spawn_pending = region.door not in occupied
         stepping = self.active  # robots active at the start of the step
-        if strategy.privileged:
-            actions = strategy.decide_all(self)
-        else:
-            actions = {}
-            for robot in stepping:
-                act, robot.mem = strategy.decide(self.sense(robot.pos), robot.mem)
-                actions[robot.id] = act
+        actions = strategy.decide_all(self)
 
         # Validate moves against the snapshot.
         targets: dict[Cell, int] = {}
@@ -368,13 +369,11 @@ class Simulation:
         # (a robot cycling back through the door suppresses emergence).
         spawned = None
         if spawn_pending and region.door not in occupied:
-            mem = None if strategy.privileged else strategy.fresh_memory()
-            spawned = Robot(len(self.robots) + 1, region.door, mem)
+            spawned = Robot(len(self.robots) + 1, region.door, None)
             self.robots.append(spawned)
             self.active.append(spawned)
             occupied[region.door] = spawned
-            if strategy.privileged:
-                strategy.on_spawn(self, spawned)
+            strategy.on_spawn(self, spawned)
 
         self.t = t
         events = self.trace.events
@@ -427,15 +426,17 @@ def run(
     """Run a strategy to completion and return (trace, metrics).
 
     ``max_steps`` defaults to 4*V, enough for FCDFS (2V-1) with slack for
-    baselines that pause. ``check`` enables per-step invariant assertions
-    (spacing, corner settles, hall redirects); violations raise
-    InvariantViolation.
+    baselines that pause. ``check`` also attaches the runtime checker the
+    strategy declares, ``strategy.invariants(region)``, which raises when
+    a lemma breaks; a strategy that declares none runs under the engine's
+    own checks only.
     """
     if max_steps is None:
         max_steps = 4 * len(region.cells)
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    checker = RunChecker(region) if check else None
+    invariants = strategy.invariants
+    checker = invariants(region) if check and invariants is not None else None
     sim = Simulation(
         region,
         strategy,
@@ -444,125 +445,6 @@ def run(
         checker=checker,
     )
     sim.finish(max_steps)
-    metrics = _metrics_from_sim(sim)
+    robots = sim.robots
+    metrics = run_metrics(region, sim.outcome, [r.travel for r in robots], [r.moves for r in robots])
     return sim.trace, metrics
-
-
-def _metrics_from_sim(sim: Simulation) -> RunMetrics:
-    travels = [r.travel for r in sim.robots]
-    moves = [r.moves for r in sim.robots]
-    optimum = topology.sum_distances(sim.region, sim.region.door)
-    total_travel = sum(travels)
-    outcome = sim.outcome
-    return RunMetrics(
-        V=len(sim.region.cells),
-        makespan=outcome.t if outcome.kind == "covered" else None,
-        total_travel=total_travel,
-        max_travel=max(travels, default=0),
-        total_moves=sum(moves),
-        max_moves=max(moves, default=0),
-        optimum=optimum,
-        optimal=total_travel == optimum,
-        outcome=outcome.kind,
-        robots=len(sim.robots),
-    )
-
-
-class RunChecker:
-    """Per-step assertions of the runtime invariants:
-
-    - active robots A_i, A_j (i < j) are at graph distance >= 2(j - i);
-    - next(A_{i+1}) = prev(A_i) (follow the leader);
-    - robots settle only at corners of the residual region;
-    - primary-direction changes happen only at halls of the residual
-      region (skipping the initial choice);
-    - no Stay actions.
-
-    These hold for the FCDFS family on simply connected regions.
-
-    Settled robots never move or change memory again, so every check
-    walks only the robots active at the start of the step plus the one
-    spawned during it. ``residual`` (the region minus settled cells) is
-    kept incrementally: a cell leaves it when its robot settles.
-    """
-
-    def __init__(self, region: Region, dist_cache: topology.DistanceCache | None = None):
-        self.region = region
-        self.dist = dist_cache or topology.DistanceCache(region)
-        self.residual: set | None = None
-        self._positions: dict[int, list] = {}  # id -> [pos at t-1, pos at t]
-        self._primaries: dict[int, object] = {}
-        self._stepping: list = []  # robots active at the start of the step
-        self._n_robots = 0  # robots spawned before the step
-
-    def before_step(self, sim: Simulation) -> None:
-        t = sim.t + 1
-        # A copy: the engine appends the robot spawned this step to sim.active.
-        active = list(sim.active)
-        for i, a in enumerate(active):
-            for b in active[i + 1 :]:
-                bound = 2 * (b.id - a.id)
-                if manhattan(a.pos, b.pos) >= bound:
-                    continue
-                if self.dist.distance(a.pos, b.pos) < bound:
-                    raise InvariantViolation(
-                        f"t={t}: robots {a.id} at {a.pos} and {b.id} at "
-                        f"{b.pos} are closer than {bound}"
-                    )
-        if self.residual is None:
-            self.residual = set(self.region.cells) - {
-                r.pos for r in sim.robots if not r.active
-            }
-        self._stepping = active
-        self._n_robots = len(sim.robots)
-        self._primaries = {r.id: getattr(r.mem, "primary", None) for r in active}
-
-    def after_step(self, sim: Simulation, actions, settled_now) -> None:
-        t = sim.t
-        residual = self.residual
-        for rid, act in actions.items():
-            if act == A_STAY:
-                raise InvariantViolation(f"t={t}: robot {rid} issued Stay")
-        for robot in settled_now:
-            cls = topology.classify_cells(residual, robot.pos)
-            if cls.kind != topology.CORNER:
-                raise InvariantViolation(
-                    f"t={t}: robot {robot.id} settled at {robot.pos}, a "
-                    f"{cls.kind} of the residual region"
-                )
-        for robot in self._stepping:
-            before = self._primaries[robot.id]
-            after = getattr(robot.mem, "primary", None)
-            if before is None or after is None or before == after:
-                continue
-            # Position at the start of the step, where the redirect happened.
-            hist = self._positions.get(robot.id)
-            at = hist[-1] if hist else robot.pos
-            cls = topology.classify_cells(residual, at)
-            if cls.kind != topology.HALL:
-                raise InvariantViolation(
-                    f"t={t}: robot {robot.id} changed primary at {at}, a "
-                    f"{cls.kind} of the residual region"
-                )
-        # Follow the leader: position of A_{i+1} at the end of this step
-        # must equal A_i's position two step-boundaries earlier, as long
-        # as A_i was active at the start of the step.
-        robots = self._stepping + sim.robots[self._n_robots :]
-        for robot in robots:
-            pred_hist = self._positions.get(robot.id - 1)
-            if not pred_hist or len(pred_hist) < 2:
-                continue
-            pred_was_active = pred_hist[-1] is not None
-            own_hist = self._positions.get(robot.id)
-            was_active_at_start = not own_hist or own_hist[-1] is not None
-            if pred_was_active and was_active_at_start and robot.pos != pred_hist[0]:
-                raise InvariantViolation(
-                    f"t={t}: robot {robot.id} at {robot.pos} does not "
-                    f"follow robot {robot.id - 1} (expected {pred_hist[0]})"
-                )
-        for robot in robots:
-            hist = self._positions.setdefault(robot.id, [])
-            hist.append(robot.pos if robot.active else None)
-            if len(hist) > 2:
-                del hist[0]
-        residual.difference_update(robot.pos for robot in settled_now)

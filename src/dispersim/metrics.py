@@ -52,6 +52,25 @@ class RunMetrics:
         ]
 
 
+def run_metrics(r: Region, outcome, travels: list[int], moves: list[int]) -> RunMetrics:
+    """The metrics of a finished run from its outcome and each robot's
+    travel and moves, in id order."""
+    optimum = sum_distances(r, r.door)
+    total_travel = sum(travels)
+    return RunMetrics(
+        V=len(r.cells),
+        makespan=outcome.t if outcome.kind == "covered" else None,
+        total_travel=total_travel,
+        max_travel=max(travels, default=0),
+        total_moves=sum(moves),
+        max_moves=max(moves, default=0),
+        optimum=optimum,
+        optimal=total_travel == optimum,
+        outcome=outcome.kind,
+        robots=len(travels),
+    )
+
+
 def compute_metrics(trace, r: Region) -> RunMetrics:
     """Recompute metrics from a recorded trace.
 
@@ -68,22 +87,8 @@ def compute_metrics(trace, r: Region) -> RunMetrics:
     for _, robots in trace.replay():
         pass
     last = trace.outcome.t
-    travel = [(last if rb.active else rb.settled - 1) - rb.spawned for rb in robots]
-    moves = [rb.moves for rb in robots]
-    optimum = sum_distances(r, r.door)
-    total_travel = sum(travel)
-    return RunMetrics(
-        V=len(r.cells),
-        makespan=trace.outcome.t if trace.outcome.kind == "covered" else None,
-        total_travel=total_travel,
-        max_travel=max(travel, default=0),
-        total_moves=sum(moves),
-        max_moves=max(moves, default=0),
-        optimum=optimum,
-        optimal=total_travel == optimum,
-        outcome=trace.outcome.kind,
-        robots=len(robots),
-    )
+    travels = [(last if rb.active else rb.settled - 1) - rb.spawned for rb in robots]
+    return run_metrics(r, trace.outcome, travels, [rb.moves for rb in robots])
 
 
 @dataclass(frozen=True)

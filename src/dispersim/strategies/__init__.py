@@ -1,7 +1,7 @@
 """Strategy registry.
 
-Local strategies decide from a radius-2 sensor view alone; privileged
-strategies are run-level controllers with engine access.
+Local strategies decide from a radius-2 sensor view alone; the
+leader-follower baselines are run-level controllers with engine access.
 """
 
 from __future__ import annotations

@@ -1,10 +1,19 @@
 """Strategy interface.
 
-A strategy decides one robot's action from its sensor view and private
-memory only; the engine enforces this structurally by passing nothing
-else. Privileged baselines instead implement ``decide_all`` and receive
-the whole simulation (they model algorithms whose original setting
-grants leader-follower signaling).
+The engine drives every strategy through two hooks. ``decide_all(sim)``
+returns each active robot's action, by id, for the coming step; by
+default it calls ``decide(view, mem)`` once per active robot with that
+robot's radius-2 sensor view and private memory and nothing else, so a
+local strategy overrides only ``decide`` and cannot see more.
+``on_spawn(sim, robot)`` runs when a robot emerges at the door; by
+default it gives the robot ``fresh_memory()``. The leader-follower
+baselines override both hooks: they model algorithms whose original
+setting grants leader-follower signaling, so they plan from the whole
+simulation.
+
+``invariants`` names the runtime checker of the lemmas a strategy
+guarantees, built as ``invariants(region)`` when a run is checked; None
+declares no lemmas beyond the engine's own checks.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from ..engine import A_SETTLE, A_STAY, SensorView  # noqa: F401  (re-export)
 
 class Strategy:
     name = "?"
-    privileged = False
+    invariants = None
 
     def __init__(self, region=None, seed: int = 0):
         # Local strategies must not look at the region; the argument only
@@ -27,6 +36,19 @@ class Strategy:
     def decide(self, view: SensorView, mem):
         """Return (action, memory')."""
         raise NotImplementedError
+
+    def decide_all(self, sim) -> dict[int, int]:
+        """Return {robot id: action} for the robots in ``sim.active``."""
+        decide = self.decide
+        sense = sim.sense
+        actions = {}
+        for robot in sim.active:
+            actions[robot.id], robot.mem = decide(sense(robot.pos), robot.mem)
+        return actions
+
+    def on_spawn(self, sim, robot) -> None:
+        """Set up ``robot``, which has just emerged at the door."""
+        robot.mem = self.fresh_memory()
 
     def state_key(self):
         """Extra run-level state for deadlock configuration hashing."""

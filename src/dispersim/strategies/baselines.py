@@ -1,10 +1,10 @@
-"""Adapted leader-follower baselines (privileged).
+"""Adapted leader-follower baselines.
 
 These model the classic dispersal algorithms whose original setting
-grants robots communication. They are implemented as run-level
-controllers with access to the engine state, flagged ``privileged`` in
-the registry; the comparison with FCDFS targets metrics, not model
-parity.
+grants robots communication (Hsiang et al., WAFR 2002). They are
+run-level controllers: they override ``decide_all`` and ``on_spawn`` and
+plan from the whole simulation. The comparison with FCDFS targets
+metrics, not model parity; they declare no runtime invariants.
 
 DFLF: a depth-first walk of the region is fixed up front (seeded-random
 tie-breaks). Robots follow it downward only: a cell's non-final walk
@@ -85,7 +85,6 @@ def cut_cells(cells, root: Cell) -> set[Cell]:
 
 class Dflf(Strategy):
     name = "dflf"
-    privileged = True
 
     def __init__(self, region: Region, seed: int = 0):
         super().__init__(region, seed)
@@ -164,7 +163,6 @@ class Dflf(Strategy):
 
 class Bflf(Strategy):
     name = "bflf"
-    privileged = True
 
     def __init__(self, region: Region, seed: int = 0):
         super().__init__(region, seed)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from ..errors import NoLegalAction
 from ..grid import opposite, rotate_cw
 from .base import A_SETTLE, Strategy
-from .fcdfs import diag_offset
+from .fcdfs import RunChecker, diag_offset
 
 
 class FiveBitMemory:
@@ -49,6 +49,7 @@ class FiveBitMemory:
 
 class Fcdfs5(Strategy):
     name = "fcdfs5"
+    invariants = RunChecker
 
     def fresh_memory(self) -> FiveBitMemory:
         return FiveBitMemory()

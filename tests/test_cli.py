@@ -92,6 +92,14 @@ def test_run_check_flag(corridor_map):
     assert main(["run", "--env", corridor_map, "--strategy", "fcdfs", "--check"]) == 0
 
 
+@pytest.mark.parametrize("name", ["left-hand", "dflf"])
+def test_run_check_without_declared_invariants_exit_two(corridor_map, capsys, name):
+    assert main(["run", "--env", corridor_map, "--strategy", name, "--check"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # refused before the run
+    assert f"{name} declares no runtime invariants to check" in err
+
+
 def test_compare_table_and_csv(tmp_path, capsys):
     env = tmp_path / "sq.map"
     env.write_text(rect(8, 8, (0, 0)).to_ascii() + "\n")

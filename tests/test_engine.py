@@ -4,13 +4,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from dispersim import engine, topology
+from dispersim import topology
 from dispersim.engine import (
     A_SETTLE,
     A_STAY,
     VIEW_OFFSETS,
     Robot,
-    RunChecker,
     Simulation,
     SensorView,
     SimulationTrace,
@@ -19,10 +18,11 @@ from dispersim.engine import (
 from dispersim.envgen import random_simply_connected, rect
 from dispersim.errors import CollisionError, DispersimError, InvariantViolation
 from dispersim.grid import Region, UP, RIGHT, manhattan
-from dispersim.metrics import compute_metrics
+from dispersim.metrics import compute_metrics, run_metrics
 from dispersim.render import ascii_frames
 from dispersim.strategies import STRATEGIES, make_strategy
 from dispersim.strategies.base import Strategy
+from dispersim.strategies.fcdfs import RunChecker
 
 
 def test_view_offsets_cover_radius_two():
@@ -198,6 +198,7 @@ def test_checker_accepts_fcdfs_and_flags_stay():
 
     class Idler(Strategy):
         name = "idler"
+        invariants = RunChecker
 
         def fresh_memory(self):
             return None
@@ -212,6 +213,7 @@ def test_checker_accepts_fcdfs_and_flags_stay():
 def test_checker_flags_settling_at_interior():
     class EagerSettler(Strategy):
         name = "eager"
+        invariants = RunChecker
 
         def fresh_memory(self):
             return None
@@ -222,6 +224,20 @@ def test_checker_flags_settling_at_interior():
     # Door in the middle of a corridor: an interior cell.
     with pytest.raises(InvariantViolation):
         run(rect(3, 1, (1, 0)), EagerSettler(), max_steps=5, check=True)
+
+
+@pytest.mark.parametrize(
+    "name, region",
+    [("left-hand", rect(30, 30, (13, 13))), ("dflf", rect(30, 30, (13, 13))), ("bflf", rect(12, 12, (5, 5)))],
+)
+def test_check_on_a_strategy_without_invariants_changes_nothing(name, region):
+    """The FCDFS lemmas do not hold for these strategies; a checked run
+    must not apply them."""
+    assert make_strategy(name, region, 0).invariants is None
+    _, checked = run(region, make_strategy(name, region, 0), record=False, check=True)
+    _, plain = run(region, make_strategy(name, region, 0), record=False)
+    assert checked == plain
+    assert checked.outcome == "covered"
 
 
 # -- the active set ------------------------------------------------------
@@ -253,7 +269,7 @@ def test_settled_robots_are_never_decided(name):
         settled_mems: set[int] = set()
         decided: list[int] = []
 
-        if strategy.privileged:
+        if type(strategy).decide_all is not Strategy.decide_all:
             decide_all = strategy.decide_all
 
             def checked_all(sim):
@@ -386,7 +402,7 @@ class NaiveChecker:
                         f"{b.pos} are closer than {bound}"
                     )
         self.residual = set(self.region.cells) - {rb.pos for rb in sim.robots if not rb.active}
-        self.primaries = {rb.id: getattr(rb.mem, "primary", None) for rb in sim.robots}
+        self.primaries = {rb.id: rb.mem.primary for rb in sim.robots if rb.mem is not None}
 
     def after_step(self, sim, actions, settled_now):
         t = sim.t
@@ -402,8 +418,10 @@ class NaiveChecker:
                 )
         for rb in sim.robots:
             before = self.primaries.get(rb.id)
-            after = getattr(rb.mem, "primary", None)
-            if before is None or after is None or before == after:
+            if before is None:
+                continue
+            after = rb.mem.primary
+            if after is None or before == after:
                 continue
             hist = self.positions.get(rb.id)
             at = hist[-1] if hist else rb.pos
@@ -429,26 +447,29 @@ class NaiveChecker:
             del hist[:-2]
 
 
-def _checked_outcome(region, name, seed):
+def _checked_outcome(region, name, seed, checker):
+    """The metrics of ``name``'s run under ``checker``, which is attached
+    whatever invariants the strategy declares, or the error that ended
+    the run."""
+    sim = Simulation(region, make_strategy(name, region, seed), record=False, checker=checker(region))
     try:
-        _, m = run(region, make_strategy(name, region, seed), record=False, check=True)
+        sim.finish(4 * len(region.cells))
     except DispersimError as exc:
         return type(exc).__name__, str(exc)
-    return m
+    return run_metrics(region, sim.outcome, [rb.travel for rb in sim.robots], [rb.moves for rb in sim.robots])
 
 
-def test_checker_agrees_with_naive_reference(monkeypatch):
+def test_checker_agrees_with_naive_reference():
     rng = random.Random(2024)
     regions = [random_simply_connected(rng.randint(2, 150), seed=500 + i) for i in range(30)]
     outcomes = {}
     for i, r in enumerate(regions):
         for name in sorted(STRATEGIES):
-            outcomes[i, name] = _checked_outcome(r, name, i)
-    monkeypatch.setattr(engine, "RunChecker", NaiveChecker)
+            outcomes[i, name] = _checked_outcome(r, name, i, RunChecker)
     kinds = set()
     for i, r in enumerate(regions):
         for name in sorted(STRATEGIES):
-            expected = _checked_outcome(r, name, i)
+            expected = _checked_outcome(r, name, i, NaiveChecker)
             assert outcomes[i, name] == expected, (i, name)
             kinds.add(type(expected).__name__)
     # Both verdicts occur, so the comparison covers passes and violations.

@@ -4,7 +4,8 @@ from dispersim.engine import A_SETTLE, Simulation, run
 from dispersim.envgen import random_simply_connected, rect
 from dispersim.grid import DOWN, LEFT, RIGHT, UP, Region
 from dispersim.strategies import STRATEGIES, make_strategy
-from dispersim.strategies.fcdfs import diag_offset
+from dispersim.strategies.base import Strategy
+from dispersim.strategies.fcdfs import RunChecker, diag_offset
 from dispersim.strategies.fivebit import FiveBitMemory
 
 
@@ -17,9 +18,12 @@ def test_registry_names():
         "dflf",
         "bflf",
     }
-    assert not STRATEGIES["fcdfs"].privileged
-    assert STRATEGIES["dflf"].privileged
-    assert STRATEGIES["bflf"].privileged
+    # Only the leader-follower baselines see more than a sensor view.
+    planners = {n for n, cls in STRATEGIES.items() if cls.decide_all is not Strategy.decide_all}
+    assert planners == {"dflf", "bflf"}
+    checked = {n for n, cls in STRATEGIES.items() if cls.invariants is RunChecker}
+    assert checked == {"fcdfs", "fcdfs5", "rand-corner"}
+    assert all(cls.invariants is None for n, cls in STRATEGIES.items() if n not in checked)
 
 
 def test_diag_offset_is_135_ccw_of_primary():
