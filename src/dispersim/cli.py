@@ -136,14 +136,14 @@ def cmd_oracle(args) -> int:
     print(f"simply_connected={str(simply).lower()}")
     print(f"corners={kinds[topology.CORNER]}")
     print(f"halls={kinds[topology.HALL]}")
+    # The hall tree and the median are defined on simply connected regions.
+    components, median = "n/a", "n/a"
     if simply:
-        tree = topology.hall_tree(region)
-        print(f"hall_tree_components={len(tree.components)}")
-    else:
-        print("hall_tree_components=n/a")
+        components = len(topology.hall_tree(region).components)
+        median = ";".join(f"{x},{y}" for x, y in sorted(topology.geometric_median(region)))
+    print(f"hall_tree_components={components}")
     print(f"sum_distances={topology.sum_distances(region, region.door)}")
-    median = sorted(topology.geometric_median(region))
-    print("geometric_median=" + ";".join(f"{x},{y}" for x, y in median))
+    print(f"geometric_median={median}")
     print(f"max_distance={max(dist.values())}")
     return EXIT_OK
 

@@ -4,10 +4,10 @@ regions, and the comb-with-a-loop family G(k) used for deadlock tests."""
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 
 from .errors import BadParameters, DoorOutOfBounds
 from .grid import Cell, Region
-from .topology import is_simply_connected
 
 # 8-neighborhood in cyclic (clockwise) order.
 _RING = ((0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0), (-1, 1))
@@ -23,17 +23,31 @@ def rect(w: int, h: int, door: Cell) -> Region:
     return Region(cells, door)
 
 
-def _single_arc(cells: set, c: Cell) -> bool:
-    """True when the occupied cells in c's 8-ring form one contiguous
-    cyclic run containing a 4-neighbor. Attaching such a cell can
-    neither disconnect the complement nor enclose part of it."""
+def _one_empty_group(occupied: int) -> bool:
+    """True when the empty cells of a ring (bit i set: ``_RING[i]`` is
+    occupied) form one 8-connected group. Ring neighbors are 8-adjacent,
+    and so are the two axis cells on either side of a ring corner."""
+    empty = [not occupied >> i & 1 for i in range(8)]
+    # An occupied corner between two empty axis cells does not split them.
+    joined = [e or (i % 2 and empty[i - 1] and empty[(i + 1) % 8]) for i, e in enumerate(empty)]
+    runs = sum(1 for i in range(8) if joined[i] and not joined[i - 1])
+    return runs == 1 or all(joined)
+
+
+_ATTACHABLE = tuple(_one_empty_group(m) for m in range(256))
+
+
+def _attachable(cells: set, c: Cell) -> bool:
+    """True when adding c, a 4-neighbor of the simply connected region
+    ``cells``, keeps the region simply connected: c is a simple point
+    exactly when the empty cells of its 8-ring form one 8-connected group
+    (Rosenfeld, JACM 1970; Kong & Rosenfeld, 1989)."""
     x, y = c
-    occ = [(x + ox, y + oy) in cells for ox, oy in _RING]
-    if not any(occ):
-        return False
-    runs = sum(1 for i in range(8) if occ[i] and not occ[i - 1])
-    # even ring indices are the 4-neighbors
-    return runs == 1 and any(occ[i] for i in (0, 2, 4, 6))
+    occupied = 0
+    for i, (ox, oy) in enumerate(_RING):
+        if (x + ox, y + oy) in cells:
+            occupied |= 1 << i
+    return _ATTACHABLE[occupied]
 
 
 def random_simply_connected(V: int, seed: int) -> Region:
@@ -46,30 +60,24 @@ def random_simply_connected(V: int, seed: int) -> Region:
     door = (0, 0)
     cells = {door}
     boundary = {(0, 1), (1, 0), (0, -1), (-1, 0)}
+    pool = sorted(boundary)  # the boundary, kept sorted for the draws
     while len(cells) < V:
-        cand = rng.choice(sorted(boundary))
-        ok = _single_arc(cells, cand)
-        if not ok:
-            # Ambiguous ring pattern: decide by the full flood-fill check.
-            trial = frozenset(cells | {cand})
-            ok = is_simply_connected(Region(trial, door))
-        if not ok:
-            boundary.discard(cand)
+        cand = rng.choice(pool)
+        boundary.discard(cand)
+        del pool[bisect_left(pool, cand)]
+        if not _attachable(cells, cand):
             continue
         cells.add(cand)
         cx, cy = cand
-        boundary.discard(cand)
-        for nb in ((cx, cy + 1), (cx + 1, cy), (cx, cy - 1), (cx - 1, cy)):
-            if nb not in cells:
-                boundary.add(nb)
-        # Rejected candidates may become attachable again as the region
-        # grows around them; re-admit the rejected ring neighbors.
+        # Every empty ring cell next to the region is a candidate, also
+        # one rejected before the region grew around it.
         for ox, oy in _RING:
             nb = (cx + ox, cy + oy)
-            if nb not in cells and any(
+            if nb not in cells and nb not in boundary and any(
                 (nb[0] + vx, nb[1] + vy) in cells for vx, vy in ((0, 1), (1, 0), (0, -1), (-1, 0))
             ):
                 boundary.add(nb)
+                insort(pool, nb)
     return Region(frozenset(cells), door)
 
 

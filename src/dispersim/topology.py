@@ -2,9 +2,12 @@
 the hall tree decomposition, BFS distances, articulation points and
 optimal door placement.
 
-Everything here is deliberately brute force (flood fills, remove-and-test
-loops): these functions are the independent oracles the simulation is
-checked against, so simplicity wins over asymptotics.
+These are the independent oracles the simulation is checked against, so
+most are deliberately brute force (flood fills, remove-and-test loops):
+simplicity wins over asymptotics. The exception is ``geometric_median``,
+which runs in O(V) through the half-spaces of a median graph; the
+one-BFS-per-cell brute force it replaced is kept as its oracle in
+``tests/test_properties.py``.
 """
 
 from __future__ import annotations
@@ -66,16 +69,8 @@ def classify_cells(cells: frozenset | set, v: Cell) -> VertexClass:
     return VertexClass(HALL, w)
 
 
-def classify(r: Region, v: Cell) -> VertexClass:
-    return classify_cells(r.cells, v)
-
-
-def corners(r: Region) -> list[Cell]:
-    return [v for v in sorted(r.cells) if classify(r, v).kind == CORNER]
-
-
 def halls(r: Region) -> list[Cell]:
-    return [v for v in sorted(r.cells) if classify(r, v).kind == HALL]
+    return [v for v in sorted(r.cells) if classify_cells(r.cells, v).kind == HALL]
 
 
 def is_simply_connected(r: Region) -> bool:
@@ -206,17 +201,83 @@ def sum_distances(r: Region, src: Cell) -> int:
 
 def geometric_median(r: Region) -> set[Cell]:
     """All cells minimizing the sum of distances to the rest of the
-    region (there may be several)."""
-    best: set[Cell] = set()
-    best_sum = None
-    for v in sorted(r.cells):
-        s = sum(bfs_distances_cells(r.cells, v).values())
-        if best_sum is None or s < best_sum:
-            best_sum = s
-            best = {v}
-        elif s == best_sum:
-            best.add(v)
-    return best
+    region (there may be several), in O(V).
+
+    A simply connected region is a squaregraph, so a median graph
+    (Bandelt & Chepoi, "Metric graph theory and geometry: a survey",
+    2008). Removing one Θ-class of edges splits it into two half-spaces,
+    and along an edge u→w every cell of the half holding w comes one step
+    closer while the rest go one step farther: S(w) = S(u) + V - 2·|W_w|.
+    One BFS gives S at the door and one more pass gives every other S.
+    Raises NotSimplyConnected on a region with a hole.
+    """
+    cells = r.cells
+    V = len(cells)
+    half: dict[tuple[Cell, Cell], int] = {}  # (u, w) -> |half holding w|
+    for flip in (False, True):
+        frame = {(y, x) for x, y in cells} if flip else cells
+        for u, w, size in _east_halves(frame, V):
+            if flip:
+                u, w = u[::-1], w[::-1]
+            half[u, w] = size
+            half[w, u] = V - size
+    sums = {r.door: sum(bfs_distances_cells(cells, r.door).values())}
+    todo = [r.door]
+    for u in todo:
+        x, y = u
+        for w in ((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)):
+            if w in cells and w not in sums:
+                sums[w] = sums[u] + V - 2 * half[u, w]
+                todo.append(w)
+    best = min(sums.values())
+    return {v for v, s in sums.items() if s == best}
+
+
+def _east_halves(cells, V: int):
+    """Yield (u, w, |half holding w|) for every edge from a cell u to its
+    east neighbor w.
+
+    The edges between columns x and x+1 where a maximal vertical run of
+    column x overlaps one of column x+1 form a Θ-class. The runs, joined
+    when they overlap, form a tree exactly when the region is simply
+    connected, and the half holding w is then the cell count of the
+    subtree on w's side of that edge.
+    """
+    run: dict[Cell, int] = {}  # cell -> its maximal vertical run
+    size: list[int] = []
+    for x, y in sorted(cells):
+        below = run.get((x, y - 1))
+        if below is None:
+            below = len(size)
+            size.append(0)
+        size[below] += 1
+        run[x, y] = below
+    adj: list[list[int]] = [[] for _ in size]
+    joined = set()
+    for (x, y), a in run.items():
+        b = run.get((x + 1, y))
+        if b is not None and (a, b) not in joined:
+            joined.add((a, b))
+            adj[a].append(b)
+            adj[b].append(a)
+    if len(joined) != len(size) - 1:
+        raise NotSimplyConnected(
+            "geometric median is only computed for simply connected regions"
+        )
+    parent = [-1] * len(size)
+    order = [0]
+    for a in order:
+        for b in adj[a]:
+            if b != parent[a]:
+                parent[b] = a
+                order.append(b)
+    subtree = size[:]
+    for a in reversed(order[1:]):
+        subtree[parent[a]] += subtree[a]
+    for (x, y), a in run.items():
+        b = run.get((x + 1, y))
+        if b is not None:
+            yield (x, y), (x + 1, y), subtree[b] if parent[b] == a else V - subtree[a]
 
 
 class DistanceCache:

@@ -6,7 +6,7 @@ import shlex
 import pytest
 
 from dispersim.cli import build_parser, main
-from dispersim.envgen import rect
+from dispersim.envgen import g_k, rect
 from dispersim.strategies import STRATEGIES
 from dispersim.strategies.base import Strategy
 
@@ -184,6 +184,16 @@ def test_oracle_staircase_of_halls(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "halls=3" in out
     assert "hall_tree_components=3" in out
+
+
+def test_oracle_median_needs_simple_connectivity(tmp_path, capsys):
+    env = tmp_path / "gk.map"
+    env.write_text(g_k(1, 5).to_ascii() + "\n")
+    assert main(["oracle", "--env", str(env)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "simply_connected=false" in out
+    assert "hall_tree_components=n/a" in out
+    assert "geometric_median=n/a" in out
 
 
 def test_render_ascii_and_svg(corridor_map, tmp_path, capsys):

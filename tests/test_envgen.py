@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -81,3 +82,23 @@ def test_generator_outputs_connected_oracle():
         for seed in range(25):
             r = random_simply_connected(V, seed)
             assert tp.is_simply_connected(r)
+
+
+def _digest(regions):
+    h = hashlib.sha256()
+    for r in regions:
+        h.update(repr((sorted(r.cells), r.door)).encode())
+    return h.hexdigest()
+
+
+# Both digests were computed with the generator that decided ambiguous
+# attachments by a flood fill; the local simple-point test must grow the
+# same regions from the same seeds.
+def test_suite_regions_pinned(suite):
+    assert _digest(suite) == "67812d84c4ec317ae15989ed9391f3eb93d9291bcef601b65342a2ea744efba0"
+
+
+def test_large_regions_pinned():
+    regions = [random_simply_connected(20 * i, 7919 * i) for i in range(1, 51)]
+    assert max(len(r.cells) for r in regions) == 1000
+    assert _digest(regions) == "6efe2c95b9e01425bff9a08552167ec4da706744841f00af9b010f7a235432a5"

@@ -2,15 +2,18 @@
 
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from dispersim import envgen
 from dispersim.engine import SimulationTrace, run
-from dispersim.envgen import random_simply_connected
-from dispersim.grid import Region
+from dispersim.envgen import g_k, random_simply_connected, rect
+from dispersim.errors import NotSimplyConnected
+from dispersim.grid import Region, from_ascii
 from dispersim.metrics import compute_metrics
 from dispersim.render import ascii_frame
 from dispersim.strategies import make_strategy
-from dispersim.topology import bfs_distances
+from dispersim.topology import bfs_distances, bfs_distances_cells, geometric_median, is_simply_connected
 
 
 def _moved(V, seed, dx, dy):
@@ -65,3 +68,70 @@ def test_fcdfs_family_disperses_optimally_under_its_invariants(V, seed, strategy
             assert travel == dist[rb.pos], (name, rb.id)
         events[name] = trace.events
     assert events["fcdfs"] == events["fcdfs5"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(V=st.integers(2, 250), seed=st.integers(0, 2**20))
+def test_local_attach_test_equals_the_flood_fill(V, seed):
+    """Every candidate the generator draws is accepted by the local
+    simple-point test exactly when the grown region stays simply
+    connected by the global flood fill."""
+    local = envgen._attachable
+    verdicts = []
+
+    def checked(cells, c):
+        ok = local(cells, c)
+        assert ok == is_simply_connected(Region(cells | {c}, (0, 0))), (sorted(cells), c)
+        verdicts.append(ok)
+        return ok
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(envgen, "_attachable", checked)
+        r = random_simply_connected(V, seed)
+    assert verdicts.count(True) == len(r.cells) - 1
+
+
+def _brute_force_median(r):
+    """One BFS per cell: every cell with the least distance sum."""
+    sums = {v: sum(bfs_distances_cells(r.cells, v).values()) for v in r.cells}
+    best = min(sums.values())
+    return {v for v, s in sums.items() if s == best}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    V=st.integers(1, 200),
+    seed=st.integers(0, 2**20),
+    dx=st.integers(-60, 60),
+    dy=st.integers(-60, 60),
+)
+def test_geometric_median_equals_brute_force_on_generated_regions(V, seed, dx, dy):
+    r = _moved(V, seed, dx, dy)
+    assert geometric_median(r) == _brute_force_median(r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(w=st.integers(1, 14), h=st.integers(1, 14), data=st.data())
+def test_geometric_median_equals_brute_force_on_rectangles(w, h, data):
+    door = (data.draw(st.integers(0, w - 1)), data.draw(st.integers(0, h - 1)))
+    r = rect(w, h, door)
+    assert geometric_median(r) == _brute_force_median(r)
+
+
+def test_geometric_median_requires_simple_connectivity():
+    ring = Region({(x, y) for x in range(3) for y in range(3)} - {(1, 1)}, (0, 0))
+    for r in (ring, g_k(1, 5)):
+        with pytest.raises(NotSimplyConnected):
+            geometric_median(r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    V=st.integers(1, 150),
+    seed=st.integers(0, 2**20),
+    dx=st.integers(-60, 60),
+    dy=st.integers(-60, 60),
+)
+def test_ascii_map_round_trips_at_its_origin(V, seed, dx, dy):
+    r = _moved(V, seed, dx, dy)
+    assert from_ascii(r.to_ascii(), (r.min_x, r.min_y)) == r
