@@ -64,17 +64,31 @@ class RunChecker:
 
     These hold for the FCDFS family on simply connected regions.
 
+    The spacing lemma is certified by the door-distance schedule. Robot
+    i emerges at step 2i-1 and moves along a shortest path, so at the
+    start of step t it is at door distance t - 2i. When every active
+    robot is on that schedule, the triangle inequality
+    |d(door, a) - d(door, b)| <= d(a, b) gives every pair i < j a
+    distance of at least 2(j - i): the check passes exactly, in
+    O(active) work. Only when some robot is off the schedule (on a
+    region with a hole, or for a strategy outside the family) are the
+    pairs compared one by one, with a BFS distance as the last resort.
+
     Settled robots never move or change memory again, so every check
     walks only the robots active at the start of the step plus the one
     spawned during it. ``residual`` (the region minus settled cells) is
-    kept incrementally: a cell leaves it when its robot settles.
+    kept incrementally: a cell leaves it when its robot settles. The
+    positions of the active robots at the start of this step and of the
+    previous one are kept as two maps, id -> cell.
     """
 
     def __init__(self, region):
         self.dist = topology.DistanceCache(region)
+        self.door_dist = topology.bfs_distances(region, region.door)
         self.residual = set(region.cells)
-        self._positions: dict[int, list] = {}  # id -> [pos at t-1, pos at t]
-        self._primaries: dict[int, object] = {}
+        self._at_start: dict[int, tuple[int, int]] = {}  # active at the start of the step
+        self._at_prev: dict[int, tuple[int, int]] = {}  # active at the start of the last one
+        self._primaries: list = []  # (robot, primary at the start of the step)
         self._stepping: list = []  # robots active at the start of the step
         self._n_robots = 0  # robots spawned before the step
 
@@ -82,28 +96,44 @@ class RunChecker:
         t = sim.t + 1
         # A copy: the engine appends the robot spawned this step to sim.active.
         active = list(sim.active)
+        door_dist = self.door_dist
+        at_start = {}
+        on_schedule = True
+        for a in active:
+            at_start[a.id] = a.pos
+            if door_dist[a.pos] != t - 2 * a.id:
+                on_schedule = False
+        if not on_schedule:
+            self._check_spacing(t, active)
+        self._at_prev = self._at_start
+        self._at_start = at_start
+        self._stepping = active
+        self._n_robots = len(sim.robots)
+        # Robots without memory (a baseline's, or a hand-fed run's) have
+        # no primary direction to watch.
+        self._primaries = [(r, r.mem.primary) for r in active if r.mem is not None]
+
+    def _check_spacing(self, t, active) -> None:
+        door_dist = self.door_dist
         for i, a in enumerate(active):
             for b in active[i + 1 :]:
                 bound = 2 * (b.id - a.id)
                 if manhattan(a.pos, b.pos) >= bound:
+                    continue
+                if abs(door_dist[a.pos] - door_dist[b.pos]) >= bound:
                     continue
                 if self.dist.distance(a.pos, b.pos) < bound:
                     raise InvariantViolation(
                         f"t={t}: robots {a.id} at {a.pos} and {b.id} at "
                         f"{b.pos} are closer than {bound}"
                     )
-        self._stepping = active
-        self._n_robots = len(sim.robots)
-        # Robots without memory (a baseline's, or a hand-fed run's) have
-        # no primary direction to watch.
-        self._primaries = {r.id: r.mem.primary for r in active if r.mem is not None}
 
     def after_step(self, sim, actions, settled_now) -> None:
         t = sim.t
         residual = self.residual
-        for rid, act in actions.items():
-            if act == A_STAY:
-                raise InvariantViolation(f"t={t}: robot {rid} issued Stay")
+        if A_STAY in actions.values():
+            rid = next(rid for rid, act in actions.items() if act == A_STAY)
+            raise InvariantViolation(f"t={t}: robot {rid} issued Stay")
         for robot in settled_now:
             cls = topology.classify_cells(residual, robot.pos)
             if cls.kind != topology.CORNER:
@@ -111,16 +141,15 @@ class RunChecker:
                     f"t={t}: robot {robot.id} settled at {robot.pos}, a "
                     f"{cls.kind} of the residual region"
                 )
-        for robot in self._stepping:
-            before = self._primaries.get(robot.id)
+        at_start = self._at_start
+        for robot, before in self._primaries:
             if before is None:
                 continue
             after = robot.mem.primary
             if after is None or before == after:
                 continue
             # Position at the start of the step, where the redirect happened.
-            hist = self._positions.get(robot.id)
-            at = hist[-1] if hist else robot.pos
+            at = at_start[robot.id]
             cls = topology.classify_cells(residual, at)
             if cls.kind != topology.HALL:
                 raise InvariantViolation(
@@ -128,26 +157,16 @@ class RunChecker:
                     f"{cls.kind} of the residual region"
                 )
         # Follow the leader: position of A_{i+1} at the end of this step
-        # must equal A_i's position two step-boundaries earlier, as long
-        # as A_i was active at the start of the step.
-        robots = self._stepping + sim.robots[self._n_robots :]
-        for robot in robots:
-            pred_hist = self._positions.get(robot.id - 1)
-            if not pred_hist or len(pred_hist) < 2:
-                continue
-            pred_was_active = pred_hist[-1] is not None
-            own_hist = self._positions.get(robot.id)
-            was_active_at_start = not own_hist or own_hist[-1] is not None
-            if pred_was_active and was_active_at_start and robot.pos != pred_hist[0]:
+        # must equal A_i's position at the start of the previous step, as
+        # long as A_i was active at the start of both steps.
+        at_prev = self._at_prev
+        for robot in self._stepping + sim.robots[self._n_robots :]:
+            pred = robot.id - 1
+            if pred in at_start and pred in at_prev and robot.pos != at_prev[pred]:
                 raise InvariantViolation(
                     f"t={t}: robot {robot.id} at {robot.pos} does not "
-                    f"follow robot {robot.id - 1} (expected {pred_hist[0]})"
+                    f"follow robot {pred} (expected {at_prev[pred]})"
                 )
-        for robot in robots:
-            hist = self._positions.setdefault(robot.id, [])
-            hist.append(robot.pos if robot.active else None)
-            if len(hist) > 2:
-                del hist[0]
         residual.difference_update(robot.pos for robot in settled_now)
 
 

@@ -15,7 +15,7 @@ from dispersim.engine import (
     SimulationTrace,
     run,
 )
-from dispersim.envgen import random_simply_connected, rect
+from dispersim.envgen import g_k, random_simply_connected, rect
 from dispersim.errors import CollisionError, DispersimError, InvariantViolation
 from dispersim.grid import Region, UP, RIGHT, manhattan
 from dispersim.metrics import compute_metrics, run_metrics
@@ -474,6 +474,16 @@ def test_checker_agrees_with_naive_reference():
             kinds.add(type(expected).__name__)
     # Both verdicts occur, so the comparison covers passes and violations.
     assert kinds == {"RunMetrics", "tuple"}
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_checker_fallback_agrees_with_naive_reference(name):
+    """On regions with a hole the FCDFS family leaves its door-distance
+    schedule, so the checker compares pairs one by one; its verdicts and
+    messages must still equal the reference's."""
+    for r in (RING, g_k(1, 5), g_k(2, 5)):
+        expected = _checked_outcome(r, name, 0, NaiveChecker)
+        assert _checked_outcome(r, name, 0, RunChecker) == expected, (name, len(r.cells))
 
 
 def _late_emergence(checker):

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dispersim import envgen
-from dispersim.engine import SimulationTrace, run
+from dispersim.engine import Simulation, SimulationTrace, run
 from dispersim.envgen import g_k, random_simply_connected, rect
 from dispersim.errors import NotSimplyConnected
 from dispersim.grid import Region, from_ascii
 from dispersim.metrics import compute_metrics
 from dispersim.render import ascii_frame
 from dispersim.strategies import make_strategy
+from dispersim.strategies.fcdfs import RunChecker
 from dispersim.topology import bfs_distances, bfs_distances_cells, geometric_median, is_simply_connected
 
 
@@ -135,3 +136,58 @@ def test_geometric_median_requires_simple_connectivity():
 def test_ascii_map_round_trips_at_its_origin(V, seed, dx, dy):
     r = _moved(V, seed, dx, dy)
     assert from_ascii(r.to_ascii(), (r.min_x, r.min_y)) == r
+
+
+class _NoDistances:
+    def distance(self, a, b):
+        raise AssertionError(f"pairwise BFS distance asked for {a} and {b}")
+
+
+def _no_pairwise_check(t, active):
+    raise AssertionError(f"t={t}: the pairwise spacing check ran")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    V=st.integers(1, 120),
+    seed=st.integers(0, 2**20),
+    strategy_seed=st.integers(0, 2**20),
+    dx=st.integers(-60, 60),
+    dy=st.integers(-60, 60),
+)
+def test_fcdfs_family_keeps_the_door_distance_schedule(V, seed, strategy_seed, dx, dy):
+    """Every FCDFS robot travels a shortest path from the door: robot i,
+    spawned at step 2i-1, is at door distance t - (2i - 1) at the end of
+    step t. So the checker certifies the spacing lemma from the schedule
+    alone and never falls back to comparing pairs or asking for a BFS
+    distance."""
+    r = _moved(V, seed, dx, dy)
+    dist = bfs_distances(r, r.door)
+    for name in ("fcdfs", "fcdfs5", "rand-corner"):
+        checker = RunChecker(r)
+        checker.dist = _NoDistances()
+        checker._check_spacing = _no_pairwise_check
+        sim = Simulation(r, make_strategy(name, r, strategy_seed), record=False, checker=checker)
+        while sim.outcome is None:
+            sim.step()
+            for rb in sim.active:
+                assert dist[rb.pos] == sim.t - (2 * rb.id - 1), (name, sim.t, rb.id)
+        assert sim.outcome.kind == "covered" and sim.t == 2 * V - 1, name
+
+
+@pytest.mark.parametrize("name", ["rand-corner", "left-hand"])
+@settings(max_examples=100, deadline=None)
+@given(
+    V=st.integers(1, 120),
+    seed=st.integers(0, 2**20),
+    strategy_seed=st.integers(0, 2**20),
+    dx=st.integers(-60, 60),
+    dy=st.integers(-60, 60),
+)
+def test_variant_covers_in_2v_minus_1_with_optimal_travel(name, V, seed, strategy_seed, dx, dy):
+    """Criterion 4 as a property: the variants disperse like FCDFS."""
+    r = _moved(V, seed, dx, dy)
+    _, m = run(r, make_strategy(name, r, strategy_seed), record=False)
+    assert m.outcome == "covered"
+    assert m.makespan == 2 * V - 1
+    assert m.total_travel == m.optimum
