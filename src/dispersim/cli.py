@@ -89,8 +89,9 @@ def cmd_run(args) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    print(CSV_HEADER)
-    print(metrics.csv_row(args.env, region, args.strategy, args.seed))
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(CSV_HEADER.split(","))
+    writer.writerow(metrics.csv_fields(args.env, region, args.strategy, args.seed))
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             json.dump(trace.to_json_dict(), fh)
@@ -105,7 +106,7 @@ def cmd_compare(args) -> int:
         if name not in STRATEGIES:
             raise BadParameters(f"unknown strategy: {name!r}")
     seeds = [args.seed + i for i in range(args.reps)]
-    table = compare_runs(region, names, seeds, reps=args.reps, max_steps=args.max_steps)
+    table = compare_runs(region, names, seeds, max_steps=args.max_steps)
     if args.csv:
         header = CSV_HEADER.split(",")
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CollisionError, MapError
-from .grid import DIR_NAMES, DIR_VECTORS, Cell, Region
+from .grid import DIR_NAMES, DIR_VECTORS, Cell, Region, adjacent
 from .metrics import RunMetrics, run_metrics
 
 # Action codes: 0..3 move in that direction, then stay, then settle.
@@ -25,16 +25,6 @@ A_SETTLE = 5
 EV_MOVES = {name: d for d, name in enumerate(DIR_NAMES)}
 EV_SETTLE = "X"
 EV_SPAWN = "+"
-
-# Relative offsets visible to a robot: Manhattan distance 1 and 2.
-VIEW_OFFSETS = tuple(
-    (dx, dy)
-    for dx in range(-2, 3)
-    for dy in range(-2, 3)
-    if 0 < abs(dx) + abs(dy) <= 2
-)
-assert len(VIEW_OFFSETS) == 12
-
 
 class SensorView:
     """Occupancy of the 12 cells within Manhattan distance 2 of a robot.
@@ -63,12 +53,11 @@ class SensorView:
 
     def free_dirs(self) -> list[int]:
         """Unoccupied neighbor directions in clockwise order from Up."""
-        x, y = self._pos
         cells = self._cells
         occupied = self._occupied
         return [
             d
-            for d, cell in enumerate(((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)))
+            for d, cell in enumerate(adjacent(self._pos))
             if cell in cells and cell not in occupied
         ]
 
@@ -211,13 +200,15 @@ class SimulationTrace:
             t += 1
 
     def to_json_dict(self) -> dict:
+        if self.events is None:
+            raise ValueError("trace was recorded without events")
         region = self.region
         return {
             "env": region.to_ascii(),
             "origin": [region.min_x, region.min_y],
             "strategy": self.strategy,
             "seed": self.seed,
-            "events": [list(ev) for ev in self.events or ()],
+            "events": [list(ev) for ev in self.events],
             "outcome": {"kind": self.outcome.kind, "t": self.outcome.t},
         }
 
@@ -275,8 +266,9 @@ class Simulation:
     events to the trace.
 
     Every step asks ``strategy.decide_all`` for the actions and hands a
-    new robot to ``strategy.on_spawn``. The engine's own checks are
-    always on: moves must not collide, and only active robots act.
+    new robot to ``strategy.on_spawn``; the trace records
+    ``strategy.seed``. The engine's own checks are always on: moves
+    must not collide, and only active robots act.
     ``checker``, when given, is called as ``before_step(sim)`` and
     ``after_step(sim, actions, settled_now)`` around every step and
     raises to stop the run.
@@ -286,19 +278,17 @@ class Simulation:
         self,
         region: Region,
         strategy,
-        seed: int = 0,
         record: bool = True,
         checker=None,
     ):
         self.region = region
         self.strategy = strategy
-        self.seed = seed
         self.robots: list[Robot] = []
         self.active: list[Robot] = []
         self.occupied: dict[Cell, Robot] = {}
         self.t = 0
         self.outcome: Outcome | None = None
-        self.trace = SimulationTrace(region, strategy.name, seed)
+        self.trace = SimulationTrace(region, strategy.name, strategy.seed)
         if not record:
             self.trace.events = None
         self.checker = checker
@@ -437,13 +427,7 @@ def run(
         raise ValueError("max_steps must be >= 1")
     invariants = strategy.invariants
     checker = invariants(region) if check and invariants is not None else None
-    sim = Simulation(
-        region,
-        strategy,
-        seed=getattr(strategy, "seed", 0),
-        record=record,
-        checker=checker,
-    )
+    sim = Simulation(region, strategy, record=record, checker=checker)
     sim.finish(max_steps)
     robots = sim.robots
     metrics = run_metrics(region, sim.outcome, [r.travel for r in robots], [r.moves for r in robots])

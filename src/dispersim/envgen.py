@@ -7,7 +7,7 @@ import random
 from bisect import bisect_left, insort
 
 from .errors import BadParameters, DoorOutOfBounds
-from .grid import Cell, Region
+from .grid import Cell, Region, adjacent
 
 # 8-neighborhood in cyclic (clockwise) order.
 _RING = ((0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0), (-1, 1))
@@ -59,7 +59,7 @@ def random_simply_connected(V: int, seed: int) -> Region:
     rng = random.Random(seed)
     door = (0, 0)
     cells = {door}
-    boundary = {(0, 1), (1, 0), (0, -1), (-1, 0)}
+    boundary = set(adjacent(door))
     pool = sorted(boundary)  # the boundary, kept sorted for the draws
     while len(cells) < V:
         cand = rng.choice(pool)
@@ -74,7 +74,7 @@ def random_simply_connected(V: int, seed: int) -> Region:
         for ox, oy in _RING:
             nb = (cx + ox, cy + oy)
             if nb not in cells and nb not in boundary and any(
-                (nb[0] + vx, nb[1] + vy) in cells for vx, vy in ((0, 1), (1, 0), (0, -1), (-1, 0))
+                c in cells for c in adjacent(nb)
             ):
                 boundary.add(nb)
                 insort(pool, nb)

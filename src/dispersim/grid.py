@@ -1,4 +1,5 @@
-"""Grid environments: cells, directions, regions and the ASCII map format.
+"""Grid environments: cells, directions, the 4-neighbor order and BFS,
+regions and the ASCII map format.
 
 Coordinate frame: x grows to the right, y grows upward. Row 0 of an ASCII
 map is the topmost line, so it holds the cells with the highest y.
@@ -6,7 +7,6 @@ map is the topmost line, so it holds the cells with the highest y.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterator
 
 from .errors import (
@@ -66,7 +66,7 @@ class Region:
         ys = [c[1] for c in cells]
         self.min_x, self.max_x = min(xs), max(xs)
         self.min_y, self.max_y = min(ys), max(ys)
-        reached = flood_fill(cells, door)
+        reached = bfs_distances_cells(cells, door)
         if len(reached) != len(cells):
             raise DisconnectedRegion(
                 f"{len(cells) - len(reached)} cells unreachable from the door"
@@ -102,49 +102,64 @@ class Region:
         """
         if v not in self.cells:
             raise CellNotInRegion(f"{v} is not a cell of the region")
-        x, y = v
-        out = []
-        for nb in ((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)):
-            if nb in self.cells:
-                out.append(nb)
-        return out
+        return [nb for nb in adjacent(v) if nb in self.cells]
 
     def is_wall(self, v: Cell) -> bool:
         """True iff v is not a cell of the region (the complement is
         conceptually infinite; cells outside the bounds are walls)."""
         return v not in self.cells
 
-    def to_ascii(self) -> str:
+    def to_ascii(self, marks: dict[Cell, str] | None = None) -> str:
         """Render the bounding box as an ASCII map, padding with '#'.
 
-        Inverse of :func:`from_ascii` given the bounding box's minimum
-        corner ``(min_x, min_y)`` as its origin.
+        ``marks`` maps region cells to the characters drawn on them in
+        place of '.' or 'S'. Without marks this is the inverse of
+        :func:`from_ascii` given the bounding box's minimum corner
+        ``(min_x, min_y)`` as its origin.
         """
+        marks = marks or {}
+        cells = self.cells
         rows = []
         for y in range(self.max_y, self.min_y - 1, -1):
             row = []
             for x in range(self.min_x, self.max_x + 1):
-                if (x, y) == self.door:
-                    row.append(DOOR_CHAR)
-                elif (x, y) in self.cells:
-                    row.append(FLOOR_CHAR)
-                else:
+                cell = (x, y)
+                if cell not in cells:
                     row.append(WALL_CHAR)
+                elif cell in marks:
+                    row.append(marks[cell])
+                elif cell == self.door:
+                    row.append(DOOR_CHAR)
+                else:
+                    row.append(FLOOR_CHAR)
             rows.append("".join(row))
         return "\n".join(rows)
 
 
-def flood_fill(cells: frozenset | set, start: Cell) -> set[Cell]:
-    """4-connected flood fill inside ``cells`` starting at ``start``."""
-    seen = {start}
-    todo = deque([start])
-    while todo:
-        x, y = todo.popleft()
-        for nb in ((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)):
-            if nb in cells and nb not in seen:
-                seen.add(nb)
-                todo.append(nb)
-    return seen
+def adjacent(cell: Cell) -> tuple[Cell, Cell, Cell, Cell]:
+    """The four 4-neighbors of ``cell`` in :data:`DIR_VECTORS` order:
+    up, right, down, left. Strategy determinism depends on this order."""
+    x, y = cell
+    return ((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y))
+
+
+def bfs_distances_cells(cells, src: Cell) -> dict[Cell, int]:
+    """4-neighbor shortest-path distances from ``src`` within ``cells``;
+    the keys are exactly the cells reachable from ``src``."""
+    dist = {src: 0}
+    frontier = [src]
+    d = 0
+    while frontier:
+        d += 1
+        reached = []
+        for x, y in frontier:
+            # adjacent(), inline: BFLF runs this BFS once per spawn.
+            for nb in ((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)):
+                if nb in cells and nb not in dist:
+                    dist[nb] = d
+                    reached.append(nb)
+        frontier = reached
+    return dist
 
 
 def from_ascii(text: str, origin: Cell = (0, 0)) -> Region:

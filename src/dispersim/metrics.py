@@ -28,9 +28,6 @@ class RunMetrics:
     outcome: str
     robots: int
 
-    def csv_row(self, env: str, region: Region, strategy: str, seed: int) -> str:
-        return ",".join(self.csv_fields(env, region, strategy, seed))
-
     def csv_fields(self, env: str, region: Region, strategy: str, seed: int) -> list[str]:
         """The CSV_HEADER columns of this run, as strings."""
         makespan = "" if self.makespan is None else str(self.makespan)
@@ -119,7 +116,6 @@ def compare_runs(
     r: Region,
     strategies: list[str],
     seeds: list[int],
-    reps: int = 1,
     max_steps: int | None = None,
 ) -> ComparisonTable:
     """Run every (strategy, seed) cell and aggregate per strategy.
@@ -129,9 +125,6 @@ def compare_runs(
     from . import engine
     from .strategies import make_strategy
 
-    if reps > len(seeds):
-        base = seeds[-1] if seeds else 0
-        seeds = list(seeds) + [base + i + 1 for i in range(reps - len(seeds))]
     rows = []
     for name in strategies:
         for seed in seeds:

@@ -48,25 +48,7 @@ def _frames(trace, steps):
 
 
 def _ascii(region, robots) -> str:
-    at: dict[Cell, str] = {
-        rb.pos: _ARROWS[rb.heading] if rb.active else "o" for rb in robots
-    }
-    x0, x1, y0, y1 = region.min_x, region.max_x, region.min_y, region.max_y
-    lines = []
-    for y in range(y1, y0 - 1, -1):
-        row = []
-        for x in range(x0, x1 + 1):
-            cell = (x, y)
-            if cell not in region.cells:
-                row.append("#")
-            elif cell in at:
-                row.append(at[cell])
-            elif cell == region.door:
-                row.append("S")
-            else:
-                row.append(".")
-        lines.append("".join(row))
-    return "\n".join(lines)
+    return region.to_ascii({rb.pos: _ARROWS[rb.heading] if rb.active else "o" for rb in robots})
 
 
 def ascii_frames(trace, steps):

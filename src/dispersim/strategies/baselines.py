@@ -29,20 +29,14 @@ import random
 from bisect import bisect_right
 from collections import deque
 
-from ..grid import Cell, Region
-from ..topology import bfs_distances_cells
+from ..grid import DIR_VECTORS, Cell, Region, adjacent, bfs_distances_cells
 from .base import A_SETTLE, A_STAY, Strategy
 
-_DIR_OF = {(0, 1): 0, (1, 0): 1, (0, -1): 2, (-1, 0): 3}
+_DIR_OF = {v: d for d, v in enumerate(DIR_VECTORS)}
 
 
 def _move_action(src: Cell, dst: Cell) -> int:
     return _DIR_OF[(dst[0] - src[0], dst[1] - src[1])]
-
-
-def _nbrs(cell: Cell):
-    x, y = cell
-    return ((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y))
 
 
 def cut_cells(cells, root: Cell) -> set[Cell]:
@@ -53,7 +47,7 @@ def cut_cells(cells, root: Cell) -> set[Cell]:
     low = {root: 0}
     cut: set[Cell] = set()
     root_children = 0
-    stack = [(root, iter(_nbrs(root)))]
+    stack = [(root, iter(adjacent(root)))]
     while stack:
         v, todo = stack[-1]
         for w in todo:
@@ -66,7 +60,7 @@ def cut_cells(cells, root: Cell) -> set[Cell]:
                     low[v] = depth[w]
             else:
                 depth[w] = low[w] = len(depth)
-                stack.append((w, iter(_nbrs(w))))
+                stack.append((w, iter(adjacent(w))))
                 break
         else:
             stack.pop()
@@ -107,7 +101,7 @@ class Dflf(Strategy):
         trail = [door]
         while trail:
             head = trail[-1]
-            fresh = [nb for nb in _nbrs(head) if nb in cells and nb not in visited]
+            fresh = [nb for nb in adjacent(head) if nb in cells and nb not in visited]
             if fresh:
                 nxt = self.rng.choice(fresh)
                 visited.add(nxt)
@@ -209,7 +203,7 @@ class Bflf(Strategy):
                     path.append(v)
                 path.reverse()
                 return path[1:]
-            for nb in _nbrs(v):
+            for nb in adjacent(v):
                 if nb not in cells or nb in prev:
                     continue
                 holder = occupied.get(nb)
@@ -252,14 +246,13 @@ class Bflf(Strategy):
             if blocked:
                 # Try flowing around the robot in the way.
                 detour = self._route(sim, robot.pos, target, avoid_active=True)
+                # The detour never enters an occupied cell.
                 if (
                     detour
                     and detour[0] not in claimed_now
-                    and detour[0] not in sim.occupied
                     and not (spawn_pending and detour[0] == self.region.door)
                 ):
                     path = detour
-                    self.paths[robot.id] = detour
                     nxt = detour[0]
                 else:
                     actions[robot.id] = A_STAY

@@ -39,10 +39,6 @@ class FiveBitMemory:
             return None
         return self.b12
 
-    @property
-    def has_moved(self) -> bool:
-        return (self.b4, self.b5) != (0, 0)
-
     def key(self):
         return (self.b12, self.b3, self.b4, self.b5)
 

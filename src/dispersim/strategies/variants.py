@@ -50,27 +50,16 @@ class RandomCorner(Fcdfs):
         order = [(d + self.rotation) % 4 for d in range(4)]
         return next(d for d in order if d in free)
 
-    def state_key(self):
-        return self.rotation
-
-
-class LeftHandMemory(FcdfsMemory):
-    """Same offsets bookkeeping; 'primary' is read as the heading."""
-
-    __slots__ = ()
-
-    @property
-    def heading(self):
-        return self.primary
-
 
 class LeftHand(Strategy):
+    """Keeps its heading in ``FcdfsMemory.primary``."""
+
     name = "left-hand"
 
-    def fresh_memory(self) -> LeftHandMemory:
-        return LeftHandMemory()
+    def fresh_memory(self) -> FcdfsMemory:
+        return FcdfsMemory()
 
-    def decide(self, view, m: LeftHandMemory):
+    def decide(self, view, m: FcdfsMemory):
         free = view.free_dirs()
         if not free:
             return A_SETTLE, m

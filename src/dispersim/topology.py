@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import CellNotInRegion, NotSimplyConnected
-from .grid import Cell, Region, flood_fill
+from .grid import Cell, Region, adjacent, bfs_distances_cells
 
 CORNER = "corner"
 HALL = "hall"
@@ -49,17 +49,13 @@ def classify_cells(cells: frozenset | set, v: Cell) -> VertexClass:
     regions and for residual regions during runtime checks)."""
     if v not in cells:
         raise CellNotInRegion(f"{v} is not in the cell set")
-    x, y = v
-    nbrs = [
-        nb
-        for nb in ((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y))
-        if nb in cells
-    ]
+    nbrs = [nb for nb in adjacent(v) if nb in cells]
     if len(nbrs) <= 1:
         return VertexClass(CORNER, None)
     if len(nbrs) >= 3:
         return VertexClass(INTERIOR, None)
     u, u2 = nbrs
+    x, y = v
     if u[0] + u2[0] == 2 * x and u[1] + u2[1] == 2 * y:
         return VertexClass(INTERIOR, None)  # straight corridor
     # L-configuration: the unique common neighbor of u, u2 other than v.
@@ -129,15 +125,15 @@ def hall_tree(r: Region) -> HallTree:
     comp_of: dict[Cell, int] = {}  # hall-free cell -> its component
     unassigned = set(r.cells) - hall_set
     while unassigned:
-        comp = flood_fill(unassigned, min(unassigned))
+        comp = set(bfs_distances_cells(unassigned, min(unassigned)))
         unassigned -= comp
         comp_of.update(dict.fromkeys(comp, len(comps)))
         comps.append(comp)
     edges = set()
     unassigned = set(hall_set)
     while unassigned:
-        run = flood_fill(unassigned, min(unassigned))
-        unassigned -= run
+        run = bfs_distances_cells(unassigned, min(unassigned))
+        unassigned.difference_update(run)
         # (hall, component) for each run hall next to a hall-free cell.
         touching = {(h, comp_of[nb]) for h in run for nb in r.neighbors(h) if nb in comp_of}
         if len(run) == 1:
@@ -167,7 +163,7 @@ def articulation_points(r: Region) -> set[Cell]:
         if not rest:
             continue
         seed = next(iter(rest))
-        if len(flood_fill(rest, seed)) != len(rest):
+        if len(bfs_distances_cells(rest, seed)) != len(rest):
             out.add(v)
     return out
 
@@ -177,20 +173,6 @@ def bfs_distances(r: Region, src: Cell) -> dict[Cell, int]:
     if src not in r.cells:
         raise CellNotInRegion(f"{src} is not a cell of the region")
     return bfs_distances_cells(r.cells, src)
-
-
-def bfs_distances_cells(cells, src: Cell) -> dict[Cell, int]:
-    dist = {src: 0}
-    todo = deque([src])
-    while todo:
-        v = todo.popleft()
-        d = dist[v] + 1
-        x, y = v
-        for nb in ((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)):
-            if nb in cells and nb not in dist:
-                dist[nb] = d
-                todo.append(nb)
-    return dist
 
 
 def sum_distances(r: Region, src: Cell) -> int:
@@ -224,8 +206,7 @@ def geometric_median(r: Region) -> set[Cell]:
     sums = {r.door: sum(bfs_distances_cells(cells, r.door).values())}
     todo = [r.door]
     for u in todo:
-        x, y = u
-        for w in ((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)):
+        for w in adjacent(u):
             if w in cells and w not in sums:
                 sums[w] = sums[u] + V - 2 * half[u, w]
                 todo.append(w)

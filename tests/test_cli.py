@@ -60,6 +60,16 @@ def test_run_covered_exit_zero(corridor_map, capsys):
     assert ",covered,9,10,4," in out[1]
 
 
+def test_run_quotes_an_env_path_with_a_comma(tmp_path, capsys):
+    env = tmp_path / "a,b.map"
+    env.write_text(rect(1, 5, (0, 0)).to_ascii() + "\n")
+    assert main(["run", "--env", str(env), "--strategy", "fcdfs"]) == 0
+    header, row = csv.reader(capsys.readouterr().out.splitlines())
+    assert len(row) == len(header) == 14
+    assert row[0] == str(env)
+    assert row[header.index("makespan")] == "9"
+
+
 def test_run_writes_trace(corridor_map, tmp_path):
     trace_file = tmp_path / "t.json"
     code = main(["run", "--env", corridor_map, "--strategy", "fcdfs5",

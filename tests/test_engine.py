@@ -8,7 +8,6 @@ from dispersim import topology
 from dispersim.engine import (
     A_SETTLE,
     A_STAY,
-    VIEW_OFFSETS,
     Robot,
     Simulation,
     SensorView,
@@ -23,11 +22,6 @@ from dispersim.render import ascii_frames
 from dispersim.strategies import STRATEGIES, make_strategy
 from dispersim.strategies.base import Strategy
 from dispersim.strategies.fcdfs import RunChecker
-
-
-def test_view_offsets_cover_radius_two():
-    assert len(VIEW_OFFSETS) == 12
-    assert all(0 < abs(dx) + abs(dy) <= 2 for dx, dy in VIEW_OFFSETS)
 
 
 def test_sensor_view_walls_and_robots_indistinguishable():
@@ -189,6 +183,16 @@ def test_run_without_recording_keeps_metrics():
     assert trace.events is None
     assert m.outcome == "covered"
     assert m.makespan == 31
+    with pytest.raises(ValueError, match="trace was recorded without events"):
+        trace.to_json_dict()
+
+
+def test_trace_records_the_strategy_seed():
+    r = rect(3, 3, (1, 1))
+    sim = Simulation(r, make_strategy("rand-corner", r, 5))
+    sim.finish(100)
+    assert sim.trace.seed == 5
+    assert sim.trace.to_json_dict()["seed"] == 5
 
 
 def test_checker_accepts_fcdfs_and_flags_stay():

@@ -73,4 +73,4 @@ def test_from_ascii_errors():
 
 def test_flood_fill():
     cells = {(0, 0), (1, 0), (1, 1), (3, 3)}
-    assert grid.flood_fill(cells, (0, 0)) == {(0, 0), (1, 0), (1, 1)}
+    assert grid.bfs_distances_cells(cells, (0, 0)) == {(0, 0): 0, (1, 0): 1, (1, 1): 2}

@@ -33,8 +33,7 @@ def test_compute_metrics_rejects_wrong_region():
 def test_csv_row_layout():
     r = rect(1, 5, (0, 0))
     _, m = run(r, make_strategy("fcdfs", r, 0))
-    row = m.csv_row("corridor", r, "fcdfs", 0)
-    fields = row.split(",")
+    fields = m.csv_fields("corridor", r, "fcdfs", 0)
     assert len(fields) == len(CSV_HEADER.split(","))
     assert fields[0] == "corridor"
     assert fields[6] == "covered"
@@ -47,8 +46,7 @@ def test_csv_row_empty_makespan_on_deadlock():
 
     ring = Region({(x, y) for x in range(3) for y in range(3)} - {(1, 1)}, (0, 0))
     _, m = run(ring, make_strategy("fcdfs", ring, 0))
-    row = m.csv_row("ring", ring, "fcdfs", 0)
-    assert row.split(",")[7] == ""
+    assert m.csv_fields("ring", ring, "fcdfs", 0)[7] == ""
 
 
 def test_compare_runs_aggregates():

@@ -1,9 +1,11 @@
+import hashlib
+
 import pytest
 
 from dispersim.engine import run
-from dispersim.envgen import rect
+from dispersim.envgen import random_simply_connected, rect
 from dispersim.errors import StepOutOfRange
-from dispersim.render import ascii_frame, svg_frames
+from dispersim.render import ascii_frame, ascii_frames, svg_frames
 from dispersim.strategies import make_strategy
 
 
@@ -77,3 +79,18 @@ def test_svg_single_final_frame():
         body = open(files[0]).read()
         assert body.startswith("<?xml")
         assert body.count("polygon") == 9  # nine settled diamonds
+
+
+def test_fcdfs_frames_pinned(suite):
+    # Every ASCII frame of fcdfs on 20 suite regions and on a region with
+    # negative coordinates. The digest was computed when render had a map
+    # writer of its own; Region.to_ascii with an overlay must draw the
+    # same characters.
+    regions = suite[::10] + [random_simply_connected(40, seed=10)]
+    assert len(regions) == 21 and min(regions[-1].min_x, regions[-1].min_y) < 0
+    h = hashlib.sha256()
+    for r in regions:
+        trace, m = run(r, make_strategy("fcdfs", r, 0))
+        for t, frame in ascii_frames(trace, range(1, m.makespan + 1)):
+            h.update(f"{t}\n{frame}\n".encode())
+    assert h.hexdigest() == "11fcf34aec92610c707dba190a4ca5ba18dace61dac96ee5d5f5d133c0080673"
