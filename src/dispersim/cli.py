@@ -51,6 +51,11 @@ def _parse_door(text: str):
         raise BadParameters(f"door must be X,Y integers, got {text!r}") from None
 
 
+def _at_least_one(flag: str, value) -> None:
+    if value is not None and value < 1:
+        raise BadParameters(f"{flag} must be >= 1")
+
+
 def cmd_gen(args) -> int:
     if args.shape == "rect":
         if args.w is None or args.h is None:
@@ -77,6 +82,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_run(args) -> int:
+    _at_least_one("--max-steps", args.max_steps)
     region = _load_region(args.env)
     strategy = make_strategy(args.strategy, region, args.seed)
     if args.check and strategy.invariants is None:
@@ -100,6 +106,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _at_least_one("--reps", args.reps)
+    _at_least_one("--max-steps", args.max_steps)
     region = _load_region(args.env)
     names = [s.strip() for s in args.strategies.split(",") if s.strip()]
     for name in names:
@@ -157,8 +165,7 @@ def cmd_render(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"bad trace: {exc}", file=sys.stderr)
         return EXIT_IO
-    if args.every < 1:
-        raise BadParameters("--every must be >= 1")
+    _at_least_one("--every", args.every)
     if args.format == "ascii":
         for t, frame in render.ascii_frames(trace, render.frame_steps(trace, args.every)):
             print(f"t={t}")

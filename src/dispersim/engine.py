@@ -1,10 +1,11 @@
 """Synchronous Look-Compute-Move scheduler.
 
 Each step: take an occupancy snapshot, let the strategy decide every
-active robot's action (a local strategy from that robot's radius-2
-sensor view and private memory alone), apply all moves simultaneously
-(targets must have been unoccupied in the snapshot), then settle robots
-and spawn a new one at the door if the door was free in the snapshot.
+active robot's action (a local strategy from that robot's 8-bit ring
+mask, :meth:`Simulation.sense`, and private memory alone), apply all
+moves simultaneously (targets must have been unoccupied in the
+snapshot), then settle robots and spawn a new one at the door if the
+door was free in the snapshot.
 Runs end on full coverage, an exact configuration repeat (deadlock) or
 a step limit.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CollisionError, MapError
-from .grid import DIR_NAMES, DIR_VECTORS, Cell, Region, adjacent
+from .grid import DIR_NAMES, DIR_VECTORS, RING, Cell, Region
 from .metrics import RunMetrics, run_metrics
 
 # Action codes: 0..3 move in that direction, then stay, then settle.
@@ -25,41 +26,6 @@ A_SETTLE = 5
 EV_MOVES = {name: d for d, name in enumerate(DIR_NAMES)}
 EV_SETTLE = "X"
 EV_SPAWN = "+"
-
-class SensorView:
-    """Occupancy of the 12 cells within Manhattan distance 2 of a robot.
-
-    Occupied means wall or any robot; the view never distinguishes the
-    two, nor active from settled robots. Strategies receive nothing else.
-    """
-
-    __slots__ = ("_pos", "_occupied", "_cells")
-
-    def __init__(self, pos: Cell, occupied, cells):
-        self._pos = pos
-        self._occupied = occupied
-        self._cells = cells
-
-    def occupied_offset(self, dx: int, dy: int) -> bool:
-        if not 0 < abs(dx) + abs(dy) <= 2:
-            raise ValueError(f"offset ({dx},{dy}) is outside the sensing range")
-        cell = (self._pos[0] + dx, self._pos[1] + dy)
-        return cell not in self._cells or cell in self._occupied
-
-    def occupied_dir(self, d: int) -> bool:
-        dx, dy = DIR_VECTORS[d]
-        cell = (self._pos[0] + dx, self._pos[1] + dy)
-        return cell not in self._cells or cell in self._occupied
-
-    def free_dirs(self) -> list[int]:
-        """Unoccupied neighbor directions in clockwise order from Up."""
-        cells = self._cells
-        occupied = self._occupied
-        return [
-            d
-            for d, cell in enumerate(adjacent(self._pos))
-            if cell in cells and cell not in occupied
-        ]
 
 
 class Robot:
@@ -298,8 +264,19 @@ class Simulation:
     def covered(self) -> bool:
         return len(self.occupied) == len(self.region.cells)
 
-    def sense(self, pos: Cell) -> SensorView:
-        return SensorView(pos, self.occupied, self.region.cells)
+    def sense(self, pos: Cell) -> int:
+        """The ring mask of ``pos``: bit i is set when the cell
+        ``pos + RING[i]`` is a wall or holds a robot. Walls and robots,
+        active or settled, set the same bit."""
+        x, y = pos
+        cells = self.region.cells
+        occupied = self.occupied
+        mask = 0
+        for i, (dx, dy) in enumerate(RING):
+            cell = (x + dx, y + dy)
+            if cell not in cells or cell in occupied:
+                mask |= 1 << i
+        return mask
 
     def step(self) -> None:
         """Advance one synchronized Look-Compute-Move step."""

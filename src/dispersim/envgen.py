@@ -7,10 +7,7 @@ import random
 from bisect import bisect_left, insort
 
 from .errors import BadParameters, DoorOutOfBounds
-from .grid import Cell, Region, adjacent
-
-# 8-neighborhood in cyclic (clockwise) order.
-_RING = ((0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0), (-1, 1))
+from .grid import RING, Cell, Region, adjacent
 
 
 def rect(w: int, h: int, door: Cell) -> Region:
@@ -24,7 +21,7 @@ def rect(w: int, h: int, door: Cell) -> Region:
 
 
 def _one_empty_group(occupied: int) -> bool:
-    """True when the empty cells of a ring (bit i set: ``_RING[i]`` is
+    """True when the empty cells of a ring (bit i set: ``RING[i]`` is
     occupied) form one 8-connected group. Ring neighbors are 8-adjacent,
     and so are the two axis cells on either side of a ring corner."""
     empty = [not occupied >> i & 1 for i in range(8)]
@@ -44,7 +41,7 @@ def _attachable(cells: set, c: Cell) -> bool:
     (Rosenfeld, JACM 1970; Kong & Rosenfeld, 1989)."""
     x, y = c
     occupied = 0
-    for i, (ox, oy) in enumerate(_RING):
+    for i, (ox, oy) in enumerate(RING):
         if (x + ox, y + oy) in cells:
             occupied |= 1 << i
     return _ATTACHABLE[occupied]
@@ -71,7 +68,7 @@ def random_simply_connected(V: int, seed: int) -> Region:
         cx, cy = cand
         # Every empty ring cell next to the region is a candidate, also
         # one rejected before the region grew around it.
-        for ox, oy in _RING:
+        for ox, oy in RING:
             nb = (cx + ox, cy + oy)
             if nb not in cells and nb not in boundary and any(
                 c in cells for c in adjacent(nb)

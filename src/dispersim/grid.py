@@ -1,5 +1,5 @@
 """Grid environments: cells, directions, the 4-neighbor order and BFS,
-regions and the ASCII map format.
+the 8-ring, regions and the ASCII map format.
 
 Coordinate frame: x grows to the right, y grows upward. Row 0 of an ASCII
 map is the topmost line, so it holds the cells with the highest y.
@@ -23,6 +23,16 @@ Cell = tuple[int, int]
 UP, RIGHT, DOWN, LEFT = range(4)
 DIR_VECTORS: tuple[Cell, ...] = ((0, 1), (1, 0), (0, -1), (-1, 0))
 DIR_NAMES = "URDL"
+
+# The 8 cells around a cell, clockwise from "up". Bit i of a ring mask
+# stands for RING[i]: axis direction d is bit 2d, and bit 2d+1 lies
+# between directions d and d+1.
+RING: tuple[Cell, ...] = ((0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0), (-1, 1))
+DIR_BITS = (1, 4, 16, 64)  # the ring-mask bit of each axis direction
+# FREE_DIRS[mask]: the directions whose axis bit is clear, in U, R, D, L order.
+FREE_DIRS: tuple[tuple[int, ...], ...] = tuple(
+    tuple(d for d in range(4) if not mask & DIR_BITS[d]) for mask in range(256)
+)
 
 WALL_CHAR = "#"
 FLOOR_CHAR = "."

@@ -1,7 +1,8 @@
 """Strategy registry.
 
-Local strategies decide from a radius-2 sensor view alone; the
-leader-follower baselines are run-level controllers with engine access.
+Local strategies decide from an 8-bit ring mask and their own memory
+alone; the leader-follower baselines are run-level controllers with
+engine access.
 """
 
 from __future__ import annotations

@@ -3,8 +3,12 @@
 The engine drives every strategy through two hooks. ``decide_all(sim)``
 returns each active robot's action, by id, for the coming step; by
 default it calls ``decide(view, mem)`` once per active robot with that
-robot's radius-2 sensor view and private memory and nothing else, so a
-local strategy overrides only ``decide`` and cannot see more.
+robot's ring mask and private memory and nothing else, so a local
+strategy overrides only ``decide`` and cannot see more. The view is an
+int in ``range(256)``: bit i is set when the cell ``grid.RING[i]`` away
+is a wall or holds a robot, the two being indistinguishable. The ring
+runs clockwise from up, so axis direction d is bit 2d. ``decide``
+returns the action and updates the memory in place.
 ``on_spawn(sim, robot)`` runs when a robot emerges at the door; by
 default it gives the robot ``fresh_memory()``. The leader-follower
 baselines override both hooks: they model algorithms whose original
@@ -18,7 +22,7 @@ declares no lemmas beyond the engine's own checks.
 
 from __future__ import annotations
 
-from ..engine import A_SETTLE, A_STAY, SensorView  # noqa: F401  (re-export)
+from ..engine import A_SETTLE, A_STAY  # noqa: F401  (re-export)
 
 
 class Strategy:
@@ -33,18 +37,16 @@ class Strategy:
     def fresh_memory(self):
         raise NotImplementedError
 
-    def decide(self, view: SensorView, mem):
-        """Return (action, memory')."""
+    def decide(self, view: int, mem) -> int:
+        """Return the action for a robot with ring mask ``view``,
+        updating ``mem`` in place."""
         raise NotImplementedError
 
     def decide_all(self, sim) -> dict[int, int]:
         """Return {robot id: action} for the robots in ``sim.active``."""
         decide = self.decide
         sense = sim.sense
-        actions = {}
-        for robot in sim.active:
-            actions[robot.id], robot.mem = decide(sense(robot.pos), robot.mem)
-        return actions
+        return {robot.id: decide(sense(robot.pos), robot.mem) for robot in sim.active}
 
     def on_spawn(self, sim, robot) -> None:
         """Set up ``robot``, which has just emerged at the door."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .. import topology
 from ..errors import InvariantViolation, NoLegalAction
-from ..grid import DIR_VECTORS, manhattan, rotate_cw
+from ..grid import DIR_BITS, DIR_VECTORS, FREE_DIRS, manhattan, rotate_cw
 from .base import A_SETTLE, A_STAY, Strategy
 
 
@@ -29,6 +29,10 @@ def diag_offset(primary: int) -> tuple[int, int]:
     px, py = DIR_VECTORS[primary]
     sx, sy = DIR_VECTORS[rotate_cw(primary)]
     return (-px - sx, -py - sy)
+
+
+# DIAG_BITS[p]: the ring-mask bit of the cell at diag_offset(p).
+DIAG_BITS = tuple(1 << (2 * p + 5) % 8 for p in range(4))
 
 
 class FcdfsMemory:
@@ -177,28 +181,26 @@ class Fcdfs(Strategy):
     def fresh_memory(self) -> FcdfsMemory:
         return FcdfsMemory()
 
-    def initial_primary(self, free: list[int]) -> int:
+    def initial_primary(self, free: tuple[int, ...]) -> int:
         """Clockwise scan from Up for the first unoccupied neighbor."""
         return free[0]
 
-    def decide(self, view, m: FcdfsMemory):
-        free = view.free_dirs()
+    def decide(self, view: int, m: FcdfsMemory) -> int:
+        free = FREE_DIRS[view]
         if not free:
-            return A_SETTLE, m
+            return A_SETTLE
         if not m.has_moved:
             m.primary = self.initial_primary(free)
         p = m.primary
-        s = rotate_cw(p)
-        for d in (p, s):
-            if not view.occupied_dir(d):
+        for d in (p, rotate_cw(p)):
+            if not view & DIR_BITS[d]:
                 m.record_move(d)
-                return d, m
+                return d
         # Primary and secondary blocked: corner or hall.
         if len(free) == 1 and DIR_VECTORS[free[0]] == m.prev:
-            return A_SETTLE, m  # dead end
-        diag = diag_offset(p)
-        if m.prev2 == diag or not view.occupied_offset(*diag):
-            return A_SETTLE, m
+            return A_SETTLE  # dead end
+        if m.prev2 == diag_offset(p) or not view & DIAG_BITS[p]:
+            return A_SETTLE
         # Hall: point primary at the neighbor we did not come from.
         cands = [d for d in free if DIR_VECTORS[d] != m.prev]
         if len(cands) != 1:
@@ -207,4 +209,4 @@ class Fcdfs(Strategy):
             )
         m.primary = cands[0]
         m.record_move(cands[0])
-        return cands[0], m
+        return cands[0]

@@ -14,9 +14,9 @@ such a robot would re-settle forever and never moves again.
 from __future__ import annotations
 
 from ..errors import NoLegalAction
-from ..grid import opposite, rotate_cw
+from ..grid import DIR_BITS, FREE_DIRS, opposite, rotate_cw
 from .base import A_SETTLE, Strategy
-from .fcdfs import RunChecker, diag_offset
+from .fcdfs import DIAG_BITS, RunChecker
 
 
 class FiveBitMemory:
@@ -50,25 +50,23 @@ class Fcdfs5(Strategy):
     def fresh_memory(self) -> FiveBitMemory:
         return FiveBitMemory()
 
-    def decide(self, view, m: FiveBitMemory):
-        free = view.free_dirs()
+    def decide(self, view: int, m: FiveBitMemory) -> int:
+        free = FREE_DIRS[view]
         if not free:
             m.b3, m.b4, m.b5 = 0, 1, 1
-            return A_SETTLE, m
+            return A_SETTLE
         counter_updated = False
         if (m.b4, m.b5) == (0, 0):
             m.b12 = free[0]  # clockwise scan from Up
             m.b4, m.b5 = 1, 0
             counter_updated = True
-        if view.occupied_dir(m.b12) and view.occupied_dir(rotate_cw(m.b12)):
+        if view & DIR_BITS[m.b12] and view & DIR_BITS[rotate_cw(m.b12)]:
             if len(free) == 1:
                 m.b3, m.b4, m.b5 = 0, 1, 1
-                return A_SETTLE, m
-            if (m.b5 == 1 and m.b3 + m.b4 == 1) or not view.occupied_offset(
-                *diag_offset(m.b12)
-            ):
+                return A_SETTLE
+            if (m.b5 == 1 and m.b3 + m.b4 == 1) or not view & DIAG_BITS[m.b12]:
                 m.b3, m.b4, m.b5 = 0, 1, 1
-                return A_SETTLE, m
+                return A_SETTLE
             # Hall: the obstacle-less direction that is not the 180-degree
             # rotation of the previous step direction.
             prev_dir = m.b12 if m.b3 == 0 else rotate_cw(m.b12)
@@ -82,12 +80,12 @@ class Fcdfs5(Strategy):
             counter_updated = True
         if not counter_updated:
             m.b4, m.b5 = m.b3, 1
-        if not view.occupied_dir(m.b12):
+        if not view & DIR_BITS[m.b12]:
             m.b3 = 0
-            return m.b12, m
+            return m.b12
         secondary = rotate_cw(m.b12)
-        if not view.occupied_dir(secondary):
+        if not view & DIR_BITS[secondary]:
             m.b3 = 1
-            return secondary, m
+            return secondary
         m.b3, m.b4, m.b5 = 0, 1, 1
-        return A_SETTLE, m
+        return A_SETTLE

@@ -17,25 +17,20 @@ from __future__ import annotations
 
 import random
 
-from ..grid import DIR_VECTORS, opposite, rotate_ccw, rotate_cw
+from ..grid import DIR_BITS, DIR_VECTORS, FREE_DIRS, opposite, rotate_ccw, rotate_cw
 from .base import A_SETTLE, Strategy
-from .fcdfs import Fcdfs, FcdfsMemory, diag_offset
+from .fcdfs import DIAG_BITS, Fcdfs, FcdfsMemory, diag_offset
 
 
-def _corner_pair_settle(view, m) -> bool:
+def _corner_pair_settle(view: int, m) -> bool:
     """True if some blocked L-pair marks the current cell as a corner:
     the pair's diagonal is unoccupied, or the robot stood on it two
     steps ago (fake hall)."""
     for d in range(4):
-        if view.occupied_dir(d) and view.occupied_dir(rotate_cw(d)):
-            diag = diag_offset(d)
-            if m.prev2 == diag or not view.occupied_offset(*diag):
+        if view & DIR_BITS[d] and view & DIR_BITS[rotate_cw(d)]:
+            if m.prev2 == diag_offset(d) or not view & DIAG_BITS[d]:
                 return True
     return False
-
-
-def _dead_end(view, m, free) -> bool:
-    return len(free) == 1 and DIR_VECTORS[free[0]] == m.prev
 
 
 class RandomCorner(Fcdfs):
@@ -46,7 +41,7 @@ class RandomCorner(Fcdfs):
         # Randomness is consumed once, at run initialization.
         self.rotation = random.Random(seed).randrange(4)
 
-    def initial_primary(self, free: list[int]) -> int:
+    def initial_primary(self, free: tuple[int, ...]) -> int:
         order = [(d + self.rotation) % 4 for d in range(4)]
         return next(d for d in order if d in free)
 
@@ -59,31 +54,28 @@ class LeftHand(Strategy):
     def fresh_memory(self) -> FcdfsMemory:
         return FcdfsMemory()
 
-    def decide(self, view, m: FcdfsMemory):
-        free = view.free_dirs()
+    def decide(self, view: int, m: FcdfsMemory) -> int:
+        free = FREE_DIRS[view]
         if not free:
-            return A_SETTLE, m
+            return A_SETTLE
         if not m.has_moved:
             m.primary = free[0]  # clockwise scan from Up
             m.record_move(m.primary)
-            return m.primary, m
-        if _dead_end(view, m, free) or _corner_pair_settle(view, m):
-            return A_SETTLE, m
+            return m.primary
+        dead_end = len(free) == 1 and DIR_VECTORS[free[0]] == m.prev
+        if dead_end or _corner_pair_settle(view, m):
+            return A_SETTLE
         h = m.primary
         left = rotate_ccw(h)
-        back = opposite(h)
-        if not view.occupied_dir(left):
-            # Turn left only when a wall on the left just ended: the cell
-            # diagonally behind-left is still an obstacle.
-            bx, by = DIR_VECTORS[back]
-            lx, ly = DIR_VECTORS[left]
-            if view.occupied_offset(bx + lx, by + ly):
-                m.primary = left
-                m.record_move(left)
-                return left, m
-        for d in (h, rotate_cw(h), left, back):
-            if not view.occupied_dir(d):
+        # Turn left only when a wall on the left just ended: the cell
+        # diagonally behind-left, diag_offset(h), is still an obstacle.
+        if not view & DIR_BITS[left] and view & DIAG_BITS[h]:
+            m.primary = left
+            m.record_move(left)
+            return left
+        for d in (h, rotate_cw(h), left, opposite(h)):
+            if not view & DIR_BITS[d]:
                 m.primary = d
                 m.record_move(d)
-                return d, m
+                return d
         raise AssertionError("unreachable: free was nonempty")

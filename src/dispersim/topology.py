@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import CellNotInRegion, NotSimplyConnected
-from .grid import Cell, Region, adjacent, bfs_distances_cells
+from .grid import RING, Cell, Region, adjacent, bfs_distances_cells
 
 CORNER = "corner"
 HALL = "hall"
@@ -88,17 +88,16 @@ def _enclosed_walls(cells, min_x, max_x, min_y, max_y) -> bool:
     todo = deque([start])
     while todo:
         x, y = todo.popleft()
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                nb = (x + dx, y + dy)
-                if (
-                    x0 <= nb[0] <= x1
-                    and y0 <= nb[1] <= y1
-                    and nb not in cells
-                    and nb not in seen
-                ):
-                    seen.add(nb)
-                    todo.append(nb)
+        for dx, dy in RING:
+            nb = (x + dx, y + dy)
+            if (
+                x0 <= nb[0] <= x1
+                and y0 <= nb[1] <= y1
+                and nb not in cells
+                and nb not in seen
+            ):
+                seen.add(nb)
+                todo.append(nb)
     for x in range(min_x, max_x + 1):
         for y in range(min_y, max_y + 1):
             if (x, y) not in cells and (x, y) not in seen:

@@ -68,10 +68,10 @@ class _NoStayFcdfs(Fcdfs):
         self.stays = 0
 
     def decide(self, view, mem):
-        act, mem = super().decide(view, mem)
+        act = super().decide(view, mem)
         if act == A_STAY:
             self.stays += 1
-        return act, mem
+        return act
 
 
 def test_criterion_2_optimality_properties(suite):

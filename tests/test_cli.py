@@ -262,3 +262,20 @@ def test_render_every_must_be_positive(corridor_map, tmp_path, capsys):
           "--trace", str(trace_file)])
     assert main(["render", "--trace", str(trace_file), "--every", "0"]) == 2
     assert "--every must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["run", "--strategy", "fcdfs", "--max-steps", "0"], "--max-steps"),
+        (["run", "--strategy", "fcdfs", "--max-steps", "-3"], "--max-steps"),
+        (["compare", "--strategies", "fcdfs", "--reps", "0"], "--reps"),
+        (["compare", "--strategies", "fcdfs", "--max-steps", "0"], "--max-steps"),
+    ],
+)
+def test_numeric_flags_below_one_are_usage_errors(corridor_map, capsys, args, flag):
+    code = main([*args, "--env", corridor_map])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {flag} must be >= 1\n"
+    assert captured.out == ""  # rejected before any run

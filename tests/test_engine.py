@@ -4,19 +4,18 @@ from types import SimpleNamespace
 
 import pytest
 
-from dispersim import topology
+from dispersim import grid, topology
 from dispersim.engine import (
     A_SETTLE,
     A_STAY,
     Robot,
     Simulation,
-    SensorView,
     SimulationTrace,
     run,
 )
 from dispersim.envgen import g_k, random_simply_connected, rect
 from dispersim.errors import CollisionError, DispersimError, InvariantViolation
-from dispersim.grid import Region, UP, RIGHT, manhattan
+from dispersim.grid import DIR_BITS, DOWN, FREE_DIRS, Region, UP, RIGHT, manhattan
 from dispersim.metrics import compute_metrics, run_metrics
 from dispersim.render import ascii_frames
 from dispersim.strategies import STRATEGIES, make_strategy
@@ -28,12 +27,23 @@ def test_sensor_view_walls_and_robots_indistinguishable():
     r = rect(2, 1, (0, 0))
     sim = Simulation(r, make_strategy("fcdfs", r, 0))
     sim.step()  # spawns a robot at the door
-    view = SensorView((1, 0), sim.occupied, r.cells)
-    assert view.occupied_offset(-1, 0)  # robot
-    assert view.occupied_offset(0, 1)  # wall
-    assert view.free_dirs() == []
-    with pytest.raises(ValueError):
-        view.occupied_offset(0, 3)
+    view = sim.sense((1, 0))
+    assert view & 1 << grid.RING.index((-1, 0))  # robot
+    assert view & 1 << grid.RING.index((0, 1))  # wall
+    assert view == 255
+    assert FREE_DIRS[view] == ()
+    # Bit i is RING[i], a wall or a robot, active or settled.
+    r = rect(4, 4, (0, 0))
+    sim = Simulation(r, make_strategy("fcdfs", r, 0), record=False)
+    sim.finish(12)
+    settled = [rb for rb in sim.robots if not rb.active]
+    assert settled and sim.active
+    for cell in r.cells:
+        view = sim.sense(cell)
+        assert 0 <= view < 256
+        for i, (dx, dy) in enumerate(grid.RING):
+            nb = (cell[0] + dx, cell[1] + dy)
+            assert bool(view >> i & 1) == (nb not in r.cells or nb in sim.occupied)
 
 
 def test_spawn_every_other_step():
@@ -72,7 +82,7 @@ class _Rammer(Strategy):
         return None
 
     def decide(self, view, mem):
-        return UP, mem
+        return UP
 
 
 def test_moving_into_occupied_cell_raises():
@@ -105,8 +115,8 @@ class _TwoWayRammer(Strategy):
     def decide(self, view, mem):
         mem.n += 1
         if mem.n == 1:
-            return (UP, mem) if not view.occupied_dir(UP) else (RIGHT, mem)
-        return (RIGHT, mem) if not view.occupied_offset(0, -1) else (UP, mem)
+            return UP if not view & DIR_BITS[UP] else RIGHT
+        return RIGHT if not view & DIR_BITS[DOWN] else UP
 
 
 def test_simultaneous_same_target_raises():
@@ -208,7 +218,7 @@ def test_checker_accepts_fcdfs_and_flags_stay():
             return None
 
         def decide(self, view, mem):
-            return A_STAY, mem
+            return A_STAY
 
     with pytest.raises(InvariantViolation):
         run(rect(2, 1, (0, 0)), Idler(), max_steps=5, check=True)
@@ -223,7 +233,7 @@ def test_checker_flags_settling_at_interior():
             return None
 
         def decide(self, view, mem):
-            return A_SETTLE, mem
+            return A_SETTLE
 
     # Door in the middle of a corridor: an interior cell.
     with pytest.raises(InvariantViolation):

@@ -22,6 +22,19 @@ def test_direction_tables():
         assert grid.rotate_cw(d, 4) == d
 
 
+def test_ring_mask_layout():
+    # Clockwise from up: the eight cells at Chebyshev distance 1, with
+    # axis direction d at bit 2d.
+    assert len(set(grid.RING)) == 8
+    assert all(max(abs(dx), abs(dy)) == 1 for dx, dy in grid.RING)
+    for d in range(4):
+        assert grid.RING[2 * d] == grid.DIR_VECTORS[d]
+        assert grid.DIR_BITS[d] == 1 << 2 * d
+    for mask in range(256):
+        free = tuple(d for d in range(4) if not mask >> 2 * d & 1)
+        assert grid.FREE_DIRS[mask] == free
+
+
 def test_manhattan():
     assert grid.manhattan((0, 0), (3, -4)) == 7
     assert grid.manhattan((2, 2), (2, 2)) == 0

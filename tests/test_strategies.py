@@ -1,11 +1,16 @@
+import hashlib
+import itertools
 import random
+from dataclasses import astuple
+
+import pytest
 
 from dispersim.engine import A_SETTLE, Simulation, run
 from dispersim.envgen import random_simply_connected, rect
-from dispersim.grid import DOWN, LEFT, RIGHT, UP, Region
+from dispersim.grid import DIR_BITS, DOWN, LEFT, RIGHT, RING, UP, Region
 from dispersim.strategies import STRATEGIES, make_strategy
 from dispersim.strategies.base import Strategy
-from dispersim.strategies.fcdfs import RunChecker, diag_offset
+from dispersim.strategies.fcdfs import DIAG_BITS, RunChecker, diag_offset
 from dispersim.strategies.fivebit import FiveBitMemory
 
 
@@ -18,7 +23,7 @@ def test_registry_names():
         "dflf",
         "bflf",
     }
-    # Only the leader-follower baselines see more than a sensor view.
+    # Only the leader-follower baselines see more than a ring mask.
     planners = {n for n, cls in STRATEGIES.items() if cls.decide_all is not Strategy.decide_all}
     assert planners == {"dflf", "bflf"}
     checked = {n for n, cls in STRATEGIES.items() if cls.invariants is RunChecker}
@@ -31,6 +36,9 @@ def test_diag_offset_is_135_ccw_of_primary():
     assert diag_offset(RIGHT) == (-1, 1)
     assert diag_offset(DOWN) == (1, 1)
     assert diag_offset(LEFT) == (1, -1)
+    for p in (UP, RIGHT, DOWN, LEFT):
+        assert RING[(2 * p + 5) % 8] == diag_offset(p)
+        assert DIAG_BITS[p] == 1 << (2 * p + 5) % 8
 
 
 def test_initial_primary_clockwise_from_up():
@@ -61,6 +69,18 @@ def test_five_bit_memory_is_five_bits():
     assert not m.settled
     m.b3, m.b4, m.b5 = 0, 1, 1
     assert m.settled
+
+
+def test_five_bit_automaton_exhaustive():
+    # The whole input space: 32 states times 256 ring masks.
+    strat = make_strategy("fcdfs5", None, 0)
+    for b12, b3, b4, b5, view in itertools.product(range(4), (0, 1), (0, 1), (0, 1), range(256)):
+        m = FiveBitMemory()
+        m.b12, m.b3, m.b4, m.b5 = b12, b3, b4, b5
+        act = strat.decide(view, m)
+        state = (b12, b3, b4, b5, view)
+        assert act == A_SETTLE or (act in range(4) and not view & DIR_BITS[act]), state
+        assert m.b12 in range(4) and {m.b3, m.b4, m.b5} <= {0, 1}, state
 
 
 def test_fcdfs_and_five_bit_agree_on_small_regions():
@@ -125,8 +145,28 @@ def test_memory_key_reflects_state():
     strat = make_strategy("fcdfs", r, 0)
     m = strat.fresh_memory()
     k0 = m.key()
-    act, m = strat.decide(
-        Simulation(r, strat).sense((0, 0)), m
-    )
+    act = strat.decide(Simulation(r, strat).sense((0, 0)), m)
     assert act == RIGHT
     assert m.key() != k0
+
+
+# One digest per (strategy, seed) over the event log and the metrics of
+# every run, computed before the strategies decided from a ring mask.
+VARIANTS_PINNED = {
+    ("rand-corner", 0): "67f09ee29c382e14c62df8c712c17844ca6f00bb713b6421dce92bd6ea530d1d",
+    ("rand-corner", 3): "a6fb3eadd7ee6ab4ede8e9a5efad93c6820d84c2aa189bb27296498b5f5dd42b",
+    ("left-hand", 0): "5b90ee801bb6b96775dd79d3dc6b27fada6cd674f8e87e68a8ed5e097bccb0c2",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(VARIANTS_PINNED))
+def test_variant_event_logs_pinned(suite, name, seed):
+    # 20 suite regions, a central-door rectangle and the ring, where the
+    # local strategies deadlock.
+    ring = Region({(x, y) for x in range(3) for y in range(3)} - {(1, 1)}, (0, 0))
+    h = hashlib.sha256()
+    for r in suite[::10] + [rect(12, 12, (5, 5)), ring]:
+        trace, m = run(r, make_strategy(name, r, seed))
+        h.update(repr(trace.events).encode())
+        h.update(repr(astuple(m)).encode())
+    assert h.hexdigest() == VARIANTS_PINNED[name, seed]
