@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes encode run outcomes so experiment scripts can branch on them
-without parsing output: 0 covered, 1 input/generator error, 2 bad
-arguments, unknown strategy or ``--check`` on a strategy that declares
-no runtime invariants, 3 deadlock, 4 step limit, 5 invariant violation.
+without parsing output: 0 covered, 1 input/generator error or failed
+write, 2 bad arguments, unknown strategy or ``--check`` on a strategy
+that declares no runtime invariants, 3 deadlock, 4 step limit, 5
+invariant violation.
 """
 
 from __future__ import annotations
@@ -15,12 +16,7 @@ import sys
 
 from . import envgen, render, topology
 from .engine import SimulationTrace, run
-from .errors import (
-    BadParameters,
-    DispersimError,
-    InvariantViolation,
-    MapError,
-)
+from .errors import BadParameters, DispersimError, InvariantViolation
 from .grid import from_ascii
 from .metrics import CSV_HEADER, compare_runs
 from .strategies import STRATEGIES, make_strategy
@@ -109,7 +105,10 @@ def cmd_compare(args) -> int:
     _at_least_one("--reps", args.reps)
     _at_least_one("--max-steps", args.max_steps)
     region = _load_region(args.env)
-    names = [s.strip() for s in args.strategies.split(",") if s.strip()]
+    # Each name once, in first-occurrence order.
+    names = list(dict.fromkeys(s.strip() for s in args.strategies.split(",") if s.strip()))
+    if not names:
+        raise BadParameters("--strategies names no strategy")
     for name in names:
         if name not in STRATEGIES:
             raise BadParameters(f"unknown strategy: {name!r}")
@@ -158,6 +157,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_render(args) -> int:
+    _at_least_one("--every", args.every)
     try:
         with open(args.trace, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -165,7 +165,6 @@ def cmd_render(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"bad trace: {exc}", file=sys.stderr)
         return EXIT_IO
-    _at_least_one("--every", args.every)
     if args.format == "ascii":
         for t, frame in render.ascii_frames(trace, render.frame_steps(trace, args.every)):
             print(f"t={t}")
@@ -236,7 +235,7 @@ def main(argv=None) -> int:
     except BadParameters as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (MapError, DispersimError) as exc:
+    except (DispersimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

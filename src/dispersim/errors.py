@@ -46,11 +46,6 @@ class CollisionError(DispersimError):
     cell. Signals a strategy bug; carries the offending positions."""
 
 
-class NoLegalAction(DispersimError):
-    """A strategy reached a configuration it cannot act in. Cannot occur on
-    valid simply connected regions; indicates an engine/strategy mismatch."""
-
-
 class StepOutOfRange(DispersimError):
     pass
 

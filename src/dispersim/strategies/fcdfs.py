@@ -10,6 +10,10 @@ now: a fake hall), the position is a corner and the robot settles.
 Otherwise it is a hall and the robot redirects its primary to the
 neighbor it has not come from.
 
+A robot's first primary is its first free direction clockwise from the
+strategy's ``rotation``: 0 (Up) for ``fcdfs``; ``rand-corner`` draws it
+once per run.
+
 ``RunChecker`` asserts the paper's runtime lemmas about this rule at
 every step; ``fcdfs`` and its variants declare it as their invariants.
 """
@@ -17,7 +21,7 @@ every step; ``fcdfs`` and its variants declare it as their invariants.
 from __future__ import annotations
 
 from .. import topology
-from ..errors import InvariantViolation, NoLegalAction
+from ..errors import InvariantViolation
 from ..grid import DIR_BITS, DIR_VECTORS, FREE_DIRS, manhattan, rotate_cw
 from .base import A_SETTLE, A_STAY, Strategy
 
@@ -36,13 +40,12 @@ DIAG_BITS = tuple(1 << (2 * p + 5) % 8 for p in range(4))
 
 
 class FcdfsMemory:
-    __slots__ = ("primary", "prev", "prev2", "has_moved")
+    __slots__ = ("primary", "prev", "prev2")
 
     def __init__(self):
         self.primary: int | None = None
         self.prev: tuple[int, int] | None = None  # offset of pos one step ago
         self.prev2: tuple[int, int] | None = None  # offset two steps ago
-        self.has_moved = False
 
     def record_move(self, d: int) -> None:
         dx, dy = DIR_VECTORS[d]
@@ -50,10 +53,9 @@ class FcdfsMemory:
             (self.prev[0] - dx, self.prev[1] - dy) if self.prev is not None else None
         )
         self.prev = (-dx, -dy)
-        self.has_moved = True
 
     def key(self):
-        return (self.primary, self.prev, self.prev2, self.has_moved)
+        return (self.primary, self.prev, self.prev2)
 
 
 class RunChecker:
@@ -177,20 +179,17 @@ class RunChecker:
 class Fcdfs(Strategy):
     name = "fcdfs"
     invariants = RunChecker
+    rotation = 0  # the initial scan starts this many quarter turns clockwise of Up
 
     def fresh_memory(self) -> FcdfsMemory:
         return FcdfsMemory()
-
-    def initial_primary(self, free: tuple[int, ...]) -> int:
-        """Clockwise scan from Up for the first unoccupied neighbor."""
-        return free[0]
 
     def decide(self, view: int, m: FcdfsMemory) -> int:
         free = FREE_DIRS[view]
         if not free:
             return A_SETTLE
-        if not m.has_moved:
-            m.primary = self.initial_primary(free)
+        if m.prev is None:
+            m.primary = min(free, key=lambda d: (d - self.rotation) % 4)
         p = m.primary
         for d in (p, rotate_cw(p)):
             if not view & DIR_BITS[d]:
@@ -202,11 +201,7 @@ class Fcdfs(Strategy):
         if m.prev2 == diag_offset(p) or not view & DIAG_BITS[p]:
             return A_SETTLE
         # Hall: point primary at the neighbor we did not come from.
-        cands = [d for d in free if DIR_VECTORS[d] != m.prev]
-        if len(cands) != 1:
-            raise NoLegalAction(
-                f"hall redirect found {len(cands)} candidates (free={free})"
-            )
-        m.primary = cands[0]
-        m.record_move(cands[0])
-        return cands[0]
+        d = free[0] if DIR_VECTORS[free[0]] != m.prev else free[1]
+        m.primary = d
+        m.record_move(d)
+        return d

@@ -9,11 +9,24 @@ b3 + b4 = 1: at least one step has passed since the last redirect and
 exactly one of the two previous steps was secondary, so the robot itself
 stood on the diagonal two steps ago. Settling is encoded by b3b4b5 = 011;
 such a robot would re-settle forever and never moves again.
+
+``decide`` has four cases:
+
+- no free neighbor: settle;
+- first decision (b4b5 = 00): the primary is the first free direction
+  clockwise from Up, the counter reads 10, and the robot steps primary;
+- primary free: step primary, b3 = 0; else secondary free: step
+  secondary, b3 = 1; either way the counter shifts to (old b3, 1);
+- both blocked: settle at a dead end (one free neighbor), a fake hall or
+  an unoccupied diagonal; otherwise it is a hall, whose free neighbors
+  are the opposites of primary and secondary. The robot came from the
+  opposite of its last step's direction, so the new primary is
+  opposite(secondary) if b3 = 0, else opposite(primary); the counter
+  reads 10 and the robot steps.
 """
 
 from __future__ import annotations
 
-from ..errors import NoLegalAction
 from ..grid import DIR_BITS, FREE_DIRS, opposite, rotate_cw
 from .base import A_SETTLE, Strategy
 from .fcdfs import DIAG_BITS, RunChecker
@@ -55,37 +68,19 @@ class Fcdfs5(Strategy):
         if not free:
             m.b3, m.b4, m.b5 = 0, 1, 1
             return A_SETTLE
-        counter_updated = False
         if (m.b4, m.b5) == (0, 0):
             m.b12 = free[0]  # clockwise scan from Up
-            m.b4, m.b5 = 1, 0
-            counter_updated = True
-        if view & DIR_BITS[m.b12] and view & DIR_BITS[rotate_cw(m.b12)]:
-            if len(free) == 1:
-                m.b3, m.b4, m.b5 = 0, 1, 1
-                return A_SETTLE
-            if (m.b5 == 1 and m.b3 + m.b4 == 1) or not view & DIAG_BITS[m.b12]:
-                m.b3, m.b4, m.b5 = 0, 1, 1
-                return A_SETTLE
-            # Hall: the obstacle-less direction that is not the 180-degree
-            # rotation of the previous step direction.
-            prev_dir = m.b12 if m.b3 == 0 else rotate_cw(m.b12)
-            cands = [d for d in free if d != opposite(prev_dir)]
-            if len(cands) != 1:
-                raise NoLegalAction(
-                    f"hall redirect found {len(cands)} candidates (free={free})"
-                )
-            m.b12 = cands[0]
-            m.b4, m.b5 = 1, 0
-            counter_updated = True
-        if not counter_updated:
-            m.b4, m.b5 = m.b3, 1
-        if not view & DIR_BITS[m.b12]:
-            m.b3 = 0
+            m.b3, m.b4, m.b5 = 0, 1, 0
             return m.b12
-        secondary = rotate_cw(m.b12)
-        if not view & DIR_BITS[secondary]:
-            m.b3 = 1
-            return secondary
-        m.b3, m.b4, m.b5 = 0, 1, 1
-        return A_SETTLE
+        primary, secondary = m.b12, rotate_cw(m.b12)
+        for d, b3 in ((primary, 0), (secondary, 1)):
+            if not view & DIR_BITS[d]:
+                m.b3, m.b4, m.b5 = b3, m.b3, 1
+                return d
+        if len(free) == 1 or (m.b5 == 1 and m.b3 + m.b4 == 1) or not view & DIAG_BITS[primary]:
+            m.b3, m.b4, m.b5 = 0, 1, 1
+            return A_SETTLE
+        # Hall: the free neighbor the robot did not come from.
+        m.b12 = opposite(secondary) if m.b3 == 0 else opposite(primary)
+        m.b3, m.b4, m.b5 = 0, 1, 0
+        return m.b12

@@ -1,11 +1,11 @@
 """Empirically optimal FCDFS variants.
 
 ``rand-corner`` drops the fixed Up-first orientation: a run-level seeded
-draw rotates the compass, and every robot scans for its initial primary
-clockwise from that random direction instead of from Up. All robots in
-a run share the rotation, which keeps the single-file chain out of the
-door intact (per-robot random draws let chains diverge and collide; see
-the notes in the repository history).
+draw sets the inherited ``rotation`` to 0-3 quarter turns, and every
+robot scans for its initial primary clockwise from that random direction
+instead of from Up. All robots in a run share the rotation, which keeps
+the single-file chain out of the door intact (per-robot random draws let
+chains diverge and collide; see the notes in the repository history).
 
 ``left-hand`` keeps a heading and scales the boundary clockwise with an
 obstacle on its left: it turns left only when a wall on its left just
@@ -41,10 +41,6 @@ class RandomCorner(Fcdfs):
         # Randomness is consumed once, at run initialization.
         self.rotation = random.Random(seed).randrange(4)
 
-    def initial_primary(self, free: tuple[int, ...]) -> int:
-        order = [(d + self.rotation) % 4 for d in range(4)]
-        return next(d for d in order if d in free)
-
 
 class LeftHand(Strategy):
     """Keeps its heading in ``FcdfsMemory.primary``."""
@@ -58,7 +54,7 @@ class LeftHand(Strategy):
         free = FREE_DIRS[view]
         if not free:
             return A_SETTLE
-        if not m.has_moved:
+        if m.prev is None:
             m.primary = free[0]  # clockwise scan from Up
             m.record_move(m.primary)
             return m.primary
@@ -70,12 +66,9 @@ class LeftHand(Strategy):
         # Turn left only when a wall on the left just ended: the cell
         # diagonally behind-left, diag_offset(h), is still an obstacle.
         if not view & DIR_BITS[left] and view & DIAG_BITS[h]:
-            m.primary = left
-            m.record_move(left)
-            return left
-        for d in (h, rotate_cw(h), left, opposite(h)):
-            if not view & DIR_BITS[d]:
-                m.primary = d
-                m.record_move(d)
-                return d
-        raise AssertionError("unreachable: free was nonempty")
+            d = left
+        else:
+            d = next(d for d in (h, rotate_cw(h), left, opposite(h)) if not view & DIR_BITS[d])
+        m.primary = d
+        m.record_move(d)
+        return d

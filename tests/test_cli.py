@@ -167,6 +167,39 @@ def test_compare_unknown_strategy(tmp_path):
     assert main(["compare", "--env", str(env), "--strategies", "fcdfs,bogus"]) == 2
 
 
+def test_compare_without_a_strategy_name_is_a_usage_error(corridor_map, capsys):
+    assert main(["compare", "--env", corridor_map, "--strategies", ","]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""  # rejected before any run
+
+
+def test_compare_runs_a_repeated_name_once(corridor_map, capsys):
+    code = main(["compare", "--env", corridor_map, "--strategies", "fcdfs,dflf,fcdfs",
+                 "--reps", "2"])
+    assert code == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[:2] for row in rows] == [["fcdfs", "2"], ["dflf", "2"]]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen", "--shape", "rect", "--w", "2", "--h", "2", "-o", "{missing}/grid.map"],
+        ["run", "--env", "{env}", "--strategy", "fcdfs", "--trace", "{missing}/t.json"],
+        ["compare", "--env", "{env}", "--strategies", "fcdfs", "--csv", "{missing}/rows.csv"],
+    ],
+    ids=["gen", "run", "compare"],
+)
+def test_write_into_missing_directory_is_an_io_error(corridor_map, tmp_path, capsys, args):
+    missing = tmp_path / "no" / "such" / "dir"
+    argv = [a.format(missing=missing, env=corridor_map) for a in args]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+    assert "Traceback" not in err
+
+
 def test_oracle_output(tmp_path, capsys):
     env = tmp_path / "grid.map"
     env.write_text(rect(30, 30, (13, 13)).to_ascii() + "\n")
@@ -262,6 +295,11 @@ def test_render_every_must_be_positive(corridor_map, tmp_path, capsys):
           "--trace", str(trace_file)])
     assert main(["render", "--trace", str(trace_file), "--every", "0"]) == 2
     assert "--every must be >= 1" in capsys.readouterr().err
+
+
+def test_render_every_is_checked_before_the_trace_is_read(tmp_path, capsys):
+    assert main(["render", "--trace", str(tmp_path / "missing.json"), "--every", "0"]) == 2
+    assert capsys.readouterr().err == "error: --every must be >= 1\n"
 
 
 @pytest.mark.parametrize(

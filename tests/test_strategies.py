@@ -83,6 +83,23 @@ def test_five_bit_automaton_exhaustive():
         assert m.b12 in range(4) and {m.b3, m.b4, m.b5} <= {0, 1}, state
 
 
+# SHA-256 over repr((action, next state)) for all 8,192 (state, mask)
+# inputs in itertools.product order, computed on the original rule with
+# its candidate scan and unreachable branches.
+FIVE_BIT_TRANSITIONS_PINNED = "faacedcb9bd9f82d7a53f79ddb89ef4d8c1cda7a20b190da9adf83c9c1a6b097"
+
+
+def test_five_bit_transition_function_pinned():
+    strat = make_strategy("fcdfs5", None, 0)
+    h = hashlib.sha256()
+    for b12, b3, b4, b5, view in itertools.product(range(4), (0, 1), (0, 1), (0, 1), range(256)):
+        m = FiveBitMemory()
+        m.b12, m.b3, m.b4, m.b5 = b12, b3, b4, b5
+        act = strat.decide(view, m)
+        h.update(repr((act, m.key())).encode())
+    assert h.hexdigest() == FIVE_BIT_TRANSITIONS_PINNED
+
+
 def test_fcdfs_and_five_bit_agree_on_small_regions():
     rng = random.Random(7)
     for i in range(25):
