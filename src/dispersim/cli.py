@@ -10,8 +10,10 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import os
 import sys
 
 from . import envgen, render, topology
@@ -52,6 +54,25 @@ def _at_least_one(flag: str, value) -> None:
         raise BadParameters(f"{flag} must be >= 1")
 
 
+@contextlib.contextmanager
+def _output(path: str | None):
+    """Make sure ``path`` can be written before the work that fills it,
+    so a bad path fails before any simulation runs. A file this creates
+    is removed again when the work raises; an existing one is left as it
+    was until the work writes it."""
+    if path is None:
+        yield
+        return
+    existed = os.path.exists(path)
+    open(path, "a", encoding="utf-8").close()
+    try:
+        yield
+    except BaseException:
+        if not existed:
+            os.remove(path)
+        raise
+
+
 def cmd_gen(args) -> int:
     if args.shape == "rect":
         if args.w is None or args.h is None:
@@ -85,19 +106,20 @@ def cmd_run(args) -> int:
         raise BadParameters(f"{args.strategy} declares no runtime invariants to check")
     record = args.trace is not None
     try:
-        trace, metrics = run(
-            region, strategy, max_steps=args.max_steps, record=record, check=args.check
-        )
+        with _output(args.trace):
+            trace, metrics = run(
+                region, strategy, max_steps=args.max_steps, record=record, check=args.check
+            )
+            if args.trace:
+                with open(args.trace, "w", encoding="utf-8") as fh:
+                    json.dump(trace.to_json_dict(), fh)
+                    fh.write("\n")
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
     writer.writerow(metrics.csv_fields(args.env, region, args.strategy, args.seed))
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            json.dump(trace.to_json_dict(), fh)
-            fh.write("\n")
     return _OUTCOME_EXITS[metrics.outcome]
 
 
@@ -113,18 +135,19 @@ def cmd_compare(args) -> int:
         if name not in STRATEGIES:
             raise BadParameters(f"unknown strategy: {name!r}")
     seeds = [args.seed + i for i in range(args.reps)]
-    table = compare_runs(region, names, seeds, max_steps=args.max_steps)
-    if args.csv:
-        header = CSV_HEADER.split(",")
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for name, seed, metrics, err in table.rows:
-                if metrics is not None:
-                    writer.writerow(metrics.csv_fields(args.env, region, name, seed))
-                else:
-                    row = [args.env, *region.door, len(region.cells), name, seed, f"error:{err}"]
-                    writer.writerow(row + [""] * (len(header) - len(row)))
+    with _output(args.csv):
+        table = compare_runs(region, names, seeds, max_steps=args.max_steps)
+        if args.csv:
+            header = CSV_HEADER.split(",")
+            with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                for name, seed, metrics, err in table.rows:
+                    if metrics is not None:
+                        writer.writerow(metrics.csv_fields(args.env, region, name, seed))
+                    else:
+                        row = [args.env, *region.door, len(region.cells), name, seed, f"error:{err}"]
+                        writer.writerow(row + [""] * (len(header) - len(row)))
     width = max(len(n) for n in names)
     print(f"{'strategy':<{width}}  runs  total (max)")
     for summary in table.summaries:

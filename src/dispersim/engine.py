@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CollisionError, MapError
+from .errors import CellNotInRegion, CollisionError, MapError
 from .grid import DIR_NAMES, DIR_VECTORS, RING, Cell, Region
 from .metrics import RunMetrics, run_metrics
 
@@ -29,11 +29,16 @@ EV_SPAWN = "+"
 
 
 class Robot:
-    __slots__ = ("id", "pos", "active", "mem", "travel", "moves")
+    """One robot of a run. ``pos`` is its cell and ``idx`` the same cell
+    as :meth:`Simulation.index` numbers it; the engine moves both
+    together."""
 
-    def __init__(self, rid: int, pos: Cell, mem):
+    __slots__ = ("id", "pos", "idx", "active", "mem", "travel", "moves")
+
+    def __init__(self, rid: int, pos: Cell, mem, idx: int | None = None):
         self.id = rid
         self.pos = pos
+        self.idx = idx
         self.active = True
         self.mem = mem
         self.travel = 0
@@ -231,6 +236,15 @@ class Simulation:
     and a step costs O(active robots). Recording appends only the step's
     events to the trace.
 
+    Inside the engine a cell is an int, :meth:`index`: the region's
+    bounding box laid out row-major with one padding cell on each side,
+    so a region cell's ring and move targets are always in range. The
+    ``bytearray`` ``blocked`` is 1 for walls, padding and occupied cells,
+    a ring read is 8 indexed reads of it (:meth:`ring_mask`) and a move
+    adds one of 4 offsets. Cells stay ``(x, y)`` tuples at the public
+    boundary: ``robot.pos`` and ``occupied`` move together with
+    ``robot.idx`` and ``blocked``.
+
     Every step asks ``strategy.decide_all`` for the actions and hands a
     new robot to ``strategy.on_spawn``; the trace records
     ``strategy.seed``. The engine's own checks are always on: moves
@@ -238,6 +252,13 @@ class Simulation:
     ``checker``, when given, is called as ``before_step(sim)`` and
     ``after_step(sim, actions, settled_now)`` around every step and
     raises to stop the run.
+
+    A deadlock is a configuration key seen twice. The seen set is
+    cleared on every settle and every spawn, which loses no repeat: the
+    number of active robots is part of the key, and between two settles
+    it only grows, so no key taken before a spawn can equal one taken
+    after it. The set holds only the steps since the last settle or
+    spawn.
     """
 
     def __init__(
@@ -260,66 +281,97 @@ class Simulation:
         self.checker = checker
         self._seen_configs: set = set()
 
+        self._x0 = region.min_x - 1
+        self._y0 = region.min_y - 1
+        width = region.max_x - region.min_x + 3
+        self._width = width
+        size = width * (region.max_y - region.min_y + 3)
+        self.blocked = bytearray(b"\x01") * size
+        self._cell_at: list[Cell | None] = [None] * size
+        for cell in region.cells:
+            i = self.index(cell)
+            self.blocked[i] = 0
+            self._cell_at[i] = cell
+        self._ring_offsets = tuple(dx + dy * width for dx, dy in RING)
+        self._dir_offsets = tuple(dx + dy * width for dx, dy in DIR_VECTORS)
+        self._door = self.index(region.door)
+
     @property
     def covered(self) -> bool:
         return len(self.occupied) == len(self.region.cells)
 
+    def index(self, pos: Cell) -> int:
+        """The int that numbers ``pos`` in the padded layout; defined for
+        the bounding box and its padding ring."""
+        return (pos[1] - self._y0) * self._width + pos[0] - self._x0
+
+    def ring_mask(self, idx: int) -> int:
+        """The ring mask of the region cell numbered ``idx``: bit i is set
+        when the cell ``RING[i]`` away is a wall or holds a robot. Only a
+        region cell's ring is sure to lie inside the layout."""
+        b = self.blocked
+        o0, o1, o2, o3, o4, o5, o6, o7 = self._ring_offsets
+        return (
+            b[idx + o0] | b[idx + o1] << 1 | b[idx + o2] << 2 | b[idx + o3] << 3
+            | b[idx + o4] << 4 | b[idx + o5] << 5 | b[idx + o6] << 6 | b[idx + o7] << 7
+        )
+
     def sense(self, pos: Cell) -> int:
-        """The ring mask of ``pos``: bit i is set when the cell
-        ``pos + RING[i]`` is a wall or holds a robot. Walls and robots,
-        active or settled, set the same bit."""
-        x, y = pos
-        cells = self.region.cells
-        occupied = self.occupied
-        mask = 0
-        for i, (dx, dy) in enumerate(RING):
-            cell = (x + dx, y + dy)
-            if cell not in cells or cell in occupied:
-                mask |= 1 << i
-        return mask
+        """The ring mask of the region cell ``pos``: bit i is set when the
+        cell ``pos + RING[i]`` is a wall or holds a robot. Walls and
+        robots, active or settled, set the same bit. Raises
+        CellNotInRegion for any other cell."""
+        if pos not in self.region.cells:
+            raise CellNotInRegion(f"{pos} is not a cell of the region")
+        return self.ring_mask(self.index(pos))
 
     def step(self) -> None:
         """Advance one synchronized Look-Compute-Move step."""
         assert self.outcome is None, "simulation already terminated"
         t = self.t + 1
-        region = self.region
-        cells = region.cells
-        occupied = self.occupied  # mutated only after all decisions
+        blocked = self.blocked  # mutated only after all decisions
+        occupied = self.occupied
         strategy = self.strategy
+        door = self._door
         if self.checker is not None:
             self.checker.before_step(self)
-        spawn_pending = region.door not in occupied
+        spawn_pending = not blocked[door]
         stepping = self.active  # robots active at the start of the step
         actions = strategy.decide_all(self)
 
         # Validate moves against the snapshot.
-        targets: dict[Cell, int] = {}
+        offsets = self._dir_offsets
+        targets: dict[int, int] = {}
         movers = []
         for robot in stepping:
             act = actions.get(robot.id)
             if act is None or act >= A_STAY:
                 continue
-            dx, dy = DIR_VECTORS[act]
-            target = (robot.pos[0] + dx, robot.pos[1] + dy)
-            if target not in cells or target in occupied:
+            target = robot.idx + offsets[act]
+            if blocked[target]:
+                dx, dy = DIR_VECTORS[act]
                 raise CollisionError(
                     f"t={t}: robot {robot.id} at {robot.pos} moved into "
-                    f"occupied cell {target}"
+                    f"occupied cell {(robot.pos[0] + dx, robot.pos[1] + dy)}"
                 )
             if target in targets:
                 raise CollisionError(
                     f"t={t}: robots {targets[target]} and {robot.id} both "
-                    f"target {target}"
+                    f"target {self._cell_at[target]}"
                 )
             targets[target] = robot.id
             movers.append((robot, target))
 
         # Apply all moves simultaneously, then settles.
+        cell_at = self._cell_at
         for robot, _ in movers:
+            blocked[robot.idx] = 0
             del occupied[robot.pos]
         for robot, target in movers:
-            robot.pos = target
-            occupied[target] = robot
+            blocked[target] = 1
+            robot.idx = target
+            robot.pos = cell = cell_at[target]
+            occupied[cell] = robot
             robot.moves += 1
         settled_now = []
         for robot in stepping:
@@ -335,11 +387,12 @@ class Simulation:
         # Spawn: door free in the snapshot and still free after moves
         # (a robot cycling back through the door suppresses emergence).
         spawned = None
-        if spawn_pending and region.door not in occupied:
-            spawned = Robot(len(self.robots) + 1, region.door, None)
+        if spawn_pending and not blocked[door]:
+            spawned = Robot(len(self.robots) + 1, self.region.door, None, door)
             self.robots.append(spawned)
             self.active.append(spawned)
-            occupied[region.door] = spawned
+            blocked[door] = 1
+            occupied[spawned.pos] = spawned
             strategy.on_spawn(self, spawned)
 
         self.t = t
@@ -355,7 +408,7 @@ class Simulation:
         if self.covered:
             self.outcome = Outcome("covered", t)
             return
-        if settled_now:
+        if settled_now or spawned is not None:
             self._seen_configs.clear()
         key = self._config_key()
         if key in self._seen_configs:
@@ -364,13 +417,16 @@ class Simulation:
         self._seen_configs.add(key)
 
     def _config_key(self):
-        """Active positions and memories plus the strategy's run state.
+        """Active cells, as indices, and memories plus the strategy's run
+        state.
 
         Settled robots are left out: the seen set is cleared on every
-        settle, so between two clears they are the same in every key.
+        settle, so between two clears they are the same in every key. A
+        spawn clears it too; the key's length, the active count, only
+        grows between settles, so no earlier key can equal a later one.
         """
         robots = tuple(
-            (r.pos, r.mem.key() if r.mem is not None else None) for r in self.active
+            (r.idx, r.mem.key() if r.mem is not None else None) for r in self.active
         )
         return (robots, self.strategy.state_key())
 

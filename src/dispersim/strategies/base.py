@@ -45,8 +45,8 @@ class Strategy:
     def decide_all(self, sim) -> dict[int, int]:
         """Return {robot id: action} for the robots in ``sim.active``."""
         decide = self.decide
-        sense = sim.sense
-        return {robot.id: decide(sense(robot.pos), robot.mem) for robot in sim.active}
+        ring_mask = sim.ring_mask
+        return {robot.id: decide(ring_mask(robot.idx), robot.mem) for robot in sim.active}
 
     def on_spawn(self, sim, robot) -> None:
         """Set up ``robot``, which has just emerged at the door."""

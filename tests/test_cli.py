@@ -5,6 +5,7 @@ import shlex
 
 import pytest
 
+from dispersim import cli
 from dispersim.cli import build_parser, main
 from dispersim.envgen import g_k, rect
 from dispersim.strategies import STRATEGIES
@@ -198,6 +199,40 @@ def test_write_into_missing_directory_is_an_io_error(corridor_map, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(missing) in err
     assert "Traceback" not in err
+
+
+def test_run_into_missing_directory_prints_nothing(corridor_map, tmp_path, capsys):
+    trace = tmp_path / "no" / "such" / "dir" / "t.json"
+    assert main(["run", "--env", corridor_map, "--strategy", "fcdfs", "--trace", str(trace)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_compare_opens_its_csv_before_any_run(corridor_map, tmp_path, capsys, monkeypatch):
+    def no_runs(*args, **kwargs):
+        raise AssertionError("compare ran before opening its --csv file")
+
+    monkeypatch.setattr(cli, "compare_runs", no_runs)
+    csv_path = tmp_path / "no" / "such" / "dir" / "rows.csv"
+    argv = ["compare", "--env", corridor_map, "--strategies", "fcdfs", "--csv", str(csv_path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_invariant_violation_writes_no_trace(tmp_path, capsys):
+    env = tmp_path / "gk.map"
+    env.write_text(g_k(1, 5).to_ascii() + "\n")
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("kept\n")
+    for trace in (new, old):
+        argv = ["run", "--env", str(env), "--strategy", "fcdfs", "--check", "--trace", str(trace)]
+        assert main(argv) == 5
+    assert "invariant violation" in capsys.readouterr().err
+    assert not new.exists()
+    assert old.read_text() == "kept\n"
 
 
 def test_oracle_output(tmp_path, capsys):

@@ -14,8 +14,8 @@ from dispersim.engine import (
     run,
 )
 from dispersim.envgen import g_k, random_simply_connected, rect
-from dispersim.errors import CollisionError, DispersimError, InvariantViolation
-from dispersim.grid import DIR_BITS, DOWN, FREE_DIRS, Region, UP, RIGHT, manhattan
+from dispersim.errors import CellNotInRegion, CollisionError, DispersimError, InvariantViolation
+from dispersim.grid import DIR_BITS, DOWN, FREE_DIRS, LEFT, Region, UP, RIGHT, manhattan
 from dispersim.metrics import compute_metrics, run_metrics
 from dispersim.render import ascii_frames
 from dispersim.strategies import STRATEGIES, make_strategy
@@ -94,6 +94,45 @@ def test_moving_into_occupied_cell_raises():
     with pytest.raises(CollisionError):
         while sim.outcome is None:
             sim.step()
+
+
+class _Walker(Strategy):
+    """Always moves in ``direction``."""
+
+    name = "walker"
+
+    def __init__(self, direction):
+        super().__init__()
+        self.direction = direction
+
+    def fresh_memory(self):
+        return None
+
+    def decide(self, view, mem):
+        return self.direction
+
+
+@pytest.mark.parametrize(
+    "direction, door, target",
+    [(UP, (0, 1), (0, 2)), (RIGHT, (0, 0), (1, 0)), (DOWN, (0, 0), (0, -1)), (LEFT, (0, 1), (-1, 1))],
+)
+def test_moving_off_a_corridor_edge_raises(direction, door, target):
+    """Every cell of a 1-wide corridor touches the layout's padding; a
+    move onto it is a collision that names the target cell."""
+    r = rect(1, 2, door)
+    sim = Simulation(r, _Walker(direction))
+    sim.step()  # robot 1 emerges at the door
+    with pytest.raises(CollisionError) as info:
+        sim.step()
+    assert str(info.value) == f"t=2: robot 1 at {door} moved into occupied cell {target}"
+
+
+def test_sense_takes_region_cells_only():
+    r = rect(1, 3, (0, 0))
+    sim = Simulation(r, make_strategy("fcdfs", r, 0))
+    for cell in ((1, 0), (0, -1), (0, 3), (-1, 1), (7, -9)):
+        with pytest.raises(CellNotInRegion):
+            sim.sense(cell)
 
 
 class _Counter:

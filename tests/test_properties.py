@@ -9,7 +9,7 @@ from dispersim import envgen
 from dispersim.engine import Simulation, SimulationTrace, run
 from dispersim.envgen import g_k, random_simply_connected, rect
 from dispersim.errors import NotSimplyConnected
-from dispersim.grid import Region, from_ascii
+from dispersim.grid import RING, Region, from_ascii
 from dispersim.metrics import compute_metrics
 from dispersim.render import ascii_frame
 from dispersim.strategies import make_strategy
@@ -191,3 +191,45 @@ def test_variant_covers_in_2v_minus_1_with_optimal_travel(name, V, seed, strateg
     assert m.outcome == "covered"
     assert m.makespan == 2 * V - 1
     assert m.total_travel == m.optimum
+
+
+def _tuple_space_mask(sim, cell):
+    """The ring mask by its definition over cells: bit i is set when
+    ``cell + RING[i]`` is not a region cell or holds a robot."""
+    mask = 0
+    for i, (dx, dy) in enumerate(RING):
+        nb = (cell[0] + dx, cell[1] + dy)
+        if nb not in sim.region.cells or nb in sim.occupied:
+            mask |= 1 << i
+    return mask
+
+
+def _assert_layout_matches_cells(r):
+    """After every step of ``fcdfs`` and ``left-hand``, the int-indexed
+    ring of every region cell equals its tuple-space definition, and
+    every robot's ``idx`` numbers its ``pos``."""
+    for name in ("fcdfs", "left-hand"):
+        sim = Simulation(r, make_strategy(name, r, 0), record=False)
+        while sim.outcome is None and sim.t < 4 * len(r.cells):
+            sim.step()
+            for cell in r.cells:
+                assert sim.sense(cell) == _tuple_space_mask(sim, cell), (name, sim.t, cell)
+            for robot in sim.robots:
+                assert robot.idx == sim.index(robot.pos), (name, sim.t, robot.id)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    V=st.integers(1, 60),
+    seed=st.integers(0, 2**20),
+    dx=st.integers(-60, 60),
+    dy=st.integers(-60, 60),
+)
+def test_int_layout_senses_like_tuple_space_on_generated_regions(V, seed, dx, dy):
+    _assert_layout_matches_cells(_moved(V, seed, dx, dy))
+
+
+def test_int_layout_senses_like_tuple_space_on_regions_with_holes():
+    ring = Region({(x, y) for x in range(3) for y in range(3)} - {(1, 1)}, (0, 0))
+    for r in (ring, g_k(1, 5)):
+        _assert_layout_matches_cells(r)
