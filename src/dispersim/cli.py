@@ -4,7 +4,8 @@ Exit codes encode run outcomes so experiment scripts can branch on them
 without parsing output: 0 covered, 1 input/generator error or failed
 write, 2 bad arguments, unknown strategy or ``--check`` on a strategy
 that declares no runtime invariants, 3 deadlock, 4 step limit, 5
-invariant violation.
+invariant violation, 6 collision (two robots targeted one cell, or a
+move targeted an occupied one: a strategy fault, not an input error).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 
 from . import envgen, render, topology
 from .engine import SimulationTrace, run
-from .errors import BadParameters, DispersimError, InvariantViolation
+from .errors import BadParameters, CollisionError, DispersimError, InvariantViolation
 from .grid import from_ascii
 from .metrics import CSV_HEADER, compare_runs
 from .strategies import STRATEGIES, make_strategy
@@ -29,6 +30,7 @@ EXIT_USAGE = 2
 EXIT_DEADLOCK = 3
 EXIT_LIMIT = 4
 EXIT_INVARIANT = 5
+EXIT_COLLISION = 6
 
 _OUTCOME_EXITS = {"covered": EXIT_OK, "deadlock": EXIT_DEADLOCK, "limit": EXIT_LIMIT}
 
@@ -117,6 +119,9 @@ def cmd_run(args) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except CollisionError as exc:
+        print(f"collision: {exc}", file=sys.stderr)
+        return EXIT_COLLISION
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
     writer.writerow(metrics.csv_fields(args.env, region, args.strategy, args.seed))

@@ -2,7 +2,7 @@
 
 Each step: take an occupancy snapshot, let the strategy decide every
 active robot's action (a local strategy from that robot's 8-bit ring
-mask, :meth:`Simulation.sense`, and private memory alone), apply all
+mask, :meth:`Simulation.sense`, and its memory state alone), apply all
 moves simultaneously (targets must have been unoccupied in the
 snapshot), then settle robots and spawn a new one at the door if the
 door was free in the snapshot.
@@ -420,15 +420,16 @@ class Simulation:
         """Active cells, as indices, and memories plus the strategy's run
         state.
 
+        A memory enters the key as itself, compared by identity: the
+        strategy interns memories by ``key()``, so two robots' memories
+        are one object exactly when their keys are equal.
+
         Settled robots are left out: the seen set is cleared on every
         settle, so between two clears they are the same in every key. A
         spawn clears it too; the key's length, the active count, only
         grows between settles, so no earlier key can equal a later one.
         """
-        robots = tuple(
-            (r.idx, r.mem.key() if r.mem is not None else None) for r in self.active
-        )
-        return (robots, self.strategy.state_key())
+        return (tuple([(r.idx, r.mem) for r in self.active]), self.strategy.state_key())
 
     def finish(self, max_steps: int) -> None:
         while self.outcome is None:

@@ -235,6 +235,20 @@ def test_invariant_violation_writes_no_trace(tmp_path, capsys):
     assert old.read_text() == "kept\n"
 
 
+def test_collision_exits_six(tmp_path, capsys):
+    """A collision is a strategy fault, not an input error: it has its
+    own exit code and leaves no trace file."""
+    env = tmp_path / "collide.map"
+    env.write_text("#...\n#.#.\nS...\n")
+    trace = tmp_path / "t.json"
+    argv = ["run", "--env", str(env), "--strategy", "fcdfs", "--trace", str(trace)]
+    assert main(argv) == 6
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "collision: t=10: robots 1 and 5 both target (1, 0)\n"
+    assert not trace.exists()
+
+
 def test_oracle_output(tmp_path, capsys):
     env = tmp_path / "grid.map"
     env.write_text(rect(30, 30, (13, 13)).to_ascii() + "\n")

@@ -179,6 +179,39 @@ def test_deadlock_detected_on_ring():
     assert trace.outcome.kind == "deadlock"
 
 
+# (outcome, t) of runs that end in a deadlock, taken when the deadlock
+# key still held each memory's key(); it now holds the interned memory.
+DEADLOCK_STEPS_PINNED = [
+    ("fcdfs", "ring", 0, 17),
+    ("fcdfs5", "ring", 0, 16),
+    ("rand-corner", "ring", 0, 17),
+    ("left-hand", "ring", 0, 17),
+    ("fcdfs", "g_k(1,5)", 0, 177),
+    ("fcdfs5", "g_k(1,5)", 0, 176),
+    ("rand-corner", "g_k(1,5)", 0, 177),
+    ("left-hand", "g_k(1,5)", 0, 507),
+    ("fcdfs", "g_k(2,5)", 0, 569),
+    ("fcdfs5", "g_k(2,5)", 0, 568),
+    ("rand-corner", "g_k(2,5)", 0, 569),
+    ("left-hand", "g_k(2,5)", 0, 4319),
+    ("bflf", "rect(12,12,(5,5))", 69, 71),
+]
+
+PINNED_REGIONS = {
+    "ring": lambda: Region({(x, y) for x in range(3) for y in range(3)} - {(1, 1)}, (0, 0)),
+    "g_k(1,5)": lambda: g_k(1, 5),
+    "g_k(2,5)": lambda: g_k(2, 5),
+    "rect(12,12,(5,5))": lambda: rect(12, 12, (5, 5)),
+}
+
+
+@pytest.mark.parametrize("name, region, seed, t", DEADLOCK_STEPS_PINNED)
+def test_deadlock_steps_pinned(name, region, seed, t):
+    r = PINNED_REGIONS[region]()
+    trace, _ = run(r, make_strategy(name, r, seed), record=False)
+    assert (trace.outcome.kind, trace.outcome.t) == ("deadlock", t)
+
+
 def test_trace_json_shape():
     r = rect(2, 2, (0, 0))
     trace, _ = run(r, make_strategy("fcdfs", r, 0))
@@ -319,30 +352,21 @@ def test_settled_robots_are_never_decided(name):
     for r in ACTIVE_SET_REGIONS:
         strategy = make_strategy(name, r, 1)
         sim = Simulation(r, strategy, record=False)
-        settled_mems: set[int] = set()
         decided: list[int] = []
+        decide_all = strategy.decide_all
 
-        if type(strategy).decide_all is not Strategy.decide_all:
-            decide_all = strategy.decide_all
+        def checked_all(sim):
+            actions = decide_all(sim)
+            assert set(actions) <= {rb.id for rb in sim.active}
+            decided.append(len(actions))
+            return actions
 
-            def checked_all(sim):
-                actions = decide_all(sim)
-                assert set(actions) <= {rb.id for rb in sim.active}
-                decided.append(len(actions))
-                return actions
-
-            strategy.decide_all = checked_all
-        else:
-            decide = strategy.decide
-
-            def checked(view, mem):
-                assert id(mem) not in settled_mems
-                decided.append(1)
-                return decide(view, mem)
-
-            strategy.decide = checked
+        strategy.decide_all = checked_all
+        settled_mems = {}  # robot id -> its memory when first seen settled
         for _ in _step_to_end(sim):
-            settled_mems.update(id(rb.mem) for rb in sim.robots if not rb.active)
+            for rb in sim.robots:
+                if not rb.active:
+                    assert settled_mems.setdefault(rb.id, rb.mem) is rb.mem
         assert decided
         # Every robot is decided exactly on the steps it is active.
         assert sum(decided) == sum(rb.travel for rb in sim.robots) + sum(

@@ -1,12 +1,14 @@
+import copy
 import hashlib
 import itertools
 import random
 from dataclasses import astuple
+from types import SimpleNamespace
 
 import pytest
 
-from dispersim.engine import A_SETTLE, Simulation, run
-from dispersim.envgen import random_simply_connected, rect
+from dispersim.engine import A_SETTLE, Robot, Simulation, run
+from dispersim.envgen import g_k, random_simply_connected, rect
 from dispersim.grid import DIR_BITS, DOWN, LEFT, RIGHT, RING, UP, Region
 from dispersim.strategies import STRATEGIES, make_strategy
 from dispersim.strategies.base import Strategy
@@ -165,6 +167,69 @@ def test_memory_key_reflects_state():
     act = strat.decide(Simulation(r, strat).sense((0, 0)), m)
     assert act == RIGHT
     assert m.key() != k0
+
+
+# Every local rule: rand-corner once per rotation of its initial scan.
+LOCAL_RULES = [("fcdfs", None), ("fcdfs5", None), ("left-hand", None)] + [
+    ("rand-corner", rotation) for rotation in range(4)
+]
+
+
+def _local_strategy(name, rotation):
+    if rotation is None:
+        return make_strategy(name, None, 0)
+    seed = next(s for s in range(100) if make_strategy(name, None, s).rotation == rotation)
+    return make_strategy(name, None, seed)
+
+
+def _table_entry(strategy, mem, view):
+    """The (action, next memory) the default decide_all gives a robot
+    holding ``mem`` that senses ``view``."""
+    robot = Robot(1, (0, 0), mem, 0)
+    actions = strategy.decide_all(SimpleNamespace(active=[robot], ring_mask=lambda idx: view))
+    return actions[1], robot.mem
+
+
+@pytest.mark.parametrize("name, rotation", LOCAL_RULES)
+def test_transition_table_matches_the_rule(name, rotation):
+    """From the fresh memory, close over all 256 masks: every reached
+    (memory, mask) pair reads from the table what ``decide`` gives on a
+    copy, and each key has one canonical memory."""
+    strategy = _local_strategy(name, rotation)
+    robot = Robot(1, (0, 0), None, 0)
+    strategy.on_spawn(None, robot)
+    canonical = {robot.mem.key(): robot.mem}
+    todo = [robot.mem]
+    while todo:
+        mem = todo.pop()
+        for view in range(256):
+            expected = copy.deepcopy(mem)
+            expected_action = strategy.decide(view, expected)
+            action, after = _table_entry(strategy, mem, view)
+            assert (action, after.key()) == (expected_action, expected.key()), (mem.key(), view)
+            if after.key() not in canonical:
+                canonical[after.key()] = after
+                todo.append(after)
+            assert canonical[after.key()] is after
+            assert _table_entry(strategy, mem, view) == (action, after)
+    assert len(canonical) > 1
+    # Filling the table changed no canonical memory.
+    assert all(mem.key() == key for key, mem in canonical.items())
+
+
+@pytest.mark.parametrize("name", ["fcdfs", "fcdfs5", "rand-corner", "left-hand"])
+def test_a_run_shares_memories_and_changes_none(name):
+    for r in (rect(12, 12, (5, 5)), g_k(1, 5)):
+        sim = Simulation(r, make_strategy(name, r, 1), record=False)
+        first_seen = {}  # id(memory) -> (memory, its key when first seen)
+        while sim.outcome is None and sim.t < 4 * len(r.cells):
+            sim.step()
+            by_key = {}
+            for rb in sim.robots:
+                first_seen.setdefault(id(rb.mem), (rb.mem, rb.mem.key()))
+                assert by_key.setdefault(rb.mem.key(), rb.mem) is rb.mem
+        assert all(mem.key() == key for mem, key in first_seen.values())
+        assert len(first_seen) < len(sim.robots)
 
 
 # One digest per (strategy, seed) over the event log and the metrics of
