@@ -153,11 +153,20 @@ def cmd_compare(args) -> int:
                     else:
                         row = [args.env, *region.door, len(region.cells), name, seed, f"error:{err}"]
                         writer.writerow(row + [""] * (len(header) - len(row)))
+    # A deadlocked run counts in ``runs`` and in ``deadlock``; a run that
+    # raised (a collision, say) counts only in ``failed``.
+    deadlocks = dict.fromkeys(names, 0)
+    for name, _, metrics, _ in table.rows:
+        if metrics is not None and metrics.outcome == "deadlock":
+            deadlocks[name] += 1
     width = max(len(n) for n in names)
-    print(f"{'strategy':<{width}}  runs  total (max)")
+    print(f"{'strategy':<{width}}  runs  deadlock  failed  total (max)")
     for summary in table.summaries:
         entry = summary.table_entry() if summary.runs else "-"
-        print(f"{summary.strategy:<{width}}  {summary.runs:>4}  {entry}")
+        print(
+            f"{summary.strategy:<{width}}  {summary.runs:>4}  "
+            f"{deadlocks[summary.strategy]:>8}  {summary.failures:>6}  {entry}"
+        )
     return EXIT_OK
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import (
-    CellNotInRegion,
     DisconnectedRegion,
     MalformedMap,
     MultipleDoors,
@@ -103,21 +102,6 @@ class Region:
 
     def __repr__(self) -> str:
         return f"Region({len(self.cells)} cells, door={self.door})"
-
-    def neighbors(self, v: Cell) -> list[Cell]:
-        """Region cells at Manhattan distance 1 of v, in U, R, D, L order.
-
-        The order is part of the contract: strategy determinism depends
-        on it.
-        """
-        if v not in self.cells:
-            raise CellNotInRegion(f"{v} is not a cell of the region")
-        return [nb for nb in adjacent(v) if nb in self.cells]
-
-    def is_wall(self, v: Cell) -> bool:
-        """True iff v is not a cell of the region (the complement is
-        conceptually infinite; cells outside the bounds are walls)."""
-        return v not in self.cells
 
     def to_ascii(self, marks: dict[Cell, str] | None = None) -> str:
         """Render the bounding box as an ASCII map, padding with '#'.

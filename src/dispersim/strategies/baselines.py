@@ -20,7 +20,8 @@ whenever blocked by an active robot. Pauses count as travel but not as
 moves. The door stays unclaimed until it is the last cell and every
 claim keeps the unclaimed cells connected, so a claim is safe exactly
 when the cell is not an articulation point of the unclaimed cells: one
-Hopcroft-Tarjan pass from the door per spawn finds them all.
+Hopcroft-Tarjan pass from the door per spawn, ``topology.cut_cells``,
+finds them all.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from bisect import bisect_right
 from collections import deque
 
 from ..grid import DIR_VECTORS, Cell, Region, adjacent, bfs_distances_cells
+from ..topology import cut_cells
 from .base import A_SETTLE, A_STAY, Strategy
 
 _DIR_OF = {v: d for d, v in enumerate(DIR_VECTORS)}
@@ -37,44 +39,6 @@ _DIR_OF = {v: d for d, v in enumerate(DIR_VECTORS)}
 
 def _move_action(src: Cell, dst: Cell) -> int:
     return _DIR_OF[(dst[0] - src[0], dst[1] - src[1])]
-
-
-def cut_cells(cells, root: Cell) -> set[Cell]:
-    """Articulation points of the 4-connected cells reachable from
-    ``root`` within ``cells``: one iterative Hopcroft-Tarjan (1973)
-    depth-first pass, O(cells), with no recursion."""
-    depth = {root: 0}
-    low = {root: 0}
-    cut: set[Cell] = set()
-    root_children = 0
-    stack = [(root, iter(adjacent(root)))]
-    while stack:
-        v, todo = stack[-1]
-        for w in todo:
-            if w not in cells:
-                continue
-            if w in depth:
-                # A back edge, or the tree edge to v's parent, which can
-                # only lower low[v] to its parent's depth: harmless here.
-                if depth[w] < low[v]:
-                    low[v] = depth[w]
-            else:
-                depth[w] = low[w] = len(depth)
-                stack.append((w, iter(adjacent(w))))
-                break
-        else:
-            stack.pop()
-            if stack:
-                parent = stack[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-                if parent == root:
-                    root_children += 1
-                elif low[v] >= depth[parent]:
-                    cut.add(parent)
-    if root_children > 1:
-        cut.add(root)
-    return cut
 
 
 class Dflf(Strategy):

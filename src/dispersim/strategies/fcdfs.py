@@ -89,7 +89,8 @@ class RunChecker:
     """
 
     def __init__(self, region):
-        self.dist = topology.DistanceCache(region)
+        self.region = region
+        self.dist: dict = {}  # cell -> its BFS distances, for off-schedule pairs
         self.door_dist = topology.bfs_distances(region, region.door)
         self.residual = set(region.cells)
         self._at_start: dict[int, tuple[int, int]] = {}  # active at the start of the step
@@ -128,7 +129,9 @@ class RunChecker:
                     continue
                 if abs(door_dist[a.pos] - door_dist[b.pos]) >= bound:
                     continue
-                if self.dist.distance(a.pos, b.pos) < bound:
+                if a.pos not in self.dist:
+                    self.dist[a.pos] = topology.bfs_distances(self.region, a.pos)
+                if self.dist[a.pos][b.pos] < bound:
                     raise InvariantViolation(
                         f"t={t}: robots {a.id} at {a.pos} and {b.id} at "
                         f"{b.pos} are closer than {bound}"

@@ -1,12 +1,14 @@
-"""Topology oracles: corner/hall classification, simple connectivity,
+"""Region topology: corner/hall classification, simple connectivity,
 the hall tree decomposition, BFS distances, articulation points and
 optimal door placement.
 
-These are the independent oracles the simulation is checked against, so
-most are deliberately brute force (flood fills, remove-and-test loops):
-simplicity wins over asymptotics. The exception is ``geometric_median``,
-which runs in O(V) through the half-spaces of a median graph; the
-one-BFS-per-cell brute force it replaced is kept as its oracle in
+The simulation's checks and the BFLF planner call these routines, so
+none is a remove-and-test brute force: simple connectivity is one flood
+fill of the bounding box, the articulation points (``cut_cells``) are
+one Hopcroft-Tarjan pass, and ``geometric_median`` runs in O(V) through
+the half-spaces of a median graph. The brute-force oracles they are
+tested against live under ``tests/``: the remove-and-test articulation
+points in ``tests/oracles.py`` and the one-BFS-per-cell median in
 ``tests/test_properties.py``.
 """
 
@@ -134,7 +136,7 @@ def hall_tree(r: Region) -> HallTree:
         run = bfs_distances_cells(unassigned, min(unassigned))
         unassigned.difference_update(run)
         # (hall, component) for each run hall next to a hall-free cell.
-        touching = {(h, comp_of[nb]) for h in run for nb in r.neighbors(h) if nb in comp_of}
+        touching = {(h, comp_of[nb]) for h in run for nb in adjacent(h) if nb in comp_of}
         if len(run) == 1:
             joined = {i for _, i in touching}
         else:
@@ -151,20 +153,42 @@ def hall_tree(r: Region) -> HallTree:
     )
 
 
-def articulation_points(r: Region) -> set[Cell]:
-    """Cells whose removal disconnects the region (brute force)."""
-    out = set()
-    if len(r.cells) <= 1:
-        return out
-    for v in r.cells:
-        rest = set(r.cells)
-        rest.remove(v)
-        if not rest:
-            continue
-        seed = next(iter(rest))
-        if len(bfs_distances_cells(rest, seed)) != len(rest):
-            out.add(v)
-    return out
+def cut_cells(cells, root: Cell) -> set[Cell]:
+    """Articulation points of the 4-connected cells reachable from
+    ``root`` within ``cells``: one iterative Hopcroft-Tarjan (1973)
+    depth-first pass, O(cells), with no recursion."""
+    depth = {root: 0}
+    low = {root: 0}
+    cut: set[Cell] = set()
+    root_children = 0
+    stack = [(root, iter(adjacent(root)))]
+    while stack:
+        v, todo = stack[-1]
+        for w in todo:
+            if w not in cells:
+                continue
+            if w in depth:
+                # A back edge, or the tree edge to v's parent, which can
+                # only lower low[v] to its parent's depth: harmless here.
+                if depth[w] < low[v]:
+                    low[v] = depth[w]
+            else:
+                depth[w] = low[w] = len(depth)
+                stack.append((w, iter(adjacent(w))))
+                break
+        else:
+            stack.pop()
+            if stack:
+                parent = stack[-1][0]
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+                if parent == root:
+                    root_children += 1
+                elif low[v] >= depth[parent]:
+                    cut.add(parent)
+    if root_children > 1:
+        cut.add(root)
+    return cut
 
 
 def bfs_distances(r: Region, src: Cell) -> dict[Cell, int]:
@@ -258,21 +282,3 @@ def _east_halves(cells, V: int):
         b = run.get((x + 1, y))
         if b is not None:
             yield (x, y), (x + 1, y), subtree[b] if parent[b] == a else V - subtree[a]
-
-
-class DistanceCache:
-    """Memoized per-source BFS distance maps for one region."""
-
-    def __init__(self, region: Region):
-        self.region = region
-        self._maps: dict[Cell, dict[Cell, int]] = {}
-
-    def distances_from(self, src: Cell) -> dict[Cell, int]:
-        m = self._maps.get(src)
-        if m is None:
-            m = bfs_distances(self.region, src)
-            self._maps[src] = m
-        return m
-
-    def distance(self, a: Cell, b: Cell) -> int:
-        return self.distances_from(a)[b]

@@ -8,8 +8,9 @@ from dispersim.engine import run
 from dispersim.envgen import random_simply_connected, rect
 from dispersim.grid import Region
 from dispersim.strategies import make_strategy
-from dispersim.strategies.baselines import cut_cells
-from dispersim.topology import articulation_points
+from dispersim.topology import cut_cells
+
+from oracles import articulation_points
 
 
 def test_dflf_corridor_total_moves_exact():

@@ -183,6 +183,25 @@ def test_compare_runs_a_repeated_name_once(corridor_map, capsys):
     assert [row.split()[:2] for row in rows] == [["fcdfs", "2"], ["dflf", "2"]]
 
 
+def test_compare_counts_deadlocked_and_failed_runs(ring_map, tmp_path, capsys):
+    """No run leaves the table silently: a run that raised (here a
+    collision) counts as failed, and a deadlocked run is marked."""
+    env = tmp_path / "collide.map"
+    env.write_text("#...\n#.#.\nS...\n")
+    argv = ["compare", "--env", str(env), "--strategies", "fcdfs,left-hand,bflf", "--reps", "2"]
+    assert main(argv) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["strategy", "runs", "deadlock", "failed", "total", "(max)"]
+    assert [row.split()[:5] for row in rows] == [
+        ["fcdfs", "0", "0", "2", "-"],
+        ["left-hand", "0", "0", "2", "-"],
+        ["bflf", "2", "0", "0", "30"],
+    ]
+    assert main(["compare", "--env", ring_map, "--strategies", "fcdfs", "--reps", "2"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[:4] for row in rows] == [["fcdfs", "2", "2", "0"]]
+
+
 @pytest.mark.parametrize(
     "args",
     [

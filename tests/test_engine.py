@@ -462,7 +462,6 @@ class NaiveChecker:
 
     def __init__(self, region):
         self.region = region
-        self.dist = topology.DistanceCache(region)
         self.positions: dict[int, list] = {}
         self.primaries: dict[int, object] = {}
         self.residual = None
@@ -473,7 +472,10 @@ class NaiveChecker:
         for i, a in enumerate(active):
             for b in active[i + 1 :]:
                 bound = 2 * (b.id - a.id)
-                if manhattan(a.pos, b.pos) < bound and self.dist.distance(a.pos, b.pos) < bound:
+                if (
+                    manhattan(a.pos, b.pos) < bound
+                    and topology.bfs_distances(self.region, a.pos)[b.pos] < bound
+                ):
                     raise InvariantViolation(
                         f"t={t}: robots {a.id} at {a.pos} and {b.id} at "
                         f"{b.pos} are closer than {bound}"

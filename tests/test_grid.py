@@ -2,7 +2,6 @@ import pytest
 
 from dispersim import grid
 from dispersim.errors import (
-    CellNotInRegion,
     DisconnectedRegion,
     MalformedMap,
     MultipleDoors,
@@ -53,16 +52,7 @@ def test_region_rejects_disconnected():
 
 
 def test_neighbors_order_is_up_right_down_left():
-    r = Region({(0, 0), (0, 1), (1, 0), (0, -1), (-1, 0)}, (0, 0))
-    assert r.neighbors((0, 0)) == [(0, 1), (1, 0), (0, -1), (-1, 0)]
-    with pytest.raises(CellNotInRegion):
-        r.neighbors((7, 7))
-
-
-def test_is_wall_outside_bounding_box():
-    r = Region({(0, 0)}, (0, 0))
-    assert r.is_wall((100, 100))
-    assert not r.is_wall((0, 0))
+    assert grid.adjacent((0, 0)) == ((0, 1), (1, 0), (0, -1), (-1, 0))
 
 
 def test_from_ascii_round_trip():

@@ -139,8 +139,12 @@ def test_ascii_map_round_trips_at_its_origin(V, seed, dx, dy):
 
 
 class _NoDistances:
-    def distance(self, a, b):
-        raise AssertionError(f"pairwise BFS distance asked for {a} and {b}")
+    """Stands in for RunChecker's map of BFS distances; any lookup fails."""
+
+    def __contains__(self, a):
+        raise AssertionError(f"pairwise BFS distances asked for from {a}")
+
+    __getitem__ = __contains__
 
 
 def _no_pairwise_check(t, active):

@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dispersim import topology as tp
-from dispersim.envgen import random_simply_connected, rect
+from dispersim.envgen import g_k, random_simply_connected, rect
 from dispersim.errors import NotSimplyConnected
 from dispersim.grid import Region, from_ascii
+
+from oracles import articulation_points
 
 L_TROMINO = from_ascii("S#\n..")
 # Three halls in a row, the door in the middle one.
@@ -108,8 +110,31 @@ def test_rectangle_has_no_halls():
 
 def test_articulation_points_corridor():
     corridor = rect(5, 1, (0, 0))
-    arts = tp.articulation_points(corridor)
+    arts = articulation_points(corridor)
     assert arts == {(1, 0), (2, 0), (3, 0)}
+    for root in corridor.cells:
+        assert tp.cut_cells(corridor.cells, root) == arts
+
+
+# A 9x7 rectangle with interior walls: they enclose holes, and a
+# dead-end corridor winds between them, whose cells are cut cells.
+WALLED = from_ascii(
+    ".........\n"
+    ".###.###.\n"
+    ".#.....#.\n"
+    ".#.###.#.\n"
+    ".#...#.#.\n"
+    ".#####.#.\n"
+    "....S....\n"
+)
+
+
+@pytest.mark.parametrize("r", [RING, g_k(1, 5), WALLED], ids=["ring", "g1_5", "walled"])
+def test_cut_cells_match_the_oracle_from_every_root(r):
+    assert not tp.is_simply_connected(r)
+    arts = articulation_points(r)
+    for root in r.cells:
+        assert tp.cut_cells(r.cells, root) == arts, root
 
 
 def test_bfs_distances_and_sum():
@@ -129,10 +154,3 @@ def test_geometric_median_of_square():
     r = rect(4, 4, (0, 0))
     assert tp.geometric_median(r) == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
-
-def test_distance_cache_consistency():
-    r = rect(5, 7, (2, 3))
-    cache = tp.DistanceCache(r)
-    for a in [(0, 0), (4, 6), (2, 3)]:
-        assert cache.distances_from(a) == tp.bfs_distances(r, a)
-    assert cache.distance((0, 0), (4, 6)) == 10
