@@ -16,6 +16,7 @@ import csv
 import json
 import os
 import sys
+from collections import Counter
 
 from . import envgen, render, topology
 from .engine import SimulationTrace, run
@@ -153,19 +154,18 @@ def cmd_compare(args) -> int:
                     else:
                         row = [args.env, *region.door, len(region.cells), name, seed, f"error:{err}"]
                         writer.writerow(row + [""] * (len(header) - len(row)))
-    # A deadlocked run counts in ``runs`` and in ``deadlock``; a run that
-    # raised (a collision, say) counts only in ``failed``.
-    deadlocks = dict.fromkeys(names, 0)
-    for name, _, metrics, _ in table.rows:
-        if metrics is not None and metrics.outcome == "deadlock":
-            deadlocks[name] += 1
+    # A run that deadlocked or hit the step limit counts in ``runs`` and
+    # in its outcome's column; a run that raised (a collision, say)
+    # counts only in ``failed``.
+    outcomes = Counter((name, m.outcome) for name, _, m, _ in table.rows if m is not None)
     width = max(len(n) for n in names)
-    print(f"{'strategy':<{width}}  runs  deadlock  failed  total (max)")
+    print(f"{'strategy':<{width}}  runs  deadlock  limit  failed  total (max)")
     for summary in table.summaries:
+        name = summary.strategy
         entry = summary.table_entry() if summary.runs else "-"
         print(
-            f"{summary.strategy:<{width}}  {summary.runs:>4}  "
-            f"{deadlocks[summary.strategy]:>8}  {summary.failures:>6}  {entry}"
+            f"{name:<{width}}  {summary.runs:>4}  {outcomes[name, 'deadlock']:>8}  "
+            f"{outcomes[name, 'limit']:>5}  {summary.failures:>6}  {entry}"
         )
     return EXIT_OK
 

@@ -241,9 +241,9 @@ class Simulation:
     so a region cell's ring and move targets are always in range. The
     ``bytearray`` ``blocked`` is 1 for walls, padding and occupied cells,
     a ring read is 8 indexed reads of it (:meth:`ring_mask`) and a move
-    adds one of 4 offsets. Cells stay ``(x, y)`` tuples at the public
-    boundary: ``robot.pos`` and ``occupied`` move together with
-    ``robot.idx`` and ``blocked``.
+    adds one of 4 offsets. ``blocked`` is the one record of which cells
+    hold a robot. Cells stay ``(x, y)`` tuples at the public boundary:
+    ``robot.pos`` moves together with ``robot.idx``.
 
     Every step asks ``strategy.decide_all`` for the actions and hands a
     new robot to ``strategy.on_spawn``; the trace records
@@ -272,7 +272,6 @@ class Simulation:
         self.strategy = strategy
         self.robots: list[Robot] = []
         self.active: list[Robot] = []
-        self.occupied: dict[Cell, Robot] = {}
         self.t = 0
         self.outcome: Outcome | None = None
         self.trace = SimulationTrace(region, strategy.name, strategy.seed)
@@ -298,7 +297,8 @@ class Simulation:
 
     @property
     def covered(self) -> bool:
-        return len(self.occupied) == len(self.region.cells)
+        # Robots never leave the region and never share a cell.
+        return len(self.robots) == len(self.region.cells)
 
     def index(self, pos: Cell) -> int:
         """The int that numbers ``pos`` in the padded layout; defined for
@@ -330,7 +330,6 @@ class Simulation:
         assert self.outcome is None, "simulation already terminated"
         t = self.t + 1
         blocked = self.blocked  # mutated only after all decisions
-        occupied = self.occupied
         strategy = self.strategy
         door = self._door
         if self.checker is not None:
@@ -339,13 +338,21 @@ class Simulation:
         stepping = self.active  # robots active at the start of the step
         actions = strategy.decide_all(self)
 
-        # Validate moves against the snapshot.
+        # One pass: collect the settles, count travel and validate moves
+        # against the snapshot.
         offsets = self._dir_offsets
         targets: dict[int, int] = {}
         movers = []
+        settled_now = []
         for robot in stepping:
             act = actions.get(robot.id)
-            if act is None or act >= A_STAY:
+            if act is None:
+                continue
+            if act == A_SETTLE:
+                settled_now.append(robot)
+                continue
+            robot.travel += 1  # active at both step boundaries
+            if act == A_STAY:
                 continue
             target = robot.idx + offsets[act]
             if blocked[target]:
@@ -366,22 +373,14 @@ class Simulation:
         cell_at = self._cell_at
         for robot, _ in movers:
             blocked[robot.idx] = 0
-            del occupied[robot.pos]
         for robot, target in movers:
             blocked[target] = 1
             robot.idx = target
-            robot.pos = cell = cell_at[target]
-            occupied[cell] = robot
+            robot.pos = cell_at[target]
             robot.moves += 1
-        settled_now = []
-        for robot in stepping:
-            act = actions.get(robot.id)
-            if act == A_SETTLE:
-                robot.active = False
-                settled_now.append(robot)
-            elif act is not None:
-                robot.travel += 1  # active at both step boundaries
         if settled_now:
+            for robot in settled_now:
+                robot.active = False
             self.active = [r for r in stepping if r.active]
 
         # Spawn: door free in the snapshot and still free after moves
@@ -392,7 +391,6 @@ class Simulation:
             self.robots.append(spawned)
             self.active.append(spawned)
             blocked[door] = 1
-            occupied[spawned.pos] = spawned
             strategy.on_spawn(self, spawned)
 
         self.t = t

@@ -96,9 +96,6 @@ class StrategySummary:
     min_total_moves: int
     max_total_moves: int
     mean_max_moves: float
-    mean_total_travel: float
-    mean_max_travel: float
-    mean_makespan: float | None
     failures: int
 
     def table_entry(self) -> str:
@@ -139,11 +136,8 @@ def compare_runs(
         cells = [m for (n, _, m, _) in rows if n == name and m is not None]
         failures = sum(1 for (n, _, m, _) in rows if n == name and m is None)
         if not cells:
-            summaries.append(
-                StrategySummary(name, 0, 0.0, 0, 0, 0.0, 0.0, 0.0, None, failures)
-            )
+            summaries.append(StrategySummary(name, 0, 0.0, 0, 0, 0.0, failures))
             continue
-        makespans = [m.makespan for m in cells if m.makespan is not None]
         summaries.append(
             StrategySummary(
                 strategy=name,
@@ -152,9 +146,6 @@ def compare_runs(
                 min_total_moves=min(m.total_moves for m in cells),
                 max_total_moves=max(m.total_moves for m in cells),
                 mean_max_moves=statistics.mean(m.max_moves for m in cells),
-                mean_total_travel=statistics.mean(m.total_travel for m in cells),
-                mean_max_travel=statistics.mean(m.max_travel for m in cells),
-                mean_makespan=statistics.mean(makespans) if makespans else None,
                 failures=failures,
             )
         )

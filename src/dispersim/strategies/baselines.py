@@ -53,6 +53,7 @@ class Dflf(Strategy):
         for i, cell in enumerate(self.walk):
             self.occ.setdefault(cell, []).append(i)
         self.index: dict[int, int] = {}  # active robot id -> position on the walk
+        self.settled: set[Cell] = set()  # cells of the settles issued so far
 
     def _build_walk(self) -> list[Cell]:
         """Full DFS traversal from the door, recording every visit
@@ -83,6 +84,8 @@ class Dflf(Strategy):
     def decide_all(self, sim) -> dict[int, int]:
         actions: dict[int, int] = {}
         claimed: set[Cell] = set()
+        settling: list[Cell] = []
+        blocked, index = sim.blocked, sim.index
         for robot in sim.active:
             i = self.index[robot.id]
             settle = False
@@ -93,23 +96,25 @@ class Dflf(Strategy):
                     settle = True  # final visit: the subtree below is done
                     break
                 target = self.walk[i + 1]
-                holder = sim.occupied.get(target)
-                if holder is not None and not holder.active:
+                if target in self.settled:
                     # Finished branch: skip to this cell's next occurrence.
                     i = occ[bisect_right(occ, i)]
                     continue
                 break
             if settle:
                 del self.index[robot.id]
+                settling.append(robot.pos)
                 actions[robot.id] = A_SETTLE
                 continue
             self.index[robot.id] = i
-            if target in sim.occupied or target in claimed:
+            if blocked[index(target)] or target in claimed:
                 actions[robot.id] = A_STAY
             else:
                 claimed.add(target)
                 self.index[robot.id] = i + 1
                 actions[robot.id] = _move_action(robot.pos, target)
+        # Settles take effect at the end of the step.
+        self.settled.update(settling)
         return actions
 
     def state_key(self):
@@ -127,16 +132,16 @@ class Bflf(Strategy):
         self.region = region
         self.rng = random.Random(seed)
         self.unclaimed: set[Cell] = set(region.cells)
-        # Cells without a settled robot. decide_all removes a cell when it
-        # issues the settle; only on_spawn reads the set, after the settle
-        # has been applied.
+        # Cells without a settled robot. decide_all removes the cells it
+        # settles after deciding every robot, so the set stays the
+        # settles of earlier steps while it decides.
         self.unsettled: set[Cell] = set(region.cells)
         self.targets: dict[int, Cell] = {}  # active robot id -> target
         self.paths: dict[int, list[Cell]] = {}  # remaining cells to target
 
     # -- target assignment -------------------------------------------------
 
-    def _assign_target(self, sim, robot) -> None:
+    def _assign_target(self, robot) -> None:
         unclaimed = self.unclaimed
         door = self.region.door
         dist = bfs_distances_cells(self.unsettled, door)
@@ -147,15 +152,14 @@ class Bflf(Strategy):
         target = self.rng.choice(pool)
         self.targets[robot.id] = target
         unclaimed.discard(target)
-        self.paths[robot.id] = self._route(sim, robot.pos, target)
+        self.paths[robot.id] = self._route(robot.pos, target)
 
     # -- routing -----------------------------------------------------------
 
-    def _route(self, sim, src: Cell, dst: Cell, avoid_active: bool = False) -> list[Cell]:
-        """Shortest path src -> dst through unsettled cells (excluding
-        src); empty when none exists."""
-        occupied = sim.occupied
-        cells = self.region.cells
+    def _route(self, src: Cell, dst: Cell, avoid=()) -> list[Cell]:
+        """Shortest path src -> dst through unsettled cells not in
+        ``avoid`` (excluding src); empty when none exists."""
+        unsettled = self.unsettled
         prev: dict[Cell, Cell] = {src: src}
         todo = deque([src])
         while todo:
@@ -168,53 +172,46 @@ class Bflf(Strategy):
                 path.reverse()
                 return path[1:]
             for nb in adjacent(v):
-                if nb not in cells or nb in prev:
-                    continue
-                holder = occupied.get(nb)
-                if holder is not None and (avoid_active or not holder.active):
-                    continue
-                prev[nb] = v
-                todo.append(nb)
+                if nb in unsettled and nb not in prev and nb not in avoid:
+                    prev[nb] = v
+                    todo.append(nb)
         return []
 
     def on_spawn(self, sim, robot) -> None:
-        self._assign_target(sim, robot)
+        self._assign_target(robot)
 
     def decide_all(self, sim) -> dict[int, int]:
         actions: dict[int, int] = {}
         claimed_now: set[Cell] = set()
-        spawn_pending = self.region.door not in sim.occupied
+        settling: list[Cell] = []
+        blocked, index = sim.blocked, sim.index
+        unsettled = self.unsettled
+        door = self.region.door
+        spawn_pending = not blocked[index(door)]
         for robot in sim.active:
             target = self.targets[robot.id]
             if robot.pos == target:
                 del self.targets[robot.id]
                 del self.paths[robot.id]
-                self.unsettled.discard(target)
+                settling.append(target)
                 actions[robot.id] = A_SETTLE
                 continue
             path = self.paths.get(robot.id) or []
-            if not path or any(
-                c in sim.occupied and not sim.occupied[c].active for c in path
-            ):
-                path = self._route(sim, robot.pos, target)
+            if not path or not unsettled.issuperset(path):
+                path = self._route(robot.pos, target)
                 self.paths[robot.id] = path
             if not path:
                 actions[robot.id] = A_STAY
                 continue
             nxt = path[0]
-            blocked = (
-                nxt in sim.occupied
-                or nxt in claimed_now
-                or (spawn_pending and nxt == self.region.door)
-            )
-            if blocked:
-                # Try flowing around the robot in the way.
-                detour = self._route(sim, robot.pos, target, avoid_active=True)
+            if blocked[index(nxt)] or nxt in claimed_now or (spawn_pending and nxt == door):
+                # Try flowing around the robots in the way.
+                detour = self._route(robot.pos, target, {r.pos for r in sim.active})
                 # The detour never enters an occupied cell.
                 if (
                     detour
                     and detour[0] not in claimed_now
-                    and not (spawn_pending and detour[0] == self.region.door)
+                    and not (spawn_pending and detour[0] == door)
                 ):
                     path = detour
                     nxt = detour[0]
@@ -224,6 +221,8 @@ class Bflf(Strategy):
             claimed_now.add(nxt)
             self.paths[robot.id] = path[1:]
             actions[robot.id] = _move_action(robot.pos, nxt)
+        # Settles take effect at the end of the step.
+        unsettled.difference_update(settling)
         return actions
 
     def state_key(self):

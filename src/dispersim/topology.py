@@ -3,22 +3,22 @@ the hall tree decomposition, BFS distances, articulation points and
 optimal door placement.
 
 The simulation's checks and the BFLF planner call these routines, so
-none is a remove-and-test brute force: simple connectivity is one flood
-fill of the bounding box, the articulation points (``cut_cells``) are
-one Hopcroft-Tarjan pass, and ``geometric_median`` runs in O(V) through
-the half-spaces of a median graph. The brute-force oracles they are
-tested against live under ``tests/``: the remove-and-test articulation
-points in ``tests/oracles.py`` and the one-BFS-per-cell median in
+none is a remove-and-test brute force: simple connectivity is one count
+over the tree of column runs, the articulation points (``cut_cells``)
+are one Hopcroft-Tarjan pass, and ``geometric_median`` runs in O(V)
+through the half-spaces of a median graph, on the same column runs. The
+brute-force oracles they are tested against live under ``tests/``: the
+flood fill of the complement and the remove-and-test articulation
+points in ``tests/oracles.py``, and the one-BFS-per-cell median in
 ``tests/test_properties.py``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import CellNotInRegion, NotSimplyConnected
-from .grid import RING, Cell, Region, adjacent, bfs_distances_cells
+from .grid import Cell, Region, adjacent, bfs_distances_cells
 
 CORNER = "corner"
 HALL = "hall"
@@ -72,39 +72,15 @@ def halls(r: Region) -> list[Cell]:
 
 
 def is_simply_connected(r: Region) -> bool:
-    """True iff no closed path in the region surrounds a wall.
+    """True iff no closed path in the region surrounds a wall (the
+    complement is taken 8-connected).
 
-    Implemented by padding the bounding box with one ring of walls and
-    flood-filling the complement under 8-connectivity from that ring:
-    the region is simply connected iff every wall inside the box is
-    reached (4-connected foreground pairs with 8-connected background).
+    The region's maximal vertical runs, joined where they overlap across
+    adjacent columns, form a tree exactly when this holds; see
+    :func:`_column_runs`.
     """
-    return not _enclosed_walls(r.cells, r.min_x, r.max_x, r.min_y, r.max_y)
-
-
-def _enclosed_walls(cells, min_x, max_x, min_y, max_y) -> bool:
-    x0, x1 = min_x - 1, max_x + 1
-    y0, y1 = min_y - 1, max_y + 1
-    start = (x0, y0)
-    seen = {start}
-    todo = deque([start])
-    while todo:
-        x, y = todo.popleft()
-        for dx, dy in RING:
-            nb = (x + dx, y + dy)
-            if (
-                x0 <= nb[0] <= x1
-                and y0 <= nb[1] <= y1
-                and nb not in cells
-                and nb not in seen
-            ):
-                seen.add(nb)
-                todo.append(nb)
-    for x in range(min_x, max_x + 1):
-        for y in range(min_y, max_y + 1):
-            if (x, y) not in cells and (x, y) not in seen:
-                return True
-    return False
+    _, size, joined = _column_runs(r.cells)
+    return len(joined) == len(size) - 1
 
 
 def hall_tree(r: Region) -> HallTree:
@@ -216,6 +192,10 @@ def geometric_median(r: Region) -> set[Cell]:
     One BFS gives S at the door and one more pass gives every other S.
     Raises NotSimplyConnected on a region with a hole.
     """
+    if not is_simply_connected(r):
+        raise NotSimplyConnected(
+            "geometric median is only computed for simply connected regions"
+        )
     cells = r.cells
     V = len(cells)
     half: dict[tuple[Cell, Cell], int] = {}  # (u, w) -> |half holding w|
@@ -237,15 +217,15 @@ def geometric_median(r: Region) -> set[Cell]:
     return {v for v, s in sums.items() if s == best}
 
 
-def _east_halves(cells, V: int):
-    """Yield (u, w, |half holding w|) for every edge from a cell u to its
-    east neighbor w.
+def _column_runs(cells):
+    """The maximal vertical runs of ``cells`` and their joins.
 
-    The edges between columns x and x+1 where a maximal vertical run of
-    column x overlaps one of column x+1 form a Θ-class. The runs, joined
-    when they overlap, form a tree exactly when the region is simply
-    connected, and the half holding w is then the cell count of the
-    subtree on w's side of that edge.
+    Returns ``(run, size, joined)``: ``run`` maps each cell to the number
+    of its run, ``size[a]`` is the cell count of run a, and ``joined``
+    lists once, in first-seen order, each pair (a, b) of a run a in
+    column x that overlaps a run b in column x+1. The runs of a
+    4-connected region, joined this way, form a tree exactly when the
+    region is simply connected.
     """
     run: dict[Cell, int] = {}  # cell -> its maximal vertical run
     size: list[int] = []
@@ -256,18 +236,26 @@ def _east_halves(cells, V: int):
             size.append(0)
         size[below] += 1
         run[x, y] = below
+    joined = dict.fromkeys(
+        (a, run[x + 1, y]) for (x, y), a in run.items() if (x + 1, y) in run
+    )
+    return run, size, joined
+
+
+def _east_halves(cells, V: int):
+    """Yield (u, w, |half holding w|) for every edge from a cell u to its
+    east neighbor w of a simply connected region.
+
+    The edges between columns x and x+1 where a maximal vertical run of
+    column x overlaps one of column x+1 form a Θ-class. The runs, joined
+    when they overlap, form a tree (:func:`_column_runs`), and the half
+    holding w is the cell count of the subtree on w's side of that edge.
+    """
+    run, size, joined = _column_runs(cells)
     adj: list[list[int]] = [[] for _ in size]
-    joined = set()
-    for (x, y), a in run.items():
-        b = run.get((x + 1, y))
-        if b is not None and (a, b) not in joined:
-            joined.add((a, b))
-            adj[a].append(b)
-            adj[b].append(a)
-    if len(joined) != len(size) - 1:
-        raise NotSimplyConnected(
-            "geometric median is only computed for simply connected regions"
-        )
+    for a, b in joined:
+        adj[a].append(b)
+        adj[b].append(a)
     parent = [-1] * len(size)
     order = [0]
     for a in order:

@@ -3,7 +3,9 @@ against. They trade speed for obviousness and are never used by the
 package itself.
 """
 
-from dispersim.grid import Cell, Region, bfs_distances_cells
+from collections import deque
+
+from dispersim.grid import RING, Cell, Region, bfs_distances_cells
 
 
 def articulation_points(r: Region) -> set[Cell]:
@@ -18,3 +20,22 @@ def articulation_points(r: Region) -> set[Cell]:
         if len(bfs_distances_cells(rest, seed)) != len(rest):
             out.add(v)
     return out
+
+
+def has_hole(r: Region) -> bool:
+    """True when a wall inside the bounding box is cut off from the
+    outside: one 8-connected flood fill of the complement, from a ring of
+    walls padded around the box (4-connected cells pair with an
+    8-connected complement)."""
+    x0, x1 = r.min_x - 1, r.max_x + 1
+    y0, y1 = r.min_y - 1, r.max_y + 1
+    seen = {(x0, y0)}
+    todo = deque(seen)
+    while todo:
+        x, y = todo.popleft()
+        for dx, dy in RING:
+            nb = (x + dx, y + dy)
+            if x0 <= nb[0] <= x1 and y0 <= nb[1] <= y1 and nb not in r.cells and nb not in seen:
+                seen.add(nb)
+                todo.append(nb)
+    return (x1 - x0 + 1) * (y1 - y0 + 1) != len(seen) + len(r.cells)

@@ -122,3 +122,30 @@ def test_bflf_choices_pinned():
         trace, m = run(r, make_strategy("bflf", r, seed), max_steps=60 * len(r.cells))
         assert astuple(m) == fields, (name, seed)
         assert hashlib.sha256(repr(trace.events).encode()).hexdigest() == digest, (name, seed)
+
+
+# DFLF's exact choices, pinned in the same form as BFLF_PINNED.
+DFLF_PINNED = {
+    ("rect12", 0): ("eaa329a6a704120f8b93277cac275159dc8afd9526209454e7b201d2a022c2b8", (144, 287, 7182, 96, 7182, 96, 864, False, 'covered', 144)),
+    ("rect12", 1): ("f493fa4a418be2d2d664c0620b7bd0ec1a7d3da1bdb96af819791c54ac1011fd", (144, 287, 7982, 111, 7982, 111, 864, False, 'covered', 144)),
+    ("rect12", 2): ("35c94aa82d7475e41634621b944e43383006064389d5d1b1d853459fbaf206d5", (144, 287, 6776, 86, 6776, 86, 864, False, 'covered', 144)),
+    ("rect12", 3): ("215a9ca0fefa5eec1cafe19d15b29e2b0276c795dbed739e12464fa9d6334f96", (144, 287, 7716, 93, 7716, 93, 864, False, 'covered', 144)),
+    ("rect12", 4): ("a49e7e96dadd39df3feb3424f294769fc6bb51855bc624488211fdd958e589a2", (144, 287, 8678, 106, 8678, 106, 864, False, 'covered', 144)),
+    ("rand70", 0): ("2ade15caa1ec55a107fd55d69fd597a64a1fb92d3b4919ad305df2e9325d4147", (70, 139, 1464, 36, 1464, 36, 402, False, 'covered', 70)),
+    ("rand70", 1): ("796ad16de7d1a6976c3a543ae32795f8c615b55b893c1fd004d4bef811cc94f8", (70, 139, 1066, 26, 1066, 26, 402, False, 'covered', 70)),
+    ("rand70", 2): ("9cbfd3eb06f5382a71b64b03a55a549abce5f58385571384fd9de3d8a6e96530", (70, 139, 1062, 26, 1062, 26, 402, False, 'covered', 70)),
+    ("rand70", 3): ("49ee6edcbe56dc89fd8e81c52654f8f696f24c913aed6f9285d60a4a87c89c69", (70, 139, 1158, 28, 1158, 28, 402, False, 'covered', 70)),
+    ("rand70", 4): ("efc854546bfd56aa0156cf333237ecd760d335c1d3834957dfb6c39f27cf8eac", (70, 139, 1432, 36, 1432, 36, 402, False, 'covered', 70)),
+}
+
+
+def test_dflf_choices_pinned():
+    regions = {
+        "rect12": rect(12, 12, (5, 5)),
+        "rand70": random_simply_connected(70, 31),
+    }
+    for (name, seed), (digest, fields) in DFLF_PINNED.items():
+        r = regions[name]
+        trace, m = run(r, make_strategy("dflf", r, seed), max_steps=60 * len(r.cells))
+        assert astuple(m) == fields, (name, seed)
+        assert hashlib.sha256(repr(trace.events).encode()).hexdigest() == digest, (name, seed)

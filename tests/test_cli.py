@@ -191,15 +191,33 @@ def test_compare_counts_deadlocked_and_failed_runs(ring_map, tmp_path, capsys):
     argv = ["compare", "--env", str(env), "--strategies", "fcdfs,left-hand,bflf", "--reps", "2"]
     assert main(argv) == 0
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["strategy", "runs", "deadlock", "failed", "total", "(max)"]
-    assert [row.split()[:5] for row in rows] == [
-        ["fcdfs", "0", "0", "2", "-"],
-        ["left-hand", "0", "0", "2", "-"],
-        ["bflf", "2", "0", "0", "30"],
+    assert header.split() == ["strategy", "runs", "deadlock", "limit", "failed", "total", "(max)"]
+    assert [row.split()[:6] for row in rows] == [
+        ["fcdfs", "0", "0", "0", "2", "-"],
+        ["left-hand", "0", "0", "0", "2", "-"],
+        ["bflf", "2", "0", "0", "0", "30"],
     ]
     assert main(["compare", "--env", ring_map, "--strategies", "fcdfs", "--reps", "2"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
-    assert [row.split()[:4] for row in rows] == [["fcdfs", "2", "2", "0"]]
+    assert [row.split()[:5] for row in rows] == [["fcdfs", "2", "2", "0", "0"]]
+
+
+def test_compare_counts_runs_that_hit_the_step_limit(tmp_path, capsys):
+    """A run cut by --max-steps, which `run` reports with exit 4, has
+    its own column and does not pass for a covered run."""
+    env = tmp_path / "collide.map"
+    env.write_text("#...\n#.#.\nS...\n")
+    assert main(["run", "--env", str(env), "--strategy", "dflf", "--max-steps", "5"]) == 4
+    capsys.readouterr()
+    argv = ["compare", "--env", str(env), "--strategies", "fcdfs5,dflf,bflf", "--max-steps", "5"]
+    assert main(argv) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["strategy", "runs", "deadlock", "limit", "failed", "total", "(max)"]
+    assert [row.split() for row in rows] == [
+        ["fcdfs5", "1", "0", "1", "0", "6", "(4)"],
+        ["dflf", "1", "0", "1", "0", "6", "(4)"],
+        ["bflf", "1", "0", "1", "0", "4", "(2)"],
+    ]
 
 
 @pytest.mark.parametrize(

@@ -38,12 +38,13 @@ def test_sensor_view_walls_and_robots_indistinguishable():
     sim.finish(12)
     settled = [rb for rb in sim.robots if not rb.active]
     assert settled and sim.active
+    occupied = {rb.pos for rb in sim.robots}
     for cell in r.cells:
         view = sim.sense(cell)
         assert 0 <= view < 256
         for i, (dx, dy) in enumerate(grid.RING):
             nb = (cell[0] + dx, cell[1] + dy)
-            assert bool(view >> i & 1) == (nb not in r.cells or nb in sim.occupied)
+            assert bool(view >> i & 1) == (nb not in r.cells or nb in occupied)
 
 
 def test_spawn_every_other_step():

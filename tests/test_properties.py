@@ -200,10 +200,11 @@ def test_variant_covers_in_2v_minus_1_with_optimal_travel(name, V, seed, strateg
 def _tuple_space_mask(sim, cell):
     """The ring mask by its definition over cells: bit i is set when
     ``cell + RING[i]`` is not a region cell or holds a robot."""
+    occupied = {rb.pos for rb in sim.robots}
     mask = 0
     for i, (dx, dy) in enumerate(RING):
         nb = (cell[0] + dx, cell[1] + dy)
-        if nb not in sim.region.cells or nb in sim.occupied:
+        if nb not in sim.region.cells or nb in occupied:
             mask |= 1 << i
     return mask
 

@@ -1,12 +1,14 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dispersim import topology as tp
 from dispersim.envgen import g_k, random_simply_connected, rect
 from dispersim.errors import NotSimplyConnected
-from dispersim.grid import Region, from_ascii
+from dispersim.grid import Region, adjacent, from_ascii
 
-from oracles import articulation_points
+from oracles import articulation_points, has_hole
 
 L_TROMINO = from_ascii("S#\n..")
 # Three halls in a row, the door in the middle one.
@@ -127,6 +129,46 @@ WALLED = from_ascii(
     ".#####.#.\n"
     "....S....\n"
 )
+
+
+def _fixed_polyominoes(n):
+    """Yield the cell set of every fixed polyomino of at most n cells
+    once (Redelmeier, "Counting polyominoes: yet another attack",
+    Discrete Math. 36, 1981): grow from (0, 0) over the cells above row 0
+    and right of it on row 0, and never try a cell twice on one branch."""
+    poly = []
+    seen = {(0, 0)}
+
+    def grow(untried):
+        while untried:
+            cell = untried.pop()
+            poly.append(cell)
+            yield frozenset(poly)
+            if len(poly) < n:
+                new = [
+                    nb for nb in adjacent(cell)
+                    if (nb[1] > 0 or nb[1] == 0 and nb[0] > 0) and nb not in seen
+                ]
+                seen.update(new)
+                yield from grow(untried + new)
+                seen.difference_update(new)
+            poly.pop()
+
+    yield from grow([(0, 0)])
+
+
+def test_simple_connectivity_matches_the_flood_fill_on_every_small_polyomino():
+    sizes = Counter()
+    holes = 0
+    for cells in _fixed_polyominoes(9):
+        r = Region(cells, (0, 0))
+        hole = has_hole(r)
+        assert tp.is_simply_connected(r) is not hole, sorted(cells)
+        sizes[len(cells)] += 1
+        holes += hole
+    # OEIS A001168; the 8-cell ring is the first polyomino with a hole.
+    assert [sizes[n] for n in range(1, 10)] == [1, 2, 6, 19, 63, 216, 760, 2725, 9910]
+    assert holes == 13
 
 
 @pytest.mark.parametrize("r", [RING, g_k(1, 5), WALLED], ids=["ring", "g1_5", "walled"])
