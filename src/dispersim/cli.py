@@ -158,7 +158,7 @@ def cmd_compare(args) -> int:
     # in its outcome's column; a run that raised (a collision, say)
     # counts only in ``failed``.
     outcomes = Counter((name, m.outcome) for name, _, m, _ in table.rows if m is not None)
-    width = max(len(n) for n in names)
+    width = max(len("strategy"), *map(len, names))
     print(f"{'strategy':<{width}}  runs  deadlock  limit  failed  total (max)")
     for summary in table.summaries:
         name = summary.strategy

@@ -81,10 +81,10 @@ class SimulationTrace:
     ``events`` lists ``(t, id, what)`` tuples in the order the engine
     applied them. Within step t come the moves (``what`` is the
     direction letter, "U", "R", "D" or "L"), then the settles ("X"),
-    then the spawn at the door ("+"). Stays and robots without an action
-    leave no event: a robot is active from its spawn to its settle, and
-    its position changes only by its moves. ``events`` is None when the
-    run was made without recording. :meth:`replay` rebuilds every step.
+    then the spawn at the door ("+"). Stays leave no event: a robot is
+    active from its spawn to its settle, and its position changes only
+    by its moves. ``events`` is None when the run was made without
+    recording. :meth:`replay` rebuilds every step.
     """
 
     def __init__(self, region: Region, strategy_name: str, seed: int):
@@ -245,13 +245,14 @@ class Simulation:
     hold a robot. Cells stay ``(x, y)`` tuples at the public boundary:
     ``robot.pos`` moves together with ``robot.idx``.
 
-    Every step asks ``strategy.decide_all`` for the actions and hands a
-    new robot to ``strategy.on_spawn``; the trace records
-    ``strategy.seed``. The engine's own checks are always on: moves
-    must not collide, and only active robots act.
+    Every step asks ``strategy.decide_all`` for a list of one action per
+    robot of ``active``, in order, and hands a new robot to
+    ``strategy.on_spawn``; the trace records ``strategy.seed``. The
+    engine's own checks are always on: moves must not collide, and a
+    list of another length raises ValueError before anything moves.
     ``checker``, when given, is called as ``before_step(sim)`` and
-    ``after_step(sim, actions, settled_now)`` around every step and
-    raises to stop the run.
+    ``after_step(sim, actions, settled_now)``, ``actions`` lined up with
+    ``active`` as ``before_step`` saw it, and raises to stop the run.
 
     A deadlock is a configuration key seen twice. The seen set is
     cleared on every settle and every spawn, which loses no repeat: the
@@ -337,6 +338,8 @@ class Simulation:
         spawn_pending = not blocked[door]
         stepping = self.active  # robots active at the start of the step
         actions = strategy.decide_all(self)
+        if len(actions) != len(stepping):
+            raise ValueError(f"t={t}: {len(actions)} actions for {len(stepping)} active robots")
 
         # One pass: collect the settles, count travel and validate moves
         # against the snapshot.
@@ -344,10 +347,7 @@ class Simulation:
         targets: dict[int, int] = {}
         movers = []
         settled_now = []
-        for robot in stepping:
-            act = actions.get(robot.id)
-            if act is None:
-                continue
+        for robot, act in zip(stepping, actions):
             if act == A_SETTLE:
                 settled_now.append(robot)
                 continue
@@ -367,13 +367,13 @@ class Simulation:
                     f"target {self._cell_at[target]}"
                 )
             targets[target] = robot.id
-            movers.append((robot, target))
+            movers.append((robot, target, act))
 
         # Apply all moves simultaneously, then settles.
         cell_at = self._cell_at
-        for robot, _ in movers:
+        for robot, _, _ in movers:
             blocked[robot.idx] = 0
-        for robot, target in movers:
+        for robot, target, _ in movers:
             blocked[target] = 1
             robot.idx = target
             robot.pos = cell_at[target]
@@ -396,7 +396,7 @@ class Simulation:
         self.t = t
         events = self.trace.events
         if events is not None:
-            events.extend((t, robot.id, DIR_NAMES[actions[robot.id]]) for robot, _ in movers)
+            events.extend((t, robot.id, DIR_NAMES[act]) for robot, _, act in movers)
             events.extend((t, robot.id, EV_SETTLE) for robot in settled_now)
             if spawned is not None:
                 events.append((t, spawned.id, EV_SPAWN))

@@ -76,8 +76,6 @@ def compute_metrics(trace, r: Region) -> RunMetrics:
     steps a robot is active at both step boundaries, from its spawn to
     its settle or the end of the run; moves are its move events.
     """
-    if trace.events is None:
-        raise TraceRegionMismatch("trace was recorded without events")
     if trace.region.cells != r.cells or trace.region.door != r.door:
         raise TraceRegionMismatch("trace does not belong to this region")
     robots = []

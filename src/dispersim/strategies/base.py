@@ -1,15 +1,15 @@
 """Strategy interface.
 
 The engine drives every strategy through two hooks. ``decide_all(sim)``
-returns each active robot's action, by id, for the coming step, and
-``on_spawn(sim, robot)`` sets up a robot that has just emerged at the
-door. A local strategy overrides neither: it defines ``fresh_memory()``
-and the rule ``decide(view, mem)``, which returns the action for a
-robot with ring mask ``view`` and memory ``mem`` and updates ``mem`` in
-place. The view is an int in ``range(256)``: bit i is set when the cell
-``grid.RING[i]`` away is a wall or holds a robot, the two being
-indistinguishable. The ring runs clockwise from up, so axis direction d
-is bit 2d.
+returns one action per robot of ``sim.active``, in that order, as a
+list, and ``on_spawn(sim, robot)`` sets up a robot that has just
+emerged at the door. A local strategy overrides neither: it defines
+``fresh_memory()`` and the rule ``decide(view, mem)``, which returns
+the action for a robot with ring mask ``view`` and memory ``mem`` and
+updates ``mem`` in place. The view is an int in ``range(256)``: bit i
+is set when the cell ``grid.RING[i]`` away is a wall or holds a robot,
+the two being indistinguishable. The ring runs clockwise from up, so
+axis direction d is bit 2d.
 
 A local robot has finite memory, so the default hooks run ``decide``
 as a transition table. The memory contract:
@@ -65,18 +65,19 @@ class Strategy:
         updating ``mem`` in place."""
         raise NotImplementedError
 
-    def decide_all(self, sim) -> dict[int, int]:
-        """Return {robot id: action} for the robots in ``sim.active``,
+    def decide_all(self, sim) -> list[int]:
+        """Return one action per robot of ``sim.active``, in that order,
         moving each robot's memory to its next canonical memory."""
         rows = self._rows
         ring_mask = sim.ring_mask
-        actions = {}
+        actions = []
         for robot in sim.active:
             view = ring_mask(robot.idx)
             entry = rows[robot.mem][view]
             if entry is None:
                 entry = self._transition(robot.mem, view)
-            actions[robot.id], robot.mem = entry
+            action, robot.mem = entry
+            actions.append(action)
         return actions
 
     def on_spawn(self, sim, robot) -> None:

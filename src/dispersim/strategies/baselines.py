@@ -81,8 +81,8 @@ class Dflf(Strategy):
     def on_spawn(self, sim, robot) -> None:
         self.index[robot.id] = 0
 
-    def decide_all(self, sim) -> dict[int, int]:
-        actions: dict[int, int] = {}
+    def decide_all(self, sim) -> list[int]:
+        actions: list[int] = []
         claimed: set[Cell] = set()
         settling: list[Cell] = []
         blocked, index = sim.blocked, sim.index
@@ -104,15 +104,15 @@ class Dflf(Strategy):
             if settle:
                 del self.index[robot.id]
                 settling.append(robot.pos)
-                actions[robot.id] = A_SETTLE
+                actions.append(A_SETTLE)
                 continue
             self.index[robot.id] = i
             if blocked[index(target)] or target in claimed:
-                actions[robot.id] = A_STAY
+                actions.append(A_STAY)
             else:
                 claimed.add(target)
                 self.index[robot.id] = i + 1
-                actions[robot.id] = _move_action(robot.pos, target)
+                actions.append(_move_action(robot.pos, target))
         # Settles take effect at the end of the step.
         self.settled.update(settling)
         return actions
@@ -180,8 +180,8 @@ class Bflf(Strategy):
     def on_spawn(self, sim, robot) -> None:
         self._assign_target(robot)
 
-    def decide_all(self, sim) -> dict[int, int]:
-        actions: dict[int, int] = {}
+    def decide_all(self, sim) -> list[int]:
+        actions: list[int] = []
         claimed_now: set[Cell] = set()
         settling: list[Cell] = []
         blocked, index = sim.blocked, sim.index
@@ -194,14 +194,14 @@ class Bflf(Strategy):
                 del self.targets[robot.id]
                 del self.paths[robot.id]
                 settling.append(target)
-                actions[robot.id] = A_SETTLE
+                actions.append(A_SETTLE)
                 continue
-            path = self.paths.get(robot.id) or []
+            path = self.paths[robot.id]
             if not path or not unsettled.issuperset(path):
                 path = self._route(robot.pos, target)
                 self.paths[robot.id] = path
             if not path:
-                actions[robot.id] = A_STAY
+                actions.append(A_STAY)
                 continue
             nxt = path[0]
             if blocked[index(nxt)] or nxt in claimed_now or (spawn_pending and nxt == door):
@@ -216,11 +216,11 @@ class Bflf(Strategy):
                     path = detour
                     nxt = detour[0]
                 else:
-                    actions[robot.id] = A_STAY
+                    actions.append(A_STAY)
                     continue
             claimed_now.add(nxt)
             self.paths[robot.id] = path[1:]
-            actions[robot.id] = _move_action(robot.pos, nxt)
+            actions.append(_move_action(robot.pos, nxt))
         # Settles take effect at the end of the step.
         unsettled.difference_update(settling)
         return actions

@@ -140,8 +140,8 @@ class RunChecker:
     def after_step(self, sim, actions, settled_now) -> None:
         t = sim.t
         residual = self.residual
-        if A_STAY in actions.values():
-            rid = next(rid for rid, act in actions.items() if act == A_STAY)
+        if A_STAY in actions:
+            rid = self._stepping[actions.index(A_STAY)].id
             raise InvariantViolation(f"t={t}: robot {rid} issued Stay")
         for robot in settled_now:
             cls = topology.classify_cells(residual, robot.pos)

@@ -1,6 +1,7 @@
 import csv
 import json
 import pathlib
+import re
 import shlex
 
 import pytest
@@ -218,6 +219,22 @@ def test_compare_counts_runs_that_hit_the_step_limit(tmp_path, capsys):
         ["dflf", "1", "0", "1", "0", "6", "(4)"],
         ["bflf", "1", "0", "1", "0", "4", "(2)"],
     ]
+
+
+def test_compare_header_lines_up_with_the_rows(corridor_map, capsys):
+    """Each count ends in the column its header word ends in, also when
+    every strategy name is shorter than the word "strategy"."""
+    argv = ["compare", "--env", corridor_map, "--strategies", "fcdfs,dflf,bflf", "--reps", "2"]
+    assert main(argv) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+
+    def ends(line):
+        return [m.end() for m in re.finditer(r"\S+", line)][1:5]
+
+    assert header.split()[1:5] == ["runs", "deadlock", "limit", "failed"]
+    assert len(rows) == 3
+    for row in rows:
+        assert ends(row) == ends(header), (header, row)
 
 
 @pytest.mark.parametrize(

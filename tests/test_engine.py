@@ -167,6 +167,35 @@ def test_simultaneous_same_target_raises():
             sim.step()
 
 
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_decide_all_of_the_wrong_length_raises_before_anything_changes(extra):
+    """Every active robot gets exactly one action: a list one short (here
+    robot 1's action dropped at step 3) or one long stops the step before
+    any robot moves, settles or spawns and before the trace grows."""
+    r = rect(1, 6, (0, 0))
+    strategy = make_strategy("fcdfs", r, 0)
+    sim = Simulation(r, strategy)
+    sim.step()
+    sim.step()
+    decide_all = strategy.decide_all
+
+    def miscounted(sim):
+        actions = decide_all(sim)
+        return actions[:-1] if extra < 0 else actions + [A_STAY]
+
+    strategy.decide_all = miscounted
+
+    def state():
+        robots = [(rb.id, rb.pos, rb.idx, rb.active, rb.travel, rb.moves) for rb in sim.robots]
+        return sim.t, bytes(sim.blocked), robots, [rb.id for rb in sim.active], list(sim.trace.events)
+
+    before = state()
+    with pytest.raises(ValueError) as info:
+        sim.step()
+    assert str(info.value) == f"t=3: {1 + extra} actions for 1 active robots"
+    assert state() == before
+
+
 def test_step_limit_outcome():
     ring = Region({(x, y) for x in range(3) for y in range(3)} - {(1, 1)}, (0, 0))
     _, m = run(ring, make_strategy("left-hand", ring, 0), max_steps=3)
@@ -358,7 +387,7 @@ def test_settled_robots_are_never_decided(name):
 
         def checked_all(sim):
             actions = decide_all(sim)
-            assert set(actions) <= {rb.id for rb in sim.active}
+            assert len(actions) == len(sim.active)
             decided.append(len(actions))
             return actions
 
@@ -466,6 +495,7 @@ class NaiveChecker:
         self.positions: dict[int, list] = {}
         self.primaries: dict[int, object] = {}
         self.residual = None
+        self.stepping = []  # the robots active at the start of the step
 
     def before_step(self, sim):
         t = sim.t + 1
@@ -483,12 +513,13 @@ class NaiveChecker:
                     )
         self.residual = set(self.region.cells) - {rb.pos for rb in sim.robots if not rb.active}
         self.primaries = {rb.id: rb.mem.primary for rb in sim.robots if rb.mem is not None}
+        self.stepping = active
 
     def after_step(self, sim, actions, settled_now):
         t = sim.t
-        for rid, act in actions.items():
+        for rb, act in zip(self.stepping, actions, strict=True):
             if act == A_STAY:
-                raise InvariantViolation(f"t={t}: robot {rid} issued Stay")
+                raise InvariantViolation(f"t={t}: robot {rb.id} issued Stay")
         for rb in settled_now:
             kind = topology.classify_cells(self.residual, rb.pos).kind
             if kind != topology.CORNER:
@@ -575,10 +606,10 @@ def _late_emergence(checker):
 
     def step(moved_to, spawn):
         checker.before_step(sim)
-        actions = {}
+        actions = []  # lined up with sim.active at the start of the step
         if moved_to is not None:
             r1.pos = moved_to
-            actions[r1.id] = UP
+            actions.append(UP)
         sim.t += 1
         if spawn is not None:
             sim.robots.append(spawn)

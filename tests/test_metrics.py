@@ -30,6 +30,13 @@ def test_compute_metrics_rejects_wrong_region():
         compute_metrics(trace, rect(3, 3, (1, 1)))
 
 
+def test_compute_metrics_rejects_a_trace_without_events():
+    r = rect(3, 3, (0, 0))
+    trace, _ = run(r, make_strategy("fcdfs", r, 0), record=False)
+    with pytest.raises(ValueError, match="recorded without events"):
+        compute_metrics(trace, r)
+
+
 def test_csv_row_layout():
     r = rect(1, 5, (0, 0))
     _, m = run(r, make_strategy("fcdfs", r, 0))

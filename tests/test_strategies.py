@@ -187,7 +187,8 @@ def _table_entry(strategy, mem, view):
     holding ``mem`` that senses ``view``."""
     robot = Robot(1, (0, 0), mem, 0)
     actions = strategy.decide_all(SimpleNamespace(active=[robot], ring_mask=lambda idx: view))
-    return actions[1], robot.mem
+    assert len(actions) == 1
+    return actions[0], robot.mem
 
 
 @pytest.mark.parametrize("name, rotation", LOCAL_RULES)
