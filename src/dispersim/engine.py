@@ -22,8 +22,14 @@ from .metrics import RunMetrics, run_metrics
 A_STAY = 4
 A_SETTLE = 5
 
-# Trace event codes: a move is its direction's letter.
-EV_MOVES = {name: d for d, name in enumerate(DIR_NAMES)}
+# A recorded action log in JSON: one letter per code, "URDL.X".
+ACTION_LETTERS = DIR_NAMES + ".X"
+_TO_LETTERS = bytes.maketrans(bytes(range(len(ACTION_LETTERS))), ACTION_LETTERS.encode())
+_TO_CODES = bytes.maketrans(ACTION_LETTERS.encode(), bytes(range(len(ACTION_LETTERS))))
+_STAYS = bytes((A_STAY, A_SETTLE))  # the codes that leave a robot in place
+
+# The letters of :attr:`SimulationTrace.events`: a move is its
+# direction's letter.
 EV_SETTLE = "X"
 EV_SPAWN = "+"
 
@@ -31,9 +37,9 @@ EV_SPAWN = "+"
 class Robot:
     """One robot of a run. ``pos`` is its cell and ``idx`` the same cell
     as :meth:`Simulation.index` numbers it; the engine moves both
-    together."""
+    together. ``log`` is its action log in a recorded run, else None."""
 
-    __slots__ = ("id", "pos", "idx", "active", "mem", "travel", "moves")
+    __slots__ = ("id", "pos", "idx", "active", "mem", "travel", "moves", "log")
 
     def __init__(self, rid: int, pos: Cell, mem, idx: int | None = None):
         self.id = rid
@@ -43,6 +49,7 @@ class Robot:
         self.mem = mem
         self.travel = 0
         self.moves = 0
+        self.log = None
 
 
 @dataclass(frozen=True)
@@ -52,14 +59,15 @@ class Outcome:
 
 
 class ReplayRobot:
-    """One robot as :meth:`SimulationTrace.replay` rebuilds it.
+    """One robot as a trace rebuilds it (:meth:`SimulationTrace.replay`,
+    :meth:`SimulationTrace.states`).
 
     ``heading`` is the letter of its last move ("U" before the first),
-    ``spawned`` the step it emerged in, ``settled`` the step it settled
-    in (None while active) and ``last`` the step of its latest event.
+    ``spawned`` the step it emerged in and ``settled`` the step it
+    settled in (None while active).
     """
 
-    __slots__ = ("id", "pos", "heading", "spawned", "settled", "last", "moves")
+    __slots__ = ("id", "pos", "heading", "spawned", "settled", "moves")
 
     def __init__(self, rid: int, pos: Cell, t: int):
         self.id = rid
@@ -67,7 +75,6 @@ class ReplayRobot:
         self.heading = "U"
         self.spawned = t
         self.settled = None
-        self.last = t
         self.moves = 0
 
     @property
@@ -76,110 +83,205 @@ class ReplayRobot:
 
 
 class SimulationTrace:
-    """The event log of a run: only what changed, so it costs O(events).
+    """A recorded run: one action log per robot, the paper's own unit.
 
-    ``events`` lists ``(t, id, what)`` tuples in the order the engine
-    applied them. Within step t come the moves (``what`` is the
-    direction letter, "U", "R", "D" or "L"), then the settles ("X"),
-    then the spawn at the door ("+"). Stays leave no event: a robot is
-    active from its spawn to its settle, and its position changes only
-    by its moves. ``events`` is None when the run was made without
-    recording. :meth:`replay` rebuilds every step.
+    ``spawns[i]`` is the step robot i+1 emerged at the door and
+    ``logs[i]`` its action log: one code per step from the next step on,
+    0..3 a move, :data:`A_STAY` or :data:`A_SETTLE`, ending at its settle
+    or at the end of the run. So a trace costs O(travel) bytes. Both are
+    None when the run was made without recording.
+
+    :meth:`replay` checks every step against the movement rules;
+    :meth:`from_json_dict` runs it once on a trace read from outside.
+    :meth:`states` trusts the trace and jumps each robot along its log,
+    so the recount and the renderers read a trace in O(robots) per frame
+    plus the bytes they skip.
     """
 
     def __init__(self, region: Region, strategy_name: str, seed: int):
         self.region = region
         self.strategy = strategy_name
         self.seed = seed
-        self.events: list | None = []
+        self.spawns: list[int] | None = []
+        self.logs: list | None = []
         self.outcome: Outcome | None = None
+
+    def _recorded(self) -> tuple[list[int], list]:
+        if self.logs is None:
+            raise ValueError("trace was recorded without events")
+        return self.spawns, self.logs
+
+    @property
+    def events(self) -> list | None:
+        """The run as ``(t, id, what)`` tuples in the order the engine
+        applied them, rebuilt from the logs; None without recording.
+
+        Within step t come the moves (``what`` is the direction letter,
+        "U", "R", "D" or "L") in id order, then the settles ("X"), then
+        the spawn at the door ("+"). Stays leave no event. Works on a run
+        still in progress.
+        """
+        if self.logs is None:
+            return None
+        last = max((s + len(log) for s, log in zip(self.spawns, self.logs)), default=0)
+        moves: list[list] = [[] for _ in range(last + 1)]
+        settles: list[list] = [[] for _ in range(last + 1)]
+        for rid, (s, log) in enumerate(zip(self.spawns, self.logs), 1):
+            for t, code in enumerate(log, s + 1):
+                if code < A_STAY:
+                    moves[t].append((t, rid, DIR_NAMES[code]))
+                elif code == A_SETTLE:
+                    settles[t].append((t, rid, EV_SETTLE))
+        spawn_at = {s: rid for rid, s in enumerate(self.spawns, 1)}
+        events = []
+        for t in range(1, last + 1):
+            events += moves[t]
+            events += settles[t]
+            if t in spawn_at:
+                events.append((t, spawn_at[t], EV_SPAWN))
+        return events
 
     def replay(self):
         """Yield ``(t, robots)`` at the end of every step t, from 1 to
-        ``outcome.t``.
+        ``outcome.t``, checking each step as the engine would have.
 
         ``robots`` lists a :class:`ReplayRobot` per robot spawned by t,
         in id order; the next step updates it in place. Raises
-        ValueError at the first event the engine could not have
-        recorded: an event out of step order or past the outcome, for an
-        unknown or settled robot, a second event of a robot in one step,
+        ValueError at the first defect: spawns out of step order or past
+        the outcome, a spawn onto an occupied door, an active robot
+        without an action, an action after a settle or past the outcome,
         a move off the region or onto a cell occupied at the start of
-        the step, or a spawn onto an occupied door.
+        the step, or a covered outcome with empty cells.
         """
-        if self.events is None:
-            raise ValueError("trace was recorded without events")
-        region = self.region
-        cells = region.cells
-        door = region.door
+        spawns, logs = self._recorded()
+        cells = self.region.cells
+        door = self.region.door
         last = self.outcome.t
+        prev = 0
+        for rid, spawn in enumerate(spawns, 1):
+            if not prev < spawn <= last:
+                raise ValueError(
+                    f"robot {rid} spawned at step {spawn}, out of step order "
+                    f"(after step {prev}, outcome at step {last})"
+                )
+            prev = spawn
         robots: list[ReplayRobot] = []
+        active: list[ReplayRobot] = []
         occupied: dict[Cell, ReplayRobot] = {}
-        vacated: set[Cell] = set()  # cells left during step t
-        t = 1
-        for when, rid, what in self.events:
-            if when != t:
-                if not t < when <= last:
+        for t in range(1, last + 1):
+            vacated: set[Cell] = set()  # cells left during step t
+            settled = False
+            for robot in active:
+                rid = robot.id
+                log = logs[rid - 1]
+                k = t - robot.spawned - 1
+                if k >= len(log):
+                    raise ValueError(f"t={t}: robot {rid} is active but has no action")
+                code = log[k]
+                if code == A_SETTLE:
+                    if k + 1 < len(log):
+                        what = ACTION_LETTERS[log[k + 1]]
+                        raise ValueError(
+                            f"t={t + 1}: action {what!r} for robot {rid}, which has settled"
+                        )
+                    robot.settled = t
+                    settled = True
+                    continue
+                if code == A_STAY:
+                    continue
+                what = DIR_NAMES[code]
+                dx, dy = DIR_VECTORS[code]
+                target = (robot.pos[0] + dx, robot.pos[1] + dy)
+                if target not in cells:
+                    raise ValueError(f"t={t}: robot {rid} at {robot.pos} moved {what} off the region")
+                if target in occupied or target in vacated:
                     raise ValueError(
-                        f"event {[when, rid, what]} out of step order "
-                        f"(at step {t}, outcome at step {last})"
+                        f"t={t}: robot {rid} at {robot.pos} moved {what} onto occupied cell {target}"
                     )
-                while t < when:
-                    yield t, robots
-                    t += 1
-                vacated.clear()
-            if what == EV_SPAWN:
-                if rid != len(robots) + 1:
-                    raise ValueError(f"t={t}: spawn of robot {rid}, expected {len(robots) + 1}")
+                del occupied[robot.pos]
+                vacated.add(robot.pos)
+                occupied[target] = robot
+                robot.pos = target
+                robot.heading = what
+                robot.moves += 1
+            if settled:
+                active = [rb for rb in active if rb.settled is None]
+            if len(robots) < len(spawns) and spawns[len(robots)] == t:
+                rid = len(robots) + 1
                 if door in occupied or door in vacated:
                     raise ValueError(f"t={t}: robot {rid} spawned onto the occupied door")
                 robot = ReplayRobot(rid, door, t)
                 robots.append(robot)
+                active.append(robot)
                 occupied[door] = robot
-                continue
-            if not 1 <= rid <= len(robots):
-                raise ValueError(f"t={t}: event {what!r} for robot {rid}, which was never spawned")
-            robot = robots[rid - 1]
-            if not robot.active:
-                raise ValueError(f"t={t}: event {what!r} for robot {rid}, which has settled")
-            if robot.last == t:
-                raise ValueError(f"t={t}: second event {what!r} for robot {rid} in one step")
-            robot.last = t
-            if what == EV_SETTLE:
-                robot.settled = t
-                continue
-            d = EV_MOVES.get(what)
-            if d is None:
-                raise ValueError(f"t={t}: unknown event {what!r} for robot {rid}")
-            dx, dy = DIR_VECTORS[d]
-            target = (robot.pos[0] + dx, robot.pos[1] + dy)
-            if target not in cells:
-                raise ValueError(f"t={t}: robot {rid} at {robot.pos} moved {what} off the region")
-            if target in occupied or target in vacated:
-                raise ValueError(
-                    f"t={t}: robot {rid} at {robot.pos} moved {what} onto occupied cell {target}"
-                )
-            del occupied[robot.pos]
-            vacated.add(robot.pos)
-            occupied[target] = robot
-            robot.pos = target
-            robot.heading = what
-            robot.moves += 1
+            yield t, robots
+        for robot in active:
+            if robot.spawned + len(logs[robot.id - 1]) > last:
+                raise ValueError(f"robot {robot.id} has actions past the outcome at step {last}")
         if self.outcome.kind == "covered" and len(occupied) != len(cells):
             raise ValueError(f"outcome covered, but {len(cells) - len(occupied)} cells are empty")
-        while t <= last:
+
+    def states(self, steps):
+        """Yield ``(t, robots)`` for each t of the ascending ``steps``, as
+        :meth:`replay` would at those steps, without its checks.
+
+        Between two steps each active robot jumps along its log: one
+        byte for a one-step gap, ``count`` over the slice for a longer
+        one, whose last move gives the heading. Settled robots are never
+        read again.
+        """
+        spawns, logs = self._recorded()
+        door = self.region.door
+        robots: list[ReplayRobot] = []
+        active: list[ReplayRobot] = []
+        done = [0] * len(logs)  # codes of each log applied so far
+        for t in steps:
+            while len(robots) < len(spawns) and spawns[len(robots)] <= t:
+                robot = ReplayRobot(len(robots) + 1, door, spawns[len(robots)])
+                robots.append(robot)
+                active.append(robot)
+            settled = False
+            for robot in active:
+                i = robot.id - 1
+                log = logs[i]
+                k = done[i]
+                j = min(t - robot.spawned, len(log))
+                if j <= k:
+                    continue
+                done[i] = j
+                if j == k + 1:
+                    code = log[k]
+                    if code < A_STAY:
+                        dx, dy = DIR_VECTORS[code]
+                        robot.pos = (robot.pos[0] + dx, robot.pos[1] + dy)
+                        robot.heading = DIR_NAMES[code]
+                        robot.moves += 1
+                        continue
+                else:
+                    span = log[k:j].rstrip(_STAYS)  # up to the last move
+                    if span:
+                        up, right = span.count(0), span.count(1)
+                        down, left = span.count(2), span.count(3)
+                        robot.pos = (robot.pos[0] + right - left, robot.pos[1] + up - down)
+                        robot.heading = DIR_NAMES[span[-1]]
+                        robot.moves += up + right + down + left
+                    code = log[j - 1]
+                if code == A_SETTLE:
+                    robot.settled = robot.spawned + j
+                    settled = True
+            if settled:
+                active = [rb for rb in active if rb.settled is None]
             yield t, robots
-            t += 1
 
     def to_json_dict(self) -> dict:
-        if self.events is None:
-            raise ValueError("trace was recorded without events")
+        spawns, logs = self._recorded()
         region = self.region
         return {
             "env": region.to_ascii(),
             "origin": [region.min_x, region.min_y],
             "strategy": self.strategy,
             "seed": self.seed,
-            "events": [list(ev) for ev in self.events],
+            "robots": [[s, log.translate(_TO_LETTERS).decode()] for s, log in zip(spawns, logs)],
             "outcome": {"kind": self.outcome.kind, "t": self.outcome.t},
         }
 
@@ -188,17 +290,19 @@ class SimulationTrace:
         """Read a trace written by :meth:`to_json_dict`.
 
         The data comes from outside the program, so it is checked in
-        full: a malformed or inconsistent trace raises ValueError, as
-        does the old per-step snapshot format, which is no longer read.
+        full: the types of every field and row here, then every step by
+        one :meth:`replay`. A malformed or inconsistent trace raises
+        ValueError, as does a trace without ``robots`` (the older event
+        log and per-step snapshot formats), which is no longer read.
         """
         from .grid import from_ascii
 
         if not isinstance(data, dict):
             raise ValueError("a trace is a JSON object")
-        if "events" not in data and "steps" in data:
+        if "robots" not in data:
             raise ValueError(
-                "per-step snapshot trace ('steps', no 'events'): this format is "
-                "no longer read; record the run again"
+                "trace without 'robots': this format (an event log or per-step "
+                "snapshots) is no longer read; record the run again"
             )
         try:
             env, origin = data["env"], tuple(data["origin"])
@@ -208,19 +312,33 @@ class SimulationTrace:
                 raise ValueError(f"origin must be two integers, got {data['origin']!r}")
             region = from_ascii(env, origin)
             outcome = Outcome(data["outcome"]["kind"], data["outcome"]["t"])
-            trace = cls(region, data["strategy"], data["seed"])
-            trace.events = [tuple(ev) for ev in data["events"]]
+            strategy, seed, rows = data["strategy"], data["seed"], data["robots"]
         except MapError as exc:
             raise ValueError(f"bad env: {exc}") from exc
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed trace: {type(exc).__name__}: {exc}") from exc
+        if type(strategy) is not str:
+            raise ValueError(f"strategy must be a string, got {type(strategy).__name__}")
+        if type(seed) is not int:
+            raise ValueError(f"seed must be an integer, got {type(seed).__name__}")
         if outcome.kind not in ("covered", "deadlock", "limit"):
             raise ValueError(f"unknown outcome kind {outcome.kind!r}")
         if type(outcome.t) is not int or outcome.t < 0:
             raise ValueError(f"outcome t must be an integer >= 0, got {outcome.t!r}")
-        for ev in trace.events:
-            if [type(v) for v in ev] != [int, int, str]:
-                raise ValueError(f"event {list(ev)} is not [t, robot id, what]")
+        if type(rows) is not list:
+            raise ValueError(f"robots must be a list, got {type(rows).__name__}")
+        trace = cls(region, strategy, seed)
+        letters = ACTION_LETTERS.encode()
+        for rid, row in enumerate(rows, 1):
+            if type(row) is not list or [type(v) for v in row] != [int, str]:
+                raise ValueError(f"robot {rid}: a row is [spawn t, action letters]")
+            spawn, actions = row
+            raw = actions.encode()
+            if raw.translate(None, letters):
+                i, ch = next((i, ch) for i, ch in enumerate(actions) if ch not in ACTION_LETTERS)
+                raise ValueError(f"t={spawn + i + 1}: unknown action {ch!r} for robot {rid}")
+            trace.spawns.append(spawn)
+            trace.logs.append(raw.translate(_TO_CODES))
         trace.outcome = outcome
         for _ in trace.replay():
             pass
@@ -233,8 +351,8 @@ class Simulation:
     ``robots`` holds every robot ever spawned, in id order; ``active``
     holds the robots that have not settled, also in id order. Settled
     robots never act again, so every per-step walk reads ``active`` only
-    and a step costs O(active robots). Recording appends only the step's
-    events to the trace.
+    and a step costs O(active robots). Recording appends one action code
+    to the log of each robot of ``active``.
 
     Inside the engine a cell is an int, :meth:`index`: the region's
     bounding box laid out row-major with one padding cell on each side,
@@ -277,7 +395,7 @@ class Simulation:
         self.outcome: Outcome | None = None
         self.trace = SimulationTrace(region, strategy.name, strategy.seed)
         if not record:
-            self.trace.events = None
+            self.trace.spawns = self.trace.logs = None
         self.checker = checker
         self._seen_configs: set = set()
 
@@ -367,13 +485,19 @@ class Simulation:
                     f"target {self._cell_at[target]}"
                 )
             targets[target] = robot.id
-            movers.append((robot, target, act))
+            movers.append((robot, target))
+        # Recorded once the step is valid: a refused step leaves the logs
+        # as they were.
+        logs = self.trace.logs
+        if logs is not None:
+            for robot, act in zip(stepping, actions):
+                robot.log.append(act)
 
         # Apply all moves simultaneously, then settles.
         cell_at = self._cell_at
-        for robot, _, _ in movers:
+        for robot, _ in movers:
             blocked[robot.idx] = 0
-        for robot, target, _ in movers:
+        for robot, target in movers:
             blocked[target] = 1
             robot.idx = target
             robot.pos = cell_at[target]
@@ -391,15 +515,13 @@ class Simulation:
             self.robots.append(spawned)
             self.active.append(spawned)
             blocked[door] = 1
+            if logs is not None:
+                spawned.log = bytearray()
+                logs.append(spawned.log)
+                self.trace.spawns.append(t)
             strategy.on_spawn(self, spawned)
 
         self.t = t
-        events = self.trace.events
-        if events is not None:
-            events.extend((t, robot.id, DIR_NAMES[act]) for robot, _, act in movers)
-            events.extend((t, robot.id, EV_SETTLE) for robot in settled_now)
-            if spawned is not None:
-                events.append((t, spawned.id, EV_SPAWN))
         if self.checker is not None:
             self.checker.after_step(self, actions, settled_now)
 

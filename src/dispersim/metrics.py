@@ -71,17 +71,16 @@ def run_metrics(r: Region, outcome, travels: list[int], moves: list[int]) -> Run
 def compute_metrics(trace, r: Region) -> RunMetrics:
     """Recompute metrics from a recorded trace.
 
-    Independent of the engine's streaming counters: the trace's replay
-    rebuilds every robot from the event log. Travel is the number of
-    steps a robot is active at both step boundaries, from its spawn to
-    its settle or the end of the run; moves are its move events.
+    Independent of the engine's streaming counters: the trace's
+    :meth:`~dispersim.engine.SimulationTrace.states` jumps every robot
+    along its action log to the last step. Travel is the number of steps
+    a robot is active at both step boundaries, from its spawn to its
+    settle or the end of the run; moves are its move actions.
     """
     if trace.region.cells != r.cells or trace.region.door != r.door:
         raise TraceRegionMismatch("trace does not belong to this region")
-    robots = []
-    for _, robots in trace.replay():
-        pass
     last = trace.outcome.t
+    _, robots = next(trace.states([last]))
     travels = [(last if rb.active else rb.settled - 1) - rb.spawned for rb in robots]
     return run_metrics(r, trace.outcome, travels, [rb.moves for rb in robots])
 

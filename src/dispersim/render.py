@@ -29,22 +29,13 @@ def frame_steps(trace, every: int) -> list[int]:
 
 def _frames(trace, steps):
     """Yield ``(t, robots)`` for each t of ``steps`` in ascending order,
-    all from one forward pass of the trace's replay."""
+    all from one forward pass of the trace's :meth:`states`."""
     steps = sorted(set(steps))
     last = trace.outcome.t
     for t in steps:
         if not 1 <= t <= last:
             raise StepOutOfRange(f"step {t} not in [1, {last}]")
-    todo = iter(steps)
-    want = next(todo, None)
-    if want is None:
-        return
-    for t, robots in trace.replay():
-        if t == want:
-            yield t, robots
-            want = next(todo, None)
-            if want is None:
-                return
+    yield from trace.states(steps)
 
 
 def _ascii(region, robots) -> str:

@@ -2,9 +2,10 @@ import hashlib
 import random
 from dataclasses import astuple
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from dispersim.engine import run
+from dispersim.engine import Simulation, run
 from dispersim.envgen import random_simply_connected, rect
 from dispersim.grid import Region
 from dispersim.strategies import make_strategy
@@ -149,3 +150,32 @@ def test_dflf_choices_pinned():
         trace, m = run(r, make_strategy("dflf", r, seed), max_steps=60 * len(r.cells))
         assert astuple(m) == fields, (name, seed)
         assert hashlib.sha256(repr(trace.events).encode()).hexdigest() == digest, (name, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 69])
+def test_bflf_equal_deadlock_keys_imply_equal_paths(seed):
+    """``Bflf.state_key`` leaves out ``paths``: between two clears of the
+    engine's seen set, two steps with one configuration key also hold
+    the same paths, the repeat that ends seed 69's run included."""
+    r = rect(12, 12, (5, 5))
+    strategy = make_strategy("bflf", r, seed)
+    sim = Simulation(r, strategy, record=False)
+    seen: dict = {}
+    window = None
+    repeats = 0
+    while sim.outcome is None and sim.t < 60 * len(r.cells):
+        sim.step()
+        if sim.outcome is not None and sim.outcome.kind == "covered":
+            break
+        spawned, settled = len(sim.robots), len(sim.robots) - len(sim.active)
+        if (spawned, settled) != window:  # the engine clears on a spawn or a settle
+            window = (spawned, settled)
+            seen.clear()
+        key = sim._config_key()
+        paths = {rid: tuple(path) for rid, path in strategy.paths.items()}
+        if key in seen:
+            repeats += 1
+            assert seen[key] == paths, (seed, sim.t)
+        seen[key] = paths
+    assert (sim.outcome.kind == "deadlock") == (seed == 69)
+    assert repeats == (sim.outcome.kind == "deadlock")

@@ -375,7 +375,23 @@ def test_render_rejects_snapshot_format_trace(tmp_path, capsys):
     }))
     assert main(["render", "--trace", str(old)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("bad trace: per-step snapshot trace")
+    assert err.startswith("bad trace: trace without 'robots': this format")
+
+
+def test_render_rejects_event_list_trace(tmp_path, capsys):
+    """The event-list format is refused with the same one error."""
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({
+        "env": "S.",
+        "origin": [0, 0],
+        "strategy": "fcdfs",
+        "seed": 0,
+        "events": [[1, 1, "+"], [2, 1, "R"], [3, 1, "X"], [3, 2, "+"]],
+        "outcome": {"kind": "covered", "t": 3},
+    }))
+    assert main(["render", "--trace", str(old)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bad trace: trace without 'robots': this format")
 
 
 def test_render_rejects_corrupted_event(corridor_map, tmp_path, capsys):
@@ -383,8 +399,8 @@ def test_render_rejects_corrupted_event(corridor_map, tmp_path, capsys):
     main(["run", "--env", corridor_map, "--strategy", "fcdfs",
           "--trace", str(trace_file)])
     data = json.loads(trace_file.read_text())
-    assert data["events"][1] == [2, 1, "U"]
-    data["events"][1] = [2, 1, "D"]  # the door is the corridor's bottom cell
+    assert data["robots"][0] == [1, "UUUUX"]
+    data["robots"][0] = [1, "DUUUX"]  # the door is the corridor's bottom cell
     trace_file.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["render", "--trace", str(trace_file)]) == 1

@@ -17,7 +17,7 @@ from dispersim.envgen import g_k, random_simply_connected, rect
 from dispersim.errors import CellNotInRegion, CollisionError, DispersimError, InvariantViolation
 from dispersim.grid import DIR_BITS, DOWN, FREE_DIRS, LEFT, Region, UP, RIGHT, manhattan
 from dispersim.metrics import compute_metrics, run_metrics
-from dispersim.render import ascii_frames
+from dispersim.render import ascii_frame, ascii_frames
 from dispersim.strategies import STRATEGIES, make_strategy
 from dispersim.strategies.base import Strategy
 from dispersim.strategies.fcdfs import RunChecker
@@ -246,22 +246,26 @@ def test_trace_json_shape():
     r = rect(2, 2, (0, 0))
     trace, _ = run(r, make_strategy("fcdfs", r, 0))
     d = trace.to_json_dict()
-    assert list(d) == ["env", "origin", "strategy", "seed", "events", "outcome"]
+    assert list(d) == ["env", "origin", "strategy", "seed", "robots", "outcome"]
     assert d["env"] == "..\nS."
     assert d["origin"] == [0, 0]
     assert d["strategy"] == "fcdfs"
+    # One row per robot: its spawn step, then one letter per step after
+    # it up to its settle ("X") or the end of the run; robot 4 emerged
+    # on the last step.
+    assert d["robots"] == [[1, "URX"], [3, "UX"], [5, "RX"], [7, ""]]
+    assert d["outcome"] == {"kind": "covered", "t": 7}
     # Step 1 only spawns robot 1; within a step, moves come before
     # settles and settles before the spawn.
-    assert d["events"] == [
-        [1, 1, "+"],
-        [2, 1, "U"],
-        [3, 1, "R"], [3, 2, "+"],
-        [4, 2, "U"], [4, 1, "X"],
-        [5, 2, "X"], [5, 3, "+"],
-        [6, 3, "R"],
-        [7, 3, "X"], [7, 4, "+"],
+    assert trace.events == [
+        (1, 1, "+"),
+        (2, 1, "U"),
+        (3, 1, "R"), (3, 2, "+"),
+        (4, 2, "U"), (4, 1, "X"),
+        (5, 2, "X"), (5, 3, "+"),
+        (6, 3, "R"),
+        (7, 3, "X"), (7, 4, "+"),
     ]
-    assert d["outcome"] == {"kind": "covered", "t": 7}
 
 
 def _json_round_trip(trace):
@@ -438,36 +442,75 @@ def test_replay_rebuilds_every_step_of_the_run(name):
         assert compute_metrics(trace, r) == m
 
 
+def _rows(robots):
+    return [(rb.id, rb.pos, rb.heading, rb.active, rb.moves) for rb in robots]
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_frames_by_jumps_equal_frames_by_steps(name):
+    """``ascii_frame`` at each step alone jumps every robot from its
+    spawn; one dense ``ascii_frames`` pass over the trace read back from
+    JSON advances one code per step. Both draw the same frames, and the
+    robots they rebuild equal the checked replay's, on runs with ring
+    deadlocks, the baselines' stays and robots active at the end (the
+    last run is cut short by ``max_steps``)."""
+    runs = [(r, None) for r in EVENT_LOG_REGIONS] + [(EVENT_LOG_REGIONS[0], 9)]
+    for r, max_steps in runs:
+        trace, m = run(r, make_strategy(name, r, 3), max_steps=max_steps)
+        back = _json_round_trip(trace)
+        steps = range(1, trace.outcome.t + 1)
+        one_by_one = [ascii_frame(trace, t) for t in steps]
+        assert [frame for _, frame in ascii_frames(back, steps)] == one_by_one, (name, r)
+        replayed = [_rows(robots) for _, robots in trace.replay()]
+        assert [_rows(robots) for _, robots in back.states(steps)] == replayed
+        assert [_rows(next(trace.states([t]))[1]) for t in steps] == replayed
+        assert compute_metrics(back, r) == compute_metrics(trace, r) == m
+
+
 def _corrupted(data):
     """``data`` with one defect, each paired with the error it must raise."""
-    ev = data["events"]
-    # ev: [1,1,+] [2,1,U] [3,1,R] [3,2,+] [4,2,U] [4,1,X] [5,2,X] [5,3,+]
-    #     [6,3,R] [7,3,X] [7,4,+]; robot 1 ends at (1,1), robot 2 at (0,1).
-    old = {k: v for k, v in data.items() if k not in ("origin", "events")}
+    rows = data["robots"]
+    # rows: [1, "URX"] [3, "UX"] [5, "RX"] [7, ""], covered at t=7;
+    # robot 1 ends at (1,1), robot 2 at (0,1), robot 3 at (1,0).
+    old = {k: v for k, v in data.items() if k != "robots"}
+    rest = rows[1:]
+
+    def robot1(actions):
+        return {**data, "robots": [[1, actions]] + rest}
+
     return [
-        ("snapshot", {**old, "steps": []}),
-        ("never spawned", {**data, "events": ev + [[7, 9, "U"]]}),
-        ("out of step order", {**data, "events": [ev[0], ev[2], ev[1]] + ev[3:]}),
-        ("out of step order", {**data, "events": ev + [[8, 4, "U"]]}),
-        ("off the region", {**data, "events": ev[:1] + [[2, 1, "D"]] + ev[2:]}),
-        ("onto occupied cell", {**data, "events": ev[:8] + [[6, 3, "U"]] + ev[9:]}),
-        ("which has settled", {**data, "events": ev + [[7, 1, "U"]]}),
-        ("second event", {**data, "events": ev[:2] + [[2, 1, "X"]] + ev[2:]}),
-        ("unknown event", {**data, "events": ev[:1] + [[2, 1, "Q"]] + ev[2:]}),
-        ("spawned onto the occupied door", {**data, "events": ev[:1] + [[2, 2, "+"]]}),
+        ("no longer read", {**old, "steps": []}),
+        ("no longer read", {**old, "events": [[1, 1, "+"], [2, 1, "U"]]}),
+        ("out of step order", {**data, "robots": [rows[0], [1, "UX"]] + rows[2:]}),
+        ("out of step order", {**data, "robots": [[0, "URX"]] + rest}),
+        ("out of step order", {**data, "robots": rows + [[8, ""]]}),
+        ("t=2: robot 1 at \\(0, 0\\) moved D off the region", robot1("DRX")),
+        ("t=6: robot 3 at \\(0, 0\\) moved U onto occupied cell", {
+            **data, "robots": rows[:2] + [[5, "UX"], rows[3]],
+        }),
+        ("t=5: action 'U' for robot 1, which has settled", robot1("URXU")),
+        ("t=4: robot 1 is active but has no action", robot1("UR")),
+        ("robot 4 has actions past the outcome", {**data, "robots": rows[:3] + [[7, "U"]]}),
+        ("t=3: unknown action 'Q' for robot 1", robot1("UQX")),
+        ("unknown action 'é'", robot1("Ué")),
+        ("spawned onto the occupied door", {
+            **data, "robots": [[1, "."], [2, ""]], "outcome": {"kind": "limit", "t": 2},
+        }),
         # Cells free only after this step's moves are still occupied.
         ("onto occupied cell \\(1, 0\\)", {
-            **data,
-            "events": [[1, 1, "+"], [2, 1, "R"], [3, 2, "+"], [4, 1, "U"], [4, 2, "R"]],
-            "outcome": {"kind": "limit", "t": 4},
+            **data, "robots": [[1, "R.U"], [3, "R"]], "outcome": {"kind": "limit", "t": 4},
         }),
         ("spawned onto the occupied door", {
-            **data,
-            "events": [[1, 1, "+"], [2, 1, "R"], [2, 2, "+"]],
-            "outcome": {"kind": "limit", "t": 2},
+            **data, "robots": [[1, "R"], [2, ""]], "outcome": {"kind": "limit", "t": 2},
         }),
-        ("cells are empty", {**data, "events": ev[:-1]}),
-        (r"not \[t, robot id, what\]", {**data, "events": [[1, 1]]}),
+        ("cells are empty", {**data, "robots": rows[:-1]}),
+        ("robot 2: a row is \\[spawn t, action letters\\]", {**data, "robots": [rows[0], [3]]}),
+        ("robot 1: a row is", {**data, "robots": [[1, 85]]}),
+        ("robot 1: a row is", {**data, "robots": [[True, "URX"]] + rest}),
+        ("robots must be a list", {**data, "robots": "URX"}),
+        ("strategy must be a string, got dict", {**data, "strategy": {"x": 1}}),
+        ("seed must be an integer, got list", {**data, "seed": [1, 2]}),
+        ("seed must be an integer, got bool", {**data, "seed": True}),
         ("origin must be two integers", {**data, "origin": [0]}),
         ("unknown outcome kind", {**data, "outcome": {"kind": "won", "t": 7}}),
         ("env must be", {**data, "env": None}),
