@@ -37,7 +37,8 @@ EV_SPAWN = "+"
 class Robot:
     """One robot of a run. ``pos`` is its cell and ``idx`` the same cell
     as :meth:`Simulation.index` numbers it; the engine moves both
-    together. ``log`` is its action log in a recorded run, else None."""
+    together. ``log`` is its action log in a recorded run or in a trace
+    played back by :class:`_LogPlayer`, else None."""
 
     __slots__ = ("id", "pos", "idx", "active", "mem", "travel", "moves", "log")
 
@@ -59,8 +60,8 @@ class Outcome:
 
 
 class ReplayRobot:
-    """One robot as a trace rebuilds it (:meth:`SimulationTrace.replay`,
-    :meth:`SimulationTrace.states`).
+    """One robot as :meth:`SimulationTrace.states` rebuilds it from the
+    trace's logs.
 
     ``heading`` is the letter of its last move ("U" before the first),
     ``spawned`` the step it emerged in and ``settled`` the step it
@@ -91,11 +92,11 @@ class SimulationTrace:
     or at the end of the run. So a trace costs O(travel) bytes. Both are
     None when the run was made without recording.
 
-    :meth:`replay` checks every step against the movement rules;
-    :meth:`from_json_dict` runs it once on a trace read from outside.
-    :meth:`states` trusts the trace and jumps each robot along its log,
-    so the recount and the renderers read a trace in O(robots) per frame
-    plus the bytes they skip.
+    :meth:`from_json_dict` checks a trace read from outside by running
+    its logs through :meth:`Simulation.step`, the one home of the
+    movement, spawn and coverage rules. :meth:`states` trusts the trace
+    and jumps each robot along its log, so the recount and the renderers
+    read a trace in O(robots) per frame plus the bytes they skip.
     """
 
     def __init__(self, region: Region, strategy_name: str, seed: int):
@@ -141,89 +142,12 @@ class SimulationTrace:
                 events.append((t, spawn_at[t], EV_SPAWN))
         return events
 
-    def replay(self):
-        """Yield ``(t, robots)`` at the end of every step t, from 1 to
-        ``outcome.t``, checking each step as the engine would have.
+    def states(self, steps):
+        """Yield ``(t, robots)`` at the end of each step t of the
+        ascending ``steps``, trusting the trace.
 
         ``robots`` lists a :class:`ReplayRobot` per robot spawned by t,
-        in id order; the next step updates it in place. Raises
-        ValueError at the first defect: spawns out of step order or past
-        the outcome, a spawn onto an occupied door, an active robot
-        without an action, an action after a settle or past the outcome,
-        a move off the region or onto a cell occupied at the start of
-        the step, or a covered outcome with empty cells.
-        """
-        spawns, logs = self._recorded()
-        cells = self.region.cells
-        door = self.region.door
-        last = self.outcome.t
-        prev = 0
-        for rid, spawn in enumerate(spawns, 1):
-            if not prev < spawn <= last:
-                raise ValueError(
-                    f"robot {rid} spawned at step {spawn}, out of step order "
-                    f"(after step {prev}, outcome at step {last})"
-                )
-            prev = spawn
-        robots: list[ReplayRobot] = []
-        active: list[ReplayRobot] = []
-        occupied: dict[Cell, ReplayRobot] = {}
-        for t in range(1, last + 1):
-            vacated: set[Cell] = set()  # cells left during step t
-            settled = False
-            for robot in active:
-                rid = robot.id
-                log = logs[rid - 1]
-                k = t - robot.spawned - 1
-                if k >= len(log):
-                    raise ValueError(f"t={t}: robot {rid} is active but has no action")
-                code = log[k]
-                if code == A_SETTLE:
-                    if k + 1 < len(log):
-                        what = ACTION_LETTERS[log[k + 1]]
-                        raise ValueError(
-                            f"t={t + 1}: action {what!r} for robot {rid}, which has settled"
-                        )
-                    robot.settled = t
-                    settled = True
-                    continue
-                if code == A_STAY:
-                    continue
-                what = DIR_NAMES[code]
-                dx, dy = DIR_VECTORS[code]
-                target = (robot.pos[0] + dx, robot.pos[1] + dy)
-                if target not in cells:
-                    raise ValueError(f"t={t}: robot {rid} at {robot.pos} moved {what} off the region")
-                if target in occupied or target in vacated:
-                    raise ValueError(
-                        f"t={t}: robot {rid} at {robot.pos} moved {what} onto occupied cell {target}"
-                    )
-                del occupied[robot.pos]
-                vacated.add(robot.pos)
-                occupied[target] = robot
-                robot.pos = target
-                robot.heading = what
-                robot.moves += 1
-            if settled:
-                active = [rb for rb in active if rb.settled is None]
-            if len(robots) < len(spawns) and spawns[len(robots)] == t:
-                rid = len(robots) + 1
-                if door in occupied or door in vacated:
-                    raise ValueError(f"t={t}: robot {rid} spawned onto the occupied door")
-                robot = ReplayRobot(rid, door, t)
-                robots.append(robot)
-                active.append(robot)
-                occupied[door] = robot
-            yield t, robots
-        for robot in active:
-            if robot.spawned + len(logs[robot.id - 1]) > last:
-                raise ValueError(f"robot {robot.id} has actions past the outcome at step {last}")
-        if self.outcome.kind == "covered" and len(occupied) != len(cells):
-            raise ValueError(f"outcome covered, but {len(cells) - len(occupied)} cells are empty")
-
-    def states(self, steps):
-        """Yield ``(t, robots)`` for each t of the ascending ``steps``, as
-        :meth:`replay` would at those steps, without its checks.
+        in id order; the next step updates it in place.
 
         Between two steps each active robot jumps along its log: one
         byte for a one-step gap, ``count`` over the slice for a longer
@@ -291,9 +215,19 @@ class SimulationTrace:
 
         The data comes from outside the program, so it is checked in
         full: the types of every field and row here, then every step by
-        one :meth:`replay`. A malformed or inconsistent trace raises
-        ValueError, as does a trace without ``robots`` (the older event
-        log and per-step snapshot formats), which is no longer read.
+        the engine itself, a :class:`Simulation` whose strategy plays the
+        logs back (:class:`_LogPlayer`). The trace must be the run that
+        engine makes: every robot spawned at its step, an ``X`` only as
+        the last code of a log, the log of a robot still active ending at
+        the outcome, and the same outcome. A recorded ``deadlock`` also
+        matches a ``limit`` at its step, since the player cannot see the
+        memories that repeated: read back, a deadlock certifies its step
+        count, not the cycle. The engine stops at its own outcome, so the
+        work is bounded by the size of the data.
+
+        A malformed or inconsistent trace raises ValueError, as does a
+        trace without ``robots`` (the older event log and per-step
+        snapshot formats), which is no longer read.
         """
         from .grid import from_ascii
 
@@ -340,9 +274,72 @@ class SimulationTrace:
             trace.spawns.append(spawn)
             trace.logs.append(raw.translate(_TO_CODES))
         trace.outcome = outcome
-        for _ in trace.replay():
-            pass
+        last = outcome.t
+        sim = Simulation(region, _LogPlayer(trace), record=False)
+        try:
+            sim.finish(last)
+        except CollisionError as exc:
+            raise ValueError(str(exc)) from exc
+        ran = sim.outcome
+        if ran != outcome and not (outcome.kind == "deadlock" and ran == Outcome("limit", last)):
+            raise ValueError(
+                f"outcome {outcome.kind} at step {last}, but the logs run to {ran.kind} at step {ran.t}"
+            )
+        if len(sim.robots) < len(trace.spawns):
+            rid = len(sim.robots) + 1
+            raise ValueError(
+                f"robot {rid} spawned at step {trace.spawns[rid - 1]}, "
+                f"but the door is not free for it by step {last}"
+            )
+        for robot in sim.robots:  # each log played to its end, an X only as its last code
+            if robot.travel + (not robot.active) < len(robot.log):
+                end = f"the outcome at step {last}" if robot.active else "its settle"
+                raise ValueError(f"robot {robot.id} has actions past {end}")
         return trace
+
+
+class _LogPlayer:
+    """The strategy that plays a trace's logs back, so that
+    :meth:`SimulationTrace.from_json_dict` checks a trace by running it.
+
+    A robot may emerge only at the step the trace spawns it, and takes
+    its log as ``robot.log``. An active robot has not settled, so its
+    ``travel`` counts every step since its spawn: it is the index of the
+    robot's next code. The run state counts the steps that had an active
+    robot, so no configuration repeats while a robot acts, and an idle
+    one repeats as in a recorded run.
+    """
+
+    def __init__(self, trace: SimulationTrace):
+        self.name = trace.strategy
+        self.seed = trace.seed
+        self.spawns = trace.spawns
+        self.logs = trace.logs
+        self.acting = 0
+
+    def decide_all(self, sim) -> list[int]:
+        active = sim.active
+        if active:
+            self.acting += 1
+        try:
+            return [r.log[r.travel] for r in active]
+        except IndexError:
+            rid = next(r.id for r in active if r.travel == len(r.log))
+            raise ValueError(f"t={sim.t + 1}: robot {rid} is active but has no action") from None
+
+    def on_spawn(self, sim, robot) -> None:
+        t = sim.t + 1  # the step in progress
+        rid = robot.id
+        if rid > len(self.spawns):
+            raise ValueError(f"t={t}: the door is free, but the trace spawns no robot {rid}")
+        if self.spawns[rid - 1] != t:
+            raise ValueError(
+                f"t={t}: the door is free, but the trace spawns robot {rid} at step {self.spawns[rid - 1]}"
+            )
+        robot.log = self.logs[rid - 1]
+
+    def state_key(self) -> int:
+        return self.acting
 
 
 class Simulation:
@@ -474,11 +471,9 @@ class Simulation:
                 continue
             target = robot.idx + offsets[act]
             if blocked[target]:
-                dx, dy = DIR_VECTORS[act]
-                raise CollisionError(
-                    f"t={t}: robot {robot.id} at {robot.pos} moved into "
-                    f"occupied cell {(robot.pos[0] + dx, robot.pos[1] + dy)}"
-                )
+                cell = self._cell_at[target]
+                where = "off the region" if cell is None else f"into occupied cell {cell}"
+                raise CollisionError(f"t={t}: robot {robot.id} at {robot.pos} moved {DIR_NAMES[act]} {where}")
             if target in targets:
                 raise CollisionError(
                     f"t={t}: robots {targets[target]} and {robot.id} both "

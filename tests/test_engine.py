@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -15,7 +16,9 @@ from dispersim.engine import (
 )
 from dispersim.envgen import g_k, random_simply_connected, rect
 from dispersim.errors import CellNotInRegion, CollisionError, DispersimError, InvariantViolation
-from dispersim.grid import DIR_BITS, DOWN, FREE_DIRS, LEFT, Region, UP, RIGHT, manhattan
+from dispersim.grid import (
+    DIR_BITS, DIR_NAMES, DIR_VECTORS, DOWN, FREE_DIRS, LEFT, Region, UP, RIGHT, manhattan,
+)
 from dispersim.metrics import compute_metrics, run_metrics
 from dispersim.render import ascii_frame, ascii_frames
 from dispersim.strategies import STRATEGIES, make_strategy
@@ -119,13 +122,15 @@ class _Walker(Strategy):
 )
 def test_moving_off_a_corridor_edge_raises(direction, door, target):
     """Every cell of a 1-wide corridor touches the layout's padding; a
-    move onto it is a collision that names the target cell."""
+    move onto it is a collision that names the move and says it leaves
+    the region, not that the wall cell is occupied."""
     r = rect(1, 2, door)
+    assert target not in r.cells
     sim = Simulation(r, _Walker(direction))
     sim.step()  # robot 1 emerges at the door
     with pytest.raises(CollisionError) as info:
         sim.step()
-    assert str(info.value) == f"t=2: robot 1 at {door} moved into occupied cell {target}"
+    assert str(info.value) == f"t=2: robot 1 at {door} moved {DIR_NAMES[direction]} off the region"
 
 
 def test_sense_takes_region_cells_only():
@@ -426,16 +431,17 @@ EVENT_LOG_REGIONS = [rect(5, 4, (2, 1)), random_simply_connected(40, seed=10), R
 
 @pytest.mark.parametrize("name", sorted(STRATEGIES))
 def test_replay_rebuilds_every_step_of_the_run(name):
-    """The state the replay rebuilds from the event log equals the
-    engine's own robots after every step, on a rectangle, a region with
-    a negative origin and the ring (where the local strategies
+    """The state ``states`` rebuilds from the logs equals the engine's
+    own robots after every step, on a rectangle, a region with a
+    negative origin and the ring (where the local strategies
     deadlock)."""
     for r in EVENT_LOG_REGIONS:
         sim = Simulation(r, make_strategy(name, r, 3), record=False)
         expected = [[(rb.id, rb.pos, rb.active) for rb in sim.robots] for _ in _step_to_end(sim)]
         trace, m = run(r, make_strategy(name, r, 3))
-        replayed = [[(rb.id, rb.pos, rb.active) for rb in robots] for _, robots in trace.replay()]
-        assert replayed == expected, (name, r)
+        steps = range(1, trace.outcome.t + 1)
+        rebuilt = [[(rb.id, rb.pos, rb.active) for rb in robots] for _, robots in trace.states(steps)]
+        assert rebuilt == expected, (name, r)
         assert trace.outcome.t == sim.t
         if sim.outcome is not None:
             assert trace.outcome == sim.outcome
@@ -446,12 +452,29 @@ def _rows(robots):
     return [(rb.id, rb.pos, rb.heading, rb.active, rb.moves) for rb in robots]
 
 
+def _stepped_rows(sim, max_steps):
+    """``_rows`` of the engine's own robots after each step of ``sim`` up
+    to ``max_steps``, a robot's heading being the letter of its last
+    move."""
+    pos, headings, rows = {}, {}, []
+    for t in _step_to_end(sim):
+        for rb in sim.robots:
+            if rb.id in pos and rb.pos != pos[rb.id]:
+                dx, dy = rb.pos[0] - pos[rb.id][0], rb.pos[1] - pos[rb.id][1]
+                headings[rb.id] = DIR_NAMES[DIR_VECTORS.index((dx, dy))]
+            pos[rb.id] = rb.pos
+        rows.append([(rb.id, rb.pos, headings.get(rb.id, "U"), rb.active, rb.moves) for rb in sim.robots])
+        if t == max_steps:
+            break
+    return rows
+
+
 @pytest.mark.parametrize("name", sorted(STRATEGIES))
 def test_frames_by_jumps_equal_frames_by_steps(name):
     """``ascii_frame`` at each step alone jumps every robot from its
     spawn; one dense ``ascii_frames`` pass over the trace read back from
     JSON advances one code per step. Both draw the same frames, and the
-    robots they rebuild equal the checked replay's, on runs with ring
+    robots they rebuild equal the engine's own, on runs with ring
     deadlocks, the baselines' stays and robots active at the end (the
     last run is cut short by ``max_steps``)."""
     runs = [(r, None) for r in EVENT_LOG_REGIONS] + [(EVENT_LOG_REGIONS[0], 9)]
@@ -461,9 +484,9 @@ def test_frames_by_jumps_equal_frames_by_steps(name):
         steps = range(1, trace.outcome.t + 1)
         one_by_one = [ascii_frame(trace, t) for t in steps]
         assert [frame for _, frame in ascii_frames(back, steps)] == one_by_one, (name, r)
-        replayed = [_rows(robots) for _, robots in trace.replay()]
-        assert [_rows(robots) for _, robots in back.states(steps)] == replayed
-        assert [_rows(next(trace.states([t]))[1]) for t in steps] == replayed
+        stepped = _stepped_rows(Simulation(r, make_strategy(name, r, 3), record=False), max_steps)
+        assert [_rows(robots) for _, robots in back.states(steps)] == stepped
+        assert [_rows(next(trace.states([t]))[1]) for t in steps] == stepped
         assert compute_metrics(back, r) == compute_metrics(trace, r) == m
 
 
@@ -478,32 +501,52 @@ def _corrupted(data):
     def robot1(actions):
         return {**data, "robots": [[1, actions]] + rest}
 
+    def corridor(robots, t):  # "S..": the door at (0, 0), two cells right of it
+        return {**data, "env": "S..", "robots": robots, "outcome": {"kind": "limit", "t": t}}
+
     return [
         ("no longer read", {**old, "steps": []}),
         ("no longer read", {**old, "events": [[1, 1, "+"], [2, 1, "U"]]}),
-        ("out of step order", {**data, "robots": [rows[0], [1, "UX"]] + rows[2:]}),
-        ("out of step order", {**data, "robots": [[0, "URX"]] + rest}),
-        ("out of step order", {**data, "robots": rows + [[8, ""]]}),
+        ("t=3: the door is free, but the trace spawns robot 2 at step 1", {
+            **data, "robots": [rows[0], [1, "UX"]] + rows[2:],
+        }),
+        ("t=1: the door is free, but the trace spawns robot 1 at step 0", {
+            **data, "robots": [[0, "URX"]] + rest,
+        }),
+        ("robot 5 spawned at step 8, but the door is not free for it by step 7", {
+            **data, "robots": rows + [[8, ""]],
+        }),
         ("t=2: robot 1 at \\(0, 0\\) moved D off the region", robot1("DRX")),
-        ("t=6: robot 3 at \\(0, 0\\) moved U onto occupied cell", {
+        ("t=6: robot 3 at \\(0, 0\\) moved U into occupied cell \\(0, 1\\)", {
             **data, "robots": rows[:2] + [[5, "UX"], rows[3]],
         }),
-        ("t=5: action 'U' for robot 1, which has settled", robot1("URXU")),
+        ("robot 1 has actions past its settle", robot1("URXU")),
         ("t=4: robot 1 is active but has no action", robot1("UR")),
-        ("robot 4 has actions past the outcome", {**data, "robots": rows[:3] + [[7, "U"]]}),
+        ("robot 4 has actions past the outcome at step 7", {**data, "robots": rows[:3] + [[7, "U"]]}),
         ("t=3: unknown action 'Q' for robot 1", robot1("UQX")),
         ("unknown action 'é'", robot1("Ué")),
-        ("spawned onto the occupied door", {
+        ("robot 2 spawned at step 2, but the door is not free for it by step 2", {
             **data, "robots": [[1, "."], [2, ""]], "outcome": {"kind": "limit", "t": 2},
         }),
         # Cells free only after this step's moves are still occupied.
-        ("onto occupied cell \\(1, 0\\)", {
+        ("t=4: robot 2 at \\(0, 0\\) moved R into occupied cell \\(1, 0\\)", {
             **data, "robots": [[1, "R.U"], [3, "R"]], "outcome": {"kind": "limit", "t": 4},
         }),
-        ("spawned onto the occupied door", {
+        ("robot 2 spawned at step 2, but the door is not free for it by step 2", {
             **data, "robots": [[1, "R"], [2, ""]], "outcome": {"kind": "limit", "t": 2},
         }),
-        ("cells are empty", {**data, "robots": rows[:-1]}),
+        ("t=7: the door is free, but the trace spawns no robot 4", {**data, "robots": rows[:-1]}),
+        # The door is free at every step, yet nobody spawns.
+        ("t=1: the door is free, but the trace spawns no robot 1", corridor([], 5)),
+        # The first robot spawns late, although the door was free.
+        ("t=1: the door is free, but the trace spawns robot 1 at step 3", corridor([[3, "X"]], 5)),
+        # A robot settles on the door: a run deadlocks the step after.
+        ("outcome limit at step 3000000, but the logs run to deadlock at step 3",
+         corridor([[1, "X"]], 3_000_000)),
+        # A deadlock read back matches only a step limit, not a cover.
+        ("outcome deadlock at step 7, but the logs run to covered at step 7", {
+            **data, "outcome": {"kind": "deadlock", "t": 7},
+        }),
         ("robot 2: a row is \\[spawn t, action letters\\]", {**data, "robots": [rows[0], [3]]}),
         ("robot 1: a row is", {**data, "robots": [[1, 85]]}),
         ("robot 1: a row is", {**data, "robots": [[True, "URX"]] + rest}),
@@ -527,6 +570,20 @@ def test_from_json_dict_rejects_inconsistent_traces():
         with pytest.raises(ValueError, match=message):
             SimulationTrace.from_json_dict(bad)
     assert SimulationTrace.from_json_dict(data).events == trace.events
+
+
+def test_from_json_dict_work_is_bounded_by_the_data():
+    """A trace under 200 bytes that claims three million idle steps is
+    refused at the engine's deadlock, not stepped to its outcome."""
+    data = {
+        "env": "S..", "origin": [0, 0], "strategy": "fcdfs", "seed": 0,
+        "robots": [[1, "X"]], "outcome": {"kind": "limit", "t": 3_000_000},
+    }
+    assert len(json.dumps(data)) < 200
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="deadlock at step 3"):
+        SimulationTrace.from_json_dict(data)
+    assert time.perf_counter() - start < 0.01
 
 
 class NaiveChecker:

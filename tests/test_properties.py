@@ -61,8 +61,8 @@ def test_fcdfs_family_disperses_optimally_under_its_invariants(V, seed, strategy
         trace, m = run(r, make_strategy(name, r, strategy_seed), check=True)
         assert m.outcome == "covered" and m.makespan == 2 * V - 1, name
         assert m.optimal, name
-        for last, robots in trace.replay():
-            pass
+        last = trace.outcome.t
+        _, robots = next(trace.states([last]))
         assert len(robots) == V
         for rb in robots:
             travel = (last if rb.active else rb.settled - 1) - rb.spawned
