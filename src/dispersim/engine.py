@@ -28,29 +28,31 @@ _TO_LETTERS = bytes.maketrans(bytes(range(len(ACTION_LETTERS))), ACTION_LETTERS.
 _TO_CODES = bytes.maketrans(ACTION_LETTERS.encode(), bytes(range(len(ACTION_LETTERS))))
 _STAYS = bytes((A_STAY, A_SETTLE))  # the codes that leave a robot in place
 
-# The letters of :attr:`SimulationTrace.events`: a move is its
-# direction's letter.
-EV_SETTLE = "X"
-EV_SPAWN = "+"
-
 
 class Robot:
     """One robot of a run. ``pos`` is its cell and ``idx`` the same cell
     as :meth:`Simulation.index` numbers it; the engine moves both
-    together. ``log`` is its action log in a recorded run or in a trace
-    played back by :class:`_LogPlayer`, else None."""
+    together. ``spawned`` is the step it emerged at the door and
+    ``settled`` the step it settled (None while active), so its travel is
+    a difference of the two (:func:`~dispersim.metrics.run_metrics`).
+    ``log`` is its action log in a recorded run or in a trace played back
+    by :class:`_LogPlayer`, else None."""
 
-    __slots__ = ("id", "pos", "idx", "active", "mem", "travel", "moves", "log")
+    __slots__ = ("id", "pos", "idx", "spawned", "settled", "mem", "moves", "log")
 
-    def __init__(self, rid: int, pos: Cell, mem, idx: int | None = None):
+    def __init__(self, rid: int, pos: Cell, mem, idx: int | None = None, spawned: int = 0):
         self.id = rid
         self.pos = pos
         self.idx = idx
-        self.active = True
+        self.spawned = spawned
+        self.settled = None
         self.mem = mem
-        self.travel = 0
         self.moves = 0
         self.log = None
+
+    @property
+    def active(self) -> bool:
+        return self.settled is None
 
 
 @dataclass(frozen=True)
@@ -109,38 +111,8 @@ class SimulationTrace:
 
     def _recorded(self) -> tuple[list[int], list]:
         if self.logs is None:
-            raise ValueError("trace was recorded without events")
+            raise ValueError("trace was recorded without logs")
         return self.spawns, self.logs
-
-    @property
-    def events(self) -> list | None:
-        """The run as ``(t, id, what)`` tuples in the order the engine
-        applied them, rebuilt from the logs; None without recording.
-
-        Within step t come the moves (``what`` is the direction letter,
-        "U", "R", "D" or "L") in id order, then the settles ("X"), then
-        the spawn at the door ("+"). Stays leave no event. Works on a run
-        still in progress.
-        """
-        if self.logs is None:
-            return None
-        last = max((s + len(log) for s, log in zip(self.spawns, self.logs)), default=0)
-        moves: list[list] = [[] for _ in range(last + 1)]
-        settles: list[list] = [[] for _ in range(last + 1)]
-        for rid, (s, log) in enumerate(zip(self.spawns, self.logs), 1):
-            for t, code in enumerate(log, s + 1):
-                if code < A_STAY:
-                    moves[t].append((t, rid, DIR_NAMES[code]))
-                elif code == A_SETTLE:
-                    settles[t].append((t, rid, EV_SETTLE))
-        spawn_at = {s: rid for rid, s in enumerate(self.spawns, 1)}
-        events = []
-        for t in range(1, last + 1):
-            events += moves[t]
-            events += settles[t]
-            if t in spawn_at:
-                events.append((t, spawn_at[t], EV_SPAWN))
-        return events
 
     def states(self, steps):
         """Yield ``(t, robots)`` at the end of each step t of the
@@ -149,10 +121,9 @@ class SimulationTrace:
         ``robots`` lists a :class:`ReplayRobot` per robot spawned by t,
         in id order; the next step updates it in place.
 
-        Between two steps each active robot jumps along its log: one
-        byte for a one-step gap, ``count`` over the slice for a longer
-        one, whose last move gives the heading. Settled robots are never
-        read again.
+        Between two steps each active robot jumps along its log by
+        ``count`` over the slice it skips, whose last move gives the
+        heading. Settled robots are never read again.
         """
         spawns, logs = self._recorded()
         door = self.region.door
@@ -173,24 +144,14 @@ class SimulationTrace:
                 if j <= k:
                     continue
                 done[i] = j
-                if j == k + 1:
-                    code = log[k]
-                    if code < A_STAY:
-                        dx, dy = DIR_VECTORS[code]
-                        robot.pos = (robot.pos[0] + dx, robot.pos[1] + dy)
-                        robot.heading = DIR_NAMES[code]
-                        robot.moves += 1
-                        continue
-                else:
-                    span = log[k:j].rstrip(_STAYS)  # up to the last move
-                    if span:
-                        up, right = span.count(0), span.count(1)
-                        down, left = span.count(2), span.count(3)
-                        robot.pos = (robot.pos[0] + right - left, robot.pos[1] + up - down)
-                        robot.heading = DIR_NAMES[span[-1]]
-                        robot.moves += up + right + down + left
-                    code = log[j - 1]
-                if code == A_SETTLE:
+                span = log[k:j].rstrip(_STAYS)  # up to the last move
+                if span:
+                    up, right = span.count(0), span.count(1)
+                    down, left = span.count(2), span.count(3)
+                    robot.pos = (robot.pos[0] + right - left, robot.pos[1] + up - down)
+                    robot.heading = DIR_NAMES[span[-1]]
+                    robot.moves += up + right + down + left
+                if log[j - 1] == A_SETTLE:
                     robot.settled = robot.spawned + j
                     settled = True
             if settled:
@@ -292,7 +253,7 @@ class SimulationTrace:
                 f"but the door is not free for it by step {last}"
             )
         for robot in sim.robots:  # each log played to its end, an X only as its last code
-            if robot.travel + (not robot.active) < len(robot.log):
+            if (sim.t if robot.active else robot.settled) - robot.spawned < len(robot.log):
                 end = f"the outcome at step {last}" if robot.active else "its settle"
                 raise ValueError(f"robot {robot.id} has actions past {end}")
         return trace
@@ -303,9 +264,9 @@ class _LogPlayer:
     :meth:`SimulationTrace.from_json_dict` checks a trace by running it.
 
     A robot may emerge only at the step the trace spawns it, and takes
-    its log as ``robot.log``. An active robot has not settled, so its
-    ``travel`` counts every step since its spawn: it is the index of the
-    robot's next code. The run state counts the steps that had an active
+    its log as ``robot.log``. An active robot has acted once on every
+    step since its spawn, so ``sim.t - robot.spawned`` is the index of
+    its next code. The run state counts the steps that had an active
     robot, so no configuration repeats while a robot acts, and an idle
     one repeats as in a recorded run.
     """
@@ -321,11 +282,12 @@ class _LogPlayer:
         active = sim.active
         if active:
             self.acting += 1
+        t = sim.t
         try:
-            return [r.log[r.travel] for r in active]
+            return [r.log[t - r.spawned] for r in active]
         except IndexError:
-            rid = next(r.id for r in active if r.travel == len(r.log))
-            raise ValueError(f"t={sim.t + 1}: robot {rid} is active but has no action") from None
+            rid = next(r.id for r in active if t - r.spawned == len(r.log))
+            raise ValueError(f"t={t + 1}: robot {rid} is active but has no action") from None
 
     def on_spawn(self, sim, robot) -> None:
         t = sim.t + 1  # the step in progress
@@ -456,8 +418,8 @@ class Simulation:
         if len(actions) != len(stepping):
             raise ValueError(f"t={t}: {len(actions)} actions for {len(stepping)} active robots")
 
-        # One pass: collect the settles, count travel and validate moves
-        # against the snapshot.
+        # One pass: collect the settles and validate moves against the
+        # snapshot.
         offsets = self._dir_offsets
         targets: dict[int, int] = {}
         movers = []
@@ -466,7 +428,6 @@ class Simulation:
             if act == A_SETTLE:
                 settled_now.append(robot)
                 continue
-            robot.travel += 1  # active at both step boundaries
             if act == A_STAY:
                 continue
             target = robot.idx + offsets[act]
@@ -499,14 +460,14 @@ class Simulation:
             robot.moves += 1
         if settled_now:
             for robot in settled_now:
-                robot.active = False
-            self.active = [r for r in stepping if r.active]
+                robot.settled = t
+            self.active = [r for r in stepping if r.settled is None]
 
         # Spawn: door free in the snapshot and still free after moves
         # (a robot cycling back through the door suppresses emergence).
         spawned = None
         if spawn_pending and not blocked[door]:
-            spawned = Robot(len(self.robots) + 1, self.region.door, None, door)
+            spawned = Robot(len(self.robots) + 1, self.region.door, None, door, t)
             self.robots.append(spawned)
             self.active.append(spawned)
             blocked[door] = 1
@@ -578,6 +539,4 @@ def run(
     checker = invariants(region) if check and invariants is not None else None
     sim = Simulation(region, strategy, record=record, checker=checker)
     sim.finish(max_steps)
-    robots = sim.robots
-    metrics = run_metrics(region, sim.outcome, [r.travel for r in robots], [r.moves for r in robots])
-    return sim.trace, metrics
+    return sim.trace, run_metrics(region, sim.outcome, sim.robots)

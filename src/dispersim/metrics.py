@@ -49,9 +49,20 @@ class RunMetrics:
         ]
 
 
-def run_metrics(r: Region, outcome, travels: list[int], moves: list[int]) -> RunMetrics:
-    """The metrics of a finished run from its outcome and each robot's
-    travel and moves, in id order."""
+def run_metrics(r: Region, outcome, robots) -> RunMetrics:
+    """The metrics of a finished run from its outcome and its robots, in
+    id order: the engine's :class:`~dispersim.engine.Robot` or a trace's
+    :class:`~dispersim.engine.ReplayRobot`, which both carry ``spawned``,
+    ``settled`` and ``moves``.
+
+    This is the one travel rule. A robot travels on every step it is
+    active at both step boundaries, from its spawn to the step before its
+    settle or to the end of the run, so pauses count and the settle step
+    does not.
+    """
+    last = outcome.t
+    travels = [(last if rb.settled is None else rb.settled - 1) - rb.spawned for rb in robots]
+    moves = [rb.moves for rb in robots]
     optimum = sum_distances(r, r.door)
     total_travel = sum(travels)
     return RunMetrics(
@@ -71,18 +82,15 @@ def run_metrics(r: Region, outcome, travels: list[int], moves: list[int]) -> Run
 def compute_metrics(trace, r: Region) -> RunMetrics:
     """Recompute metrics from a recorded trace.
 
-    Independent of the engine's streaming counters: the trace's
+    Independent of the engine's robots: the trace's
     :meth:`~dispersim.engine.SimulationTrace.states` jumps every robot
-    along its action log to the last step. Travel is the number of steps
-    a robot is active at both step boundaries, from its spawn to its
-    settle or the end of the run; moves are its move actions.
+    along its action log to the last step, which gives its settle step
+    and its moves, and :func:`run_metrics` turns those into travel.
     """
     if trace.region.cells != r.cells or trace.region.door != r.door:
         raise TraceRegionMismatch("trace does not belong to this region")
-    last = trace.outcome.t
-    _, robots = next(trace.states([last]))
-    travels = [(last if rb.active else rb.settled - 1) - rb.spawned for rb in robots]
-    return run_metrics(r, trace.outcome, travels, [rb.moves for rb in robots])
+    _, robots = next(trace.states([trace.outcome.t]))
+    return run_metrics(r, trace.outcome, robots)
 
 
 @dataclass(frozen=True)
@@ -90,8 +98,6 @@ class StrategySummary:
     strategy: str
     runs: int
     mean_total_moves: float
-    min_total_moves: int
-    max_total_moves: int
     mean_max_moves: float
     failures: int
 
@@ -133,15 +139,13 @@ def compare_runs(
         cells = [m for (n, _, m, _) in rows if n == name and m is not None]
         failures = sum(1 for (n, _, m, _) in rows if n == name and m is None)
         if not cells:
-            summaries.append(StrategySummary(name, 0, 0.0, 0, 0, 0.0, failures))
+            summaries.append(StrategySummary(name, 0, 0.0, 0.0, failures))
             continue
         summaries.append(
             StrategySummary(
                 strategy=name,
                 runs=len(cells),
                 mean_total_moves=statistics.mean(m.total_moves for m in cells),
-                min_total_moves=min(m.total_moves for m in cells),
-                max_total_moves=max(m.total_moves for m in cells),
                 mean_max_moves=statistics.mean(m.max_moves for m in cells),
                 failures=failures,
             )

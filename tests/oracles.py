@@ -1,11 +1,12 @@
 """Brute-force oracles that the fast routines of ``dispersim`` are tested
-against. They trade speed for obviousness and are never used by the
-package itself.
+against, and the enumeration of every small polyomino that the tests
+run them and the paper's claims on. They trade speed for obviousness and
+are never used by the package itself.
 """
 
 from collections import deque
 
-from dispersim.grid import RING, Cell, Region, bfs_distances_cells
+from dispersim.grid import RING, Cell, Region, adjacent, bfs_distances_cells
 
 
 def articulation_points(r: Region) -> set[Cell]:
@@ -39,3 +40,29 @@ def has_hole(r: Region) -> bool:
                 seen.add(nb)
                 todo.append(nb)
     return (x1 - x0 + 1) * (y1 - y0 + 1) != len(seen) + len(r.cells)
+
+
+def fixed_polyominoes(n):
+    """Yield the cell set of every fixed polyomino of at most n cells
+    once (Redelmeier, "Counting polyominoes: yet another attack",
+    Discrete Math. 36, 1981): grow from (0, 0) over the cells above row 0
+    and right of it on row 0, and never try a cell twice on one branch."""
+    poly = []
+    seen = {(0, 0)}
+
+    def grow(untried):
+        while untried:
+            cell = untried.pop()
+            poly.append(cell)
+            yield frozenset(poly)
+            if len(poly) < n:
+                new = [
+                    nb for nb in adjacent(cell)
+                    if (nb[1] > 0 or nb[1] == 0 and nb[0] > 0) and nb not in seen
+                ]
+                seen.update(new)
+                yield from grow(untried + new)
+                seen.difference_update(new)
+            poly.pop()
+
+    yield from grow([(0, 0)])

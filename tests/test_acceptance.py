@@ -15,6 +15,7 @@ from dispersim import topology as tp
 from dispersim.engine import A_STAY, Simulation, run
 from dispersim.envgen import g_k, rect
 from dispersim.grid import Region
+from dispersim.metrics import run_metrics
 from dispersim.strategies import make_strategy
 from dispersim.strategies.fcdfs import Fcdfs
 
@@ -89,9 +90,9 @@ def test_criterion_2_optimality_properties(suite):
             failures.append((i, f"{type(exc).__name__}: {exc}"))
             continue
         dist = tp.bfs_distances(r, r.door)
-        total = sum(rb.travel for rb in sim.robots)
+        total = run_metrics(r, sim.outcome, sim.robots).total_travel
         per_robot_ok = all(
-            rb.travel == dist[rb.pos] for rb in sim.robots if not rb.active
+            rb.settled - 1 - rb.spawned == dist[rb.pos] for rb in sim.robots if not rb.active
         )
         if not (
             sim.outcome.kind == "covered"
@@ -112,7 +113,7 @@ def test_criterion_3_automaton_equivalence(suite):
     for i, r in enumerate(suite):
         t1, m1 = run(r, make_strategy("fcdfs", r, 0))
         t2, m2 = run(r, make_strategy("fcdfs5", r, 0))
-        if t1.events != t2.events or t1.outcome != t2.outcome or m1 != m2:
+        if (t1.spawns, t1.logs) != (t2.spawns, t2.logs) or t1.outcome != t2.outcome or m1 != m2:
             diffs.append(i)
             continue
         if i % 20 == 0:

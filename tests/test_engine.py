@@ -55,8 +55,7 @@ def test_spawn_every_other_step():
     sim = Simulation(r, make_strategy("fcdfs", r, 0))
     for _ in range(8):
         sim.step()
-    spawns = [(t, rid) for t, rid, what in sim.trace.events if what == "+"]
-    assert spawns == [(1, 1), (3, 2), (5, 3), (7, 4)]
+    assert sim.trace.spawns == [1, 3, 5, 7]
 
 
 def test_corridor_run_is_covered_in_2v_minus_1():
@@ -191,8 +190,9 @@ def test_decide_all_of_the_wrong_length_raises_before_anything_changes(extra):
     strategy.decide_all = miscounted
 
     def state():
-        robots = [(rb.id, rb.pos, rb.idx, rb.active, rb.travel, rb.moves) for rb in sim.robots]
-        return sim.t, bytes(sim.blocked), robots, [rb.id for rb in sim.active], list(sim.trace.events)
+        robots = [(rb.id, rb.pos, rb.idx, rb.spawned, rb.settled, rb.moves) for rb in sim.robots]
+        logs = [bytes(log) for log in sim.trace.logs]
+        return sim.t, bytes(sim.blocked), robots, [rb.id for rb in sim.active], list(sim.trace.spawns), logs
 
     before = state()
     with pytest.raises(ValueError) as info:
@@ -260,17 +260,6 @@ def test_trace_json_shape():
     # on the last step.
     assert d["robots"] == [[1, "URX"], [3, "UX"], [5, "RX"], [7, ""]]
     assert d["outcome"] == {"kind": "covered", "t": 7}
-    # Step 1 only spawns robot 1; within a step, moves come before
-    # settles and settles before the spawn.
-    assert trace.events == [
-        (1, 1, "+"),
-        (2, 1, "U"),
-        (3, 1, "R"), (3, 2, "+"),
-        (4, 2, "U"), (4, 1, "X"),
-        (5, 2, "X"), (5, 3, "+"),
-        (6, 3, "R"),
-        (7, 3, "X"), (7, 4, "+"),
-    ]
 
 
 def _json_round_trip(trace):
@@ -281,7 +270,7 @@ def test_trace_json_round_trip():
     r = rect(3, 2, (1, 0))
     trace, _ = run(r, make_strategy("fcdfs", r, 0))
     clone = _json_round_trip(trace)
-    assert clone.events == trace.events
+    assert (clone.spawns, clone.logs) == (trace.spawns, trace.logs)
     assert clone.outcome == trace.outcome
     assert clone.region == trace.region
 
@@ -301,10 +290,10 @@ def test_trace_round_trip_keeps_a_negative_origin():
 def test_run_without_recording_keeps_metrics():
     r = rect(4, 4, (0, 0))
     trace, m = run(r, make_strategy("fcdfs", r, 0), record=False)
-    assert trace.events is None
+    assert trace.spawns is None and trace.logs is None
     assert m.outcome == "covered"
     assert m.makespan == 31
-    with pytest.raises(ValueError, match="trace was recorded without events"):
+    with pytest.raises(ValueError, match="trace was recorded without logs"):
         trace.to_json_dict()
 
 
@@ -408,8 +397,8 @@ def test_settled_robots_are_never_decided(name):
                     assert settled_mems.setdefault(rb.id, rb.mem) is rb.mem
         assert decided
         # Every robot is decided exactly on the steps it is active.
-        assert sum(decided) == sum(rb.travel for rb in sim.robots) + sum(
-            not rb.active for rb in sim.robots
+        assert sum(decided) == sum(
+            (sim.t if rb.active else rb.settled) - rb.spawned for rb in sim.robots
         )
 
 
@@ -423,10 +412,10 @@ def test_checker_residual_is_region_minus_settled_cells():
         assert sim.outcome.kind == "covered"
 
 
-# -- the event log ------------------------------------------------------
+# -- the action logs ----------------------------------------------------
 
 RING = Region({(x, y) for x in range(3) for y in range(3)} - {(1, 1)}, (0, 0))
-EVENT_LOG_REGIONS = [rect(5, 4, (2, 1)), random_simply_connected(40, seed=10), RING]
+LOG_REGIONS = [rect(5, 4, (2, 1)), random_simply_connected(40, seed=10), RING]
 
 
 @pytest.mark.parametrize("name", sorted(STRATEGIES))
@@ -435,7 +424,7 @@ def test_replay_rebuilds_every_step_of_the_run(name):
     own robots after every step, on a rectangle, a region with a
     negative origin and the ring (where the local strategies
     deadlock)."""
-    for r in EVENT_LOG_REGIONS:
+    for r in LOG_REGIONS:
         sim = Simulation(r, make_strategy(name, r, 3), record=False)
         expected = [[(rb.id, rb.pos, rb.active) for rb in sim.robots] for _ in _step_to_end(sim)]
         trace, m = run(r, make_strategy(name, r, 3))
@@ -477,7 +466,7 @@ def test_frames_by_jumps_equal_frames_by_steps(name):
     robots they rebuild equal the engine's own, on runs with ring
     deadlocks, the baselines' stays and robots active at the end (the
     last run is cut short by ``max_steps``)."""
-    runs = [(r, None) for r in EVENT_LOG_REGIONS] + [(EVENT_LOG_REGIONS[0], 9)]
+    runs = [(r, None) for r in LOG_REGIONS] + [(LOG_REGIONS[0], 9)]
     for r, max_steps in runs:
         trace, m = run(r, make_strategy(name, r, 3), max_steps=max_steps)
         back = _json_round_trip(trace)
@@ -569,7 +558,8 @@ def test_from_json_dict_rejects_inconsistent_traces():
     for message, bad in _corrupted(data):
         with pytest.raises(ValueError, match=message):
             SimulationTrace.from_json_dict(bad)
-    assert SimulationTrace.from_json_dict(data).events == trace.events
+    back = SimulationTrace.from_json_dict(data)
+    assert (back.spawns, back.logs) == (trace.spawns, trace.logs)
 
 
 def test_from_json_dict_work_is_bounded_by_the_data():
@@ -667,7 +657,7 @@ def _checked_outcome(region, name, seed, checker):
         sim.finish(4 * len(region.cells))
     except DispersimError as exc:
         return type(exc).__name__, str(exc)
-    return run_metrics(region, sim.outcome, [rb.travel for rb in sim.robots], [rb.moves for rb in sim.robots])
+    return run_metrics(region, sim.outcome, sim.robots)
 
 
 def test_checker_agrees_with_naive_reference():

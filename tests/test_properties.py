@@ -16,6 +16,8 @@ from dispersim.strategies import make_strategy
 from dispersim.strategies.fcdfs import RunChecker
 from dispersim.topology import bfs_distances, bfs_distances_cells, geometric_median, is_simply_connected
 
+from oracles import fixed_polyominoes
+
 
 def _moved(V, seed, dx, dy):
     base = random_simply_connected(V, seed)
@@ -33,7 +35,7 @@ def test_fcdfs_trace_survives_json_round_trip(V, seed, dx, dy):
     r = _moved(V, seed, dx, dy)
     trace, m = run(r, make_strategy("fcdfs", r, 0))
     back = SimulationTrace.from_json_dict(json.loads(json.dumps(trace.to_json_dict())))
-    assert back.events == trace.events
+    assert (back.spawns, back.logs) == (trace.spawns, trace.logs)
     assert back.outcome == trace.outcome
     assert back.region == r
     assert compute_metrics(back, back.region) == m
@@ -53,10 +55,10 @@ def test_fcdfs_family_disperses_optimally_under_its_invariants(V, seed, strategy
     """The paper's claims for the FCDFS family on simply connected
     regions: with the runtime lemmas checked at every step, the region is
     covered in 2V-1 steps and every robot travels exactly its settle
-    cell's distance from the door; fcdfs5 replays fcdfs event for event."""
+    cell's distance from the door; fcdfs5 replays fcdfs action for action."""
     r = _moved(V, seed, dx, dy)
     dist = bfs_distances(r, r.door)
-    events = {}
+    logs = {}
     for name in ("fcdfs", "fcdfs5", "rand-corner"):
         trace, m = run(r, make_strategy(name, r, strategy_seed), check=True)
         assert m.outcome == "covered" and m.makespan == 2 * V - 1, name
@@ -67,8 +69,38 @@ def test_fcdfs_family_disperses_optimally_under_its_invariants(V, seed, strategy
         for rb in robots:
             travel = (last if rb.active else rb.settled - 1) - rb.spawned
             assert travel == dist[rb.pos], (name, rb.id)
-        events[name] = trace.events
-    assert events["fcdfs"] == events["fcdfs5"]
+        logs[name] = (trace.spawns, trace.logs)
+    assert logs["fcdfs"] == logs["fcdfs5"]
+
+
+# The seeds that draw rand-corner's rotations 0, 1, 2 and 3.
+ROTATION_SEEDS = (2, 1, 5, 0)
+
+
+def test_every_small_polyomino_from_every_door():
+    """The FCDFS family's claims on every fixed polyomino of at most 6
+    cells, all simply connected, with every cell as the door: fcdfs,
+    fcdfs5, left-hand and rand-corner at each rotation cover in 2V-1 steps
+    with total travel equal to the sum of door distances, the family under
+    its invariants, and fcdfs5 replays fcdfs action for action."""
+    cell = Region({(0, 0)}, (0, 0))
+    assert [make_strategy("rand-corner", cell, seed).rotation for seed in ROTATION_SEEDS] == [0, 1, 2, 3]
+    runs = [("fcdfs", 0), ("fcdfs5", 0), ("left-hand", 0)]
+    runs += [("rand-corner", seed) for seed in ROTATION_SEEDS]
+    count = 0
+    for cells in fixed_polyominoes(6):
+        V = len(cells)
+        for door in sorted(cells):
+            r = Region(cells, door)
+            logs = {}
+            for name, seed in runs:
+                trace, m = run(r, make_strategy(name, r, seed), check=True)
+                where = (sorted(cells), door, name, seed)
+                assert (m.outcome, m.makespan, m.optimal) == ("covered", 2 * V - 1, True), where
+                logs[name] = (trace.spawns, trace.logs)
+                count += 1
+            assert logs["fcdfs"] == logs["fcdfs5"], (sorted(cells), door)
+    assert count == 11_970
 
 
 @settings(max_examples=60, deadline=None)

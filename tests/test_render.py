@@ -40,7 +40,7 @@ def test_frame_dimensions_and_glyph_count():
         lines = frame.splitlines()
         assert len(lines) == 4 and all(len(l) == 5 for l in lines)
         live = sum(frame.count(ch) for ch in "^>v<o")
-        spawned = sum(1 for when, _, what in trace.events if what == "+" and when <= t)
+        spawned = sum(1 for when in trace.spawns if when <= t)
         assert live == spawned
 
 

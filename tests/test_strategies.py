@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from dispersim.engine import A_SETTLE, Robot, Simulation, run
+from dispersim.engine import A_SETTLE, A_STAY, Robot, Simulation, run
 from dispersim.envgen import g_k, random_simply_connected, rect
 from dispersim.grid import DIR_BITS, DOWN, LEFT, RIGHT, RING, UP, Region
 from dispersim.strategies import STRATEGIES, make_strategy
@@ -108,7 +108,7 @@ def test_fcdfs_and_five_bit_agree_on_small_regions():
         r = random_simply_connected(rng.randint(2, 80), seed=500 + i)
         t1, m1 = run(r, make_strategy("fcdfs", r, 0))
         t2, m2 = run(r, make_strategy("fcdfs5", r, 0))
-        assert t1.events == t2.events
+        assert (t1.spawns, t1.logs) == (t2.spawns, t2.logs)
         assert t1.outcome == t2.outcome
         assert m1 == m2
 
@@ -122,9 +122,10 @@ def test_rand_corner_rotations_cover_and_differ():
         assert m.total_travel == m.optimum
         assert m.makespan == 2 * len(r.cells) - 1
         # Robot 1 spawns at t=1 and moves first at t=2.
-        t, _, what = next(ev for ev in trace.events if ev[1] == 1 and ev[2] != "+")
-        assert t == 2 and what in "URDL"
-        seen_first_moves.add(what)
+        assert trace.spawns[0] == 1
+        first = trace.logs[0][0]
+        assert first < A_STAY
+        seen_first_moves.add(first)
     assert len(seen_first_moves) > 1  # the rotation draw actually varies
 
 
@@ -132,7 +133,7 @@ def test_rand_corner_deterministic_per_seed():
     r = rect(6, 6, (0, 0))
     a, _ = run(r, make_strategy("rand-corner", r, 3))
     b, _ = run(r, make_strategy("rand-corner", r, 3))
-    assert a.events == b.events
+    assert (a.spawns, a.logs) == (b.spawns, b.logs)
     assert a.outcome == b.outcome
 
 
@@ -233,12 +234,14 @@ def test_a_run_shares_memories_and_changes_none(name):
         assert len(first_seen) < len(sim.robots)
 
 
-# One digest per (strategy, seed) over the event log and the metrics of
-# every run, computed before the strategies decided from a ring mask.
+# One digest per (strategy, seed) over the per-robot rows (spawn step,
+# action log) and the metrics of every run. The rows' digests were taken
+# where the event-list digests of before the ring-mask strategies still
+# held.
 VARIANTS_PINNED = {
-    ("rand-corner", 0): "67f09ee29c382e14c62df8c712c17844ca6f00bb713b6421dce92bd6ea530d1d",
-    ("rand-corner", 3): "a6fb3eadd7ee6ab4ede8e9a5efad93c6820d84c2aa189bb27296498b5f5dd42b",
-    ("left-hand", 0): "5b90ee801bb6b96775dd79d3dc6b27fada6cd674f8e87e68a8ed5e097bccb0c2",
+    ("rand-corner", 0): "4220f27cee6be83dc9ff9d699655f6215ab0efb60861401120b5bf094f0f0d5a",
+    ("rand-corner", 3): "2eb2f4305d7c54d75f5c516db1d1dd2ae9dc510a2eea5a4a571bfb1c2830da12",
+    ("left-hand", 0): "f4444cf05375ae870576a4b870bee0aa60827fab468ed9e43b944b29386de7dd",
 }
 
 
@@ -250,6 +253,6 @@ def test_variant_event_logs_pinned(suite, name, seed):
     h = hashlib.sha256()
     for r in suite[::10] + [rect(12, 12, (5, 5)), ring]:
         trace, m = run(r, make_strategy(name, r, seed))
-        h.update(repr(trace.events).encode())
+        h.update(repr(list(zip(trace.spawns, map(bytes, trace.logs)))).encode())
         h.update(repr(astuple(m)).encode())
     assert h.hexdigest() == VARIANTS_PINNED[name, seed]

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from dispersim import topology as tp
 from dispersim.envgen import g_k, random_simply_connected, rect
 from dispersim.errors import NotSimplyConnected
-from dispersim.grid import Region, adjacent, from_ascii
+from dispersim.grid import Region, from_ascii
 
-from oracles import articulation_points, has_hole
+from oracles import articulation_points, fixed_polyominoes, has_hole
 
 L_TROMINO = from_ascii("S#\n..")
 # Three halls in a row, the door in the middle one.
@@ -131,36 +131,10 @@ WALLED = from_ascii(
 )
 
 
-def _fixed_polyominoes(n):
-    """Yield the cell set of every fixed polyomino of at most n cells
-    once (Redelmeier, "Counting polyominoes: yet another attack",
-    Discrete Math. 36, 1981): grow from (0, 0) over the cells above row 0
-    and right of it on row 0, and never try a cell twice on one branch."""
-    poly = []
-    seen = {(0, 0)}
-
-    def grow(untried):
-        while untried:
-            cell = untried.pop()
-            poly.append(cell)
-            yield frozenset(poly)
-            if len(poly) < n:
-                new = [
-                    nb for nb in adjacent(cell)
-                    if (nb[1] > 0 or nb[1] == 0 and nb[0] > 0) and nb not in seen
-                ]
-                seen.update(new)
-                yield from grow(untried + new)
-                seen.difference_update(new)
-            poly.pop()
-
-    yield from grow([(0, 0)])
-
-
 def test_simple_connectivity_matches_the_flood_fill_on_every_small_polyomino():
     sizes = Counter()
     holes = 0
-    for cells in _fixed_polyominoes(9):
+    for cells in fixed_polyominoes(9):
         r = Region(cells, (0, 0))
         hole = has_hole(r)
         assert tp.is_simply_connected(r) is not hole, sorted(cells)
