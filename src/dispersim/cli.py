@@ -40,7 +40,7 @@ def _load_region(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return from_ascii(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DispersimError(f"cannot read {path}: {exc}") from exc
 
 
@@ -199,7 +199,7 @@ def cmd_render(args) -> int:
         with open(args.trace, encoding="utf-8") as fh:
             data = json.load(fh)
         trace = SimulationTrace.from_json_dict(data)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # JSON nested too deep: RecursionError
         print(f"bad trace: {exc}", file=sys.stderr)
         return EXIT_IO
     if args.format == "ascii":

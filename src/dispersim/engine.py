@@ -32,11 +32,13 @@ _STAYS = bytes((A_STAY, A_SETTLE))  # the codes that leave a robot in place
 class Robot:
     """One robot of a run. ``pos`` is its cell and ``idx`` the same cell
     as :meth:`Simulation.index` numbers it; the engine moves both
-    together. ``spawned`` is the step it emerged at the door and
-    ``settled`` the step it settled (None while active), so its travel is
-    a difference of the two (:func:`~dispersim.metrics.run_metrics`).
-    ``log`` is its action log in a recorded run or in a trace played back
-    by :class:`_LogPlayer`, else None."""
+    together. ``mem`` is everything else it carries from one step to the
+    next, set by the strategy. ``spawned`` is the step it emerged at the
+    door and ``settled`` the step it settled (None while active), so its
+    travel is a difference of the two
+    (:func:`~dispersim.metrics.run_metrics`). ``log`` is its action log
+    in a recorded run, in a trace played back by :class:`_LogPlayer` or
+    rebuilt by :meth:`SimulationTrace.states`, else None."""
 
     __slots__ = ("id", "pos", "idx", "spawned", "settled", "mem", "moves", "log")
 
@@ -59,30 +61,6 @@ class Robot:
 class Outcome:
     kind: str  # "covered" | "deadlock" | "limit"
     t: int
-
-
-class ReplayRobot:
-    """One robot as :meth:`SimulationTrace.states` rebuilds it from the
-    trace's logs.
-
-    ``heading`` is the letter of its last move ("U" before the first),
-    ``spawned`` the step it emerged in and ``settled`` the step it
-    settled in (None while active).
-    """
-
-    __slots__ = ("id", "pos", "heading", "spawned", "settled", "moves")
-
-    def __init__(self, rid: int, pos: Cell, t: int):
-        self.id = rid
-        self.pos = pos
-        self.heading = "U"
-        self.spawned = t
-        self.settled = None
-        self.moves = 0
-
-    @property
-    def active(self) -> bool:
-        return self.settled is None
 
 
 class SimulationTrace:
@@ -118,38 +96,38 @@ class SimulationTrace:
         """Yield ``(t, robots)`` at the end of each step t of the
         ascending ``steps``, trusting the trace.
 
-        ``robots`` lists a :class:`ReplayRobot` per robot spawned by t,
-        in id order; the next step updates it in place.
+        ``robots`` lists a :class:`Robot` per robot spawned by t, in id
+        order, holding its ``log``; its ``mem`` is the number of codes of
+        the log applied so far, as in :class:`_LogPlayer`. The next step
+        updates the list in place.
 
         Between two steps each active robot jumps along its log by
-        ``count`` over the slice it skips, whose last move gives the
-        heading. Settled robots are never read again.
+        ``count`` over the slice it skips. Settled robots are never read
+        again.
         """
         spawns, logs = self._recorded()
         door = self.region.door
-        robots: list[ReplayRobot] = []
-        active: list[ReplayRobot] = []
-        done = [0] * len(logs)  # codes of each log applied so far
+        robots: list[Robot] = []
+        active: list[Robot] = []
         for t in steps:
             while len(robots) < len(spawns) and spawns[len(robots)] <= t:
-                robot = ReplayRobot(len(robots) + 1, door, spawns[len(robots)])
+                robot = Robot(len(robots) + 1, door, 0, spawned=spawns[len(robots)])
+                robot.log = logs[len(robots)]
                 robots.append(robot)
                 active.append(robot)
             settled = False
             for robot in active:
-                i = robot.id - 1
-                log = logs[i]
-                k = done[i]
+                log = robot.log
+                k = robot.mem
                 j = min(t - robot.spawned, len(log))
                 if j <= k:
                     continue
-                done[i] = j
+                robot.mem = j
                 span = log[k:j].rstrip(_STAYS)  # up to the last move
                 if span:
                     up, right = span.count(0), span.count(1)
                     down, left = span.count(2), span.count(3)
                     robot.pos = (robot.pos[0] + right - left, robot.pos[1] + up - down)
-                    robot.heading = DIR_NAMES[span[-1]]
                     robot.moves += up + right + down + left
                 if log[j - 1] == A_SETTLE:
                     robot.settled = robot.spawned + j
@@ -253,7 +231,7 @@ class SimulationTrace:
                 f"but the door is not free for it by step {last}"
             )
         for robot in sim.robots:  # each log played to its end, an X only as its last code
-            if (sim.t if robot.active else robot.settled) - robot.spawned < len(robot.log):
+            if robot.mem < len(robot.log):
                 end = f"the outcome at step {last}" if robot.active else "its settle"
                 raise ValueError(f"robot {robot.id} has actions past {end}")
         return trace
@@ -264,11 +242,9 @@ class _LogPlayer:
     :meth:`SimulationTrace.from_json_dict` checks a trace by running it.
 
     A robot may emerge only at the step the trace spawns it, and takes
-    its log as ``robot.log``. An active robot has acted once on every
-    step since its spawn, so ``sim.t - robot.spawned`` is the index of
-    its next code. The run state counts the steps that had an active
-    robot, so no configuration repeats while a robot acts, and an idle
-    one repeats as in a recorded run.
+    its log as ``robot.log``. Its memory is its position in the log: 0 at
+    spawn, plus 1 on every step it acts. So no configuration repeats
+    while a robot acts, and an idle one repeats as in a recorded run.
     """
 
     def __init__(self, trace: SimulationTrace):
@@ -276,18 +252,16 @@ class _LogPlayer:
         self.seed = trace.seed
         self.spawns = trace.spawns
         self.logs = trace.logs
-        self.acting = 0
 
     def decide_all(self, sim) -> list[int]:
-        active = sim.active
-        if active:
-            self.acting += 1
-        t = sim.t
-        try:
-            return [r.log[t - r.spawned] for r in active]
-        except IndexError:
-            rid = next(r.id for r in active if t - r.spawned == len(r.log))
-            raise ValueError(f"t={t + 1}: robot {rid} is active but has no action") from None
+        actions = []
+        for r in sim.active:
+            i = r.mem
+            if i == len(r.log):
+                raise ValueError(f"t={sim.t + 1}: robot {r.id} is active but has no action")
+            actions.append(r.log[i])
+            r.mem = i + 1
+        return actions
 
     def on_spawn(self, sim, robot) -> None:
         t = sim.t + 1  # the step in progress
@@ -299,9 +273,7 @@ class _LogPlayer:
                 f"t={t}: the door is free, but the trace spawns robot {rid} at step {self.spawns[rid - 1]}"
             )
         robot.log = self.logs[rid - 1]
-
-    def state_key(self) -> int:
-        return self.acting
+        robot.mem = 0
 
 
 class Simulation:
@@ -331,12 +303,14 @@ class Simulation:
     ``after_step(sim, actions, settled_now)``, ``actions`` lined up with
     ``active`` as ``before_step`` saw it, and raises to stop the run.
 
-    A deadlock is a configuration key seen twice. The seen set is
-    cleared on every settle and every spawn, which loses no repeat: the
-    number of active robots is part of the key, and between two settles
-    it only grows, so no key taken before a spawn can equal one taken
-    after it. The set holds only the steps since the last settle or
-    spawn.
+    A deadlock is a configuration seen twice: the active robots' cells
+    and memories (:meth:`_config_key`). So a strategy keeps in
+    ``robot.mem`` every part of its state that can change while no robot
+    spawns or settles. The seen set is cleared on every settle and every
+    spawn, which loses no repeat: the number of active robots is part of
+    the key, and between two settles it only grows, so no key taken
+    before a spawn can equal one taken after it. The set holds only the
+    steps since the last settle or spawn.
     """
 
     def __init__(
@@ -493,19 +467,19 @@ class Simulation:
         self._seen_configs.add(key)
 
     def _config_key(self):
-        """Active cells, as indices, and memories plus the strategy's run
-        state.
+        """The run's configuration: the active robots' cells, as indices,
+        and memories.
 
-        A memory enters the key as itself, compared by identity: the
-        strategy interns memories by ``key()``, so two robots' memories
-        are one object exactly when their keys are equal.
+        A memory enters the key as itself. A local strategy interns
+        memories by ``key()``, so two robots' memories are one object
+        exactly when their keys are equal.
 
         Settled robots are left out: the seen set is cleared on every
         settle, so between two clears they are the same in every key. A
         spawn clears it too; the key's length, the active count, only
         grows between settles, so no earlier key can equal a later one.
         """
-        return (tuple([(r.idx, r.mem) for r in self.active]), self.strategy.state_key())
+        return tuple([(r.idx, r.mem) for r in self.active])
 
     def finish(self, max_steps: int) -> None:
         while self.outcome is None:

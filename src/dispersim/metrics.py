@@ -51,9 +51,9 @@ class RunMetrics:
 
 def run_metrics(r: Region, outcome, robots) -> RunMetrics:
     """The metrics of a finished run from its outcome and its robots, in
-    id order: the engine's :class:`~dispersim.engine.Robot` or a trace's
-    :class:`~dispersim.engine.ReplayRobot`, which both carry ``spawned``,
-    ``settled`` and ``moves``.
+    id order: the :class:`~dispersim.engine.Robot` records of a live run
+    or those :meth:`~dispersim.engine.SimulationTrace.states` rebuilds
+    from a trace, whose ``spawned``, ``settled`` and ``moves`` it reads.
 
     This is the one travel rule. A robot travels on every step it is
     active at both step boundaries, from its spawn to the step before its

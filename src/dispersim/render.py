@@ -9,11 +9,22 @@ from __future__ import annotations
 
 import os
 
+from .engine import A_STAY
 from .errors import StepOutOfRange
-from .grid import Cell
+from .grid import DIR_NAMES, Cell
 
 _ARROWS = {"U": "^", "R": ">", "D": "v", "L": "<"}
 _SVG_ROT = {"U": 0, "R": 90, "D": 180, "L": 270}
+
+
+def heading(robot) -> str:
+    """The letter of the last move among the ``robot.mem`` codes of its
+    log applied so far, "U" before the first: stays and the settle are
+    skipped."""
+    log, i = robot.log, robot.mem
+    while i and log[i - 1] >= A_STAY:
+        i -= 1
+    return DIR_NAMES[log[i - 1]] if i else "U"
 
 
 def frame_steps(trace, every: int) -> list[int]:
@@ -39,7 +50,7 @@ def _frames(trace, steps):
 
 
 def _ascii(region, robots) -> str:
-    return region.to_ascii({rb.pos: _ARROWS[rb.heading] if rb.active else "o" for rb in robots})
+    return region.to_ascii({rb.pos: _ARROWS[heading(rb)] if rb.active else "o" for rb in robots})
 
 
 def ascii_frames(trace, steps):
@@ -90,7 +101,7 @@ def _svg_frame(region, robots, t: int) -> str:
             parts.append(f'<polygon points="{pts}" fill="#c33"/>')
         else:
             pts = f"{cx},{py + 3} {px + s - 4},{py + s - 4} {px + 4},{py + s - 4}"
-            rot = _SVG_ROT[rb.heading]
+            rot = _SVG_ROT[heading(rb)]
             parts.append(
                 f'<polygon points="{pts}" fill="#36c" '
                 f'transform="rotate({rot} {cx} {cy})"/>'

@@ -32,7 +32,17 @@ identity.
 
 The leader-follower baselines override both hooks: they model
 algorithms whose original setting grants leader-follower signaling, so
-they plan from the whole simulation and leave ``robot.mem`` None.
+they plan from the whole simulation.
+
+A run's configuration is its active robots' cells and memories: the
+engine's deadlock key holds nothing else, and its seen set is cleared
+on every spawn and settle. So a strategy keeps in ``robot.mem``
+whatever of its state can change in between. ``dflf`` keeps each
+robot's walk index there, which moves when a staying robot skips a
+finished branch. ``bflf`` leaves ``robot.mem`` None: its claims and
+targets change only when a robot spawns or settles, and the tests
+check that two steps with one key between two clears hold the same
+routes.
 
 ``invariants`` names the runtime checker of the lemmas a strategy
 guarantees, built as ``invariants(region)`` when a run is checked; None
@@ -83,10 +93,6 @@ class Strategy:
     def on_spawn(self, sim, robot) -> None:
         """Set up ``robot``, which has just emerged at the door."""
         robot.mem = self._intern(self.fresh_memory())
-
-    def state_key(self):
-        """Extra run-level state for deadlock configuration hashing."""
-        return None
 
     def _intern(self, mem):
         """The canonical memory with ``mem``'s key, ``mem`` itself if the

@@ -52,7 +52,6 @@ class Dflf(Strategy):
         self.occ: dict[Cell, list[int]] = {}
         for i, cell in enumerate(self.walk):
             self.occ.setdefault(cell, []).append(i)
-        self.index: dict[int, int] = {}  # active robot id -> position on the walk
         self.settled: set[Cell] = set()  # cells of the settles issued so far
 
     def _build_walk(self) -> list[Cell]:
@@ -79,7 +78,7 @@ class Dflf(Strategy):
         return walk
 
     def on_spawn(self, sim, robot) -> None:
-        self.index[robot.id] = 0
+        robot.mem = 0  # its position on the walk
 
     def decide_all(self, sim) -> list[int]:
         actions: list[int] = []
@@ -87,7 +86,7 @@ class Dflf(Strategy):
         settling: list[Cell] = []
         blocked, index = sim.blocked, sim.index
         for robot in sim.active:
-            i = self.index[robot.id]
+            i = robot.mem
             settle = False
             target = None
             while True:
@@ -102,26 +101,19 @@ class Dflf(Strategy):
                     continue
                 break
             if settle:
-                del self.index[robot.id]
                 settling.append(robot.pos)
                 actions.append(A_SETTLE)
                 continue
-            self.index[robot.id] = i
             if blocked[index(target)] or target in claimed:
+                robot.mem = i
                 actions.append(A_STAY)
             else:
                 claimed.add(target)
-                self.index[robot.id] = i + 1
+                robot.mem = i + 1
                 actions.append(_move_action(robot.pos, target))
         # Settles take effect at the end of the step.
         self.settled.update(settling)
         return actions
-
-    def state_key(self):
-        # Active robots only, in spawn (= id) order: the engine clears its
-        # seen configurations on every settle, so settled robots, whose
-        # entries are dropped in decide_all, need not be in the key.
-        return tuple(self.index.items())
 
 
 class Bflf(Strategy):
@@ -224,7 +216,3 @@ class Bflf(Strategy):
         # Settles take effect at the end of the step.
         unsettled.difference_update(settling)
         return actions
-
-    def state_key(self):
-        # Active robots only, in spawn (= id) order; see Dflf.state_key.
-        return (len(self.unclaimed), tuple(self.targets.items()))

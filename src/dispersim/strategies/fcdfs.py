@@ -116,9 +116,9 @@ class RunChecker:
         self._at_start = at_start
         self._stepping = active
         self._n_robots = len(sim.robots)
-        # Robots without memory (a baseline's, or a hand-fed run's) have
-        # no primary direction to watch.
-        self._primaries = [(r, r.mem.primary) for r in active if r.mem is not None]
+        # A memory without a primary direction (a baseline's, or a
+        # hand-fed run's None) has none to watch.
+        self._primaries = [(r, getattr(r.mem, "primary", None)) for r in active]
 
     def _check_spacing(self, t, active) -> None:
         door_dist = self.door_dist

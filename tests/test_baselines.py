@@ -162,9 +162,11 @@ def test_dflf_choices_pinned():
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 69])
 def test_bflf_equal_deadlock_keys_imply_equal_paths(seed):
-    """``Bflf.state_key`` leaves out ``paths``: between two clears of the
-    engine's seen set, two steps with one configuration key also hold
-    the same paths, the repeat that ends seed 69's run included."""
+    """The deadlock key holds only the active robots' cells and
+    memories, and ``bflf`` leaves ``robot.mem`` None, so its ``paths``
+    are not in it: between two clears of the engine's seen set, two
+    steps with one configuration key also hold the same paths, the
+    repeat that ends seed 69's run included."""
     r = rect(12, 12, (5, 5))
     strategy = make_strategy("bflf", r, seed)
     sim = Simulation(r, strategy, record=False)

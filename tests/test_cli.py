@@ -100,6 +100,20 @@ def test_run_missing_env_exit_one():
     assert main(["run", "--env", "/nonexistent.map", "--strategy", "fcdfs"]) == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "--strategy", "fcdfs"],
+    ["compare", "--strategies", "fcdfs"],
+    ["oracle"],
+])
+def test_a_map_that_is_not_utf8_is_an_io_error(tmp_path, capsys, command):
+    env = tmp_path / "latin1.map"
+    env.write_bytes(b"S.\n\xff.\n")
+    assert main([*command, "--env", str(env)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot read {env}: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_run_check_flag(corridor_map):
     assert main(["run", "--env", corridor_map, "--strategy", "fcdfs", "--check"]) == 0
 
@@ -362,6 +376,15 @@ def test_render_bad_trace(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["render", "--trace", str(bad)]) == 1
+
+
+def test_render_a_trace_nested_too_deep(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    assert main(["render", "--trace", str(deep)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("bad trace: ")
 
 
 def test_render_rejects_snapshot_format_trace(tmp_path, capsys):

@@ -20,7 +20,7 @@ from dispersim.grid import (
     DIR_BITS, DIR_NAMES, DIR_VECTORS, DOWN, FREE_DIRS, LEFT, Region, UP, RIGHT, manhattan,
 )
 from dispersim.metrics import compute_metrics, run_metrics
-from dispersim.render import ascii_frame, ascii_frames
+from dispersim.render import ascii_frame, ascii_frames, heading
 from dispersim.strategies import STRATEGIES, make_strategy
 from dispersim.strategies.base import Strategy
 from dispersim.strategies.fcdfs import RunChecker
@@ -438,7 +438,7 @@ def test_replay_rebuilds_every_step_of_the_run(name):
 
 
 def _rows(robots):
-    return [(rb.id, rb.pos, rb.heading, rb.active, rb.moves) for rb in robots]
+    return [(rb.id, rb.pos, heading(rb), rb.active, rb.moves) for rb in robots]
 
 
 def _stepped_rows(sim, max_steps):
@@ -602,7 +602,7 @@ class NaiveChecker:
                         f"{b.pos} are closer than {bound}"
                     )
         self.residual = set(self.region.cells) - {rb.pos for rb in sim.robots if not rb.active}
-        self.primaries = {rb.id: rb.mem.primary for rb in sim.robots if rb.mem is not None}
+        self.primaries = {rb.id: getattr(rb.mem, "primary", None) for rb in sim.robots}
         self.stepping = active
 
     def after_step(self, sim, actions, settled_now):

@@ -1,6 +1,8 @@
 """Property-based tests over generated simply connected regions."""
 
+import hashlib
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,15 +10,15 @@ from hypothesis import given, settings, strategies as st
 from dispersim import envgen
 from dispersim.engine import Simulation, SimulationTrace, run
 from dispersim.envgen import g_k, random_simply_connected, rect
-from dispersim.errors import NotSimplyConnected
+from dispersim.errors import CollisionError, NotSimplyConnected
 from dispersim.grid import RING, Region, from_ascii
 from dispersim.metrics import compute_metrics
 from dispersim.render import ascii_frame
-from dispersim.strategies import make_strategy
+from dispersim.strategies import STRATEGIES, make_strategy
 from dispersim.strategies.fcdfs import RunChecker
 from dispersim.topology import bfs_distances, bfs_distances_cells, geometric_median, is_simply_connected
 
-from oracles import fixed_polyominoes
+from oracles import fixed_polyominoes, has_hole
 
 
 def _moved(V, seed, dx, dy):
@@ -101,6 +103,52 @@ def test_every_small_polyomino_from_every_door():
                 count += 1
             assert logs["fcdfs"] == logs["fcdfs5"], (sorted(cells), door)
     assert count == 11_970
+
+
+HOLEY_10_DIGEST = "2ba9849a21e7024270ea47c940fbec6940ba8a7308925476453614049d68540e"
+
+
+def test_every_holey_10_cell_region_pinned():
+    """Every strategy at seed 0 on each of the 88 fixed 10-cell
+    polyominoes with a hole, with every cell as the door (880 pairs):
+    one digest over ``(cells, door, strategy, outcome kind, outcome t,
+    total travel, total moves)``, a collision entering as its message.
+    The local strategies deadlock or collide on every pair, which takes
+    "FCDFS deadlocks on G(k)" to every small region with a hole; the
+    baselines cover every pair, never with optimal travel."""
+    holey = sorted(
+        tuple(sorted(cells))
+        for cells in fixed_polyominoes(10)
+        if len(cells) == 10 and has_hole(Region(cells, (0, 0)))
+    )
+    assert len(holey) == 88
+    digest = hashlib.sha256()
+    outcomes = Counter()
+    for cells in holey:
+        for door in cells:
+            r = Region(set(cells), door)
+            for name in sorted(STRATEGIES):
+                try:
+                    trace, m = run(r, make_strategy(name, r, 0), record=False)
+                except CollisionError as exc:
+                    row = (cells, door, name, str(exc))
+                    outcomes[name, "collision"] += 1
+                else:
+                    row = (cells, door, name, trace.outcome.kind, trace.outcome.t, m.total_travel, m.total_moves)
+                    outcomes[name, m.outcome] += 1
+                    outcomes[name, "optimal"] += m.optimal
+                digest.update(repr(row).encode() + b"\n")
+    local = {"deadlock": 715, "collision": 165, "optimal": 0}
+    assert {name: {kind: outcomes[name, kind] for kind in local} for name in sorted(STRATEGIES)} == {
+        "bflf": {"deadlock": 0, "collision": 0, "optimal": 0},
+        "dflf": {"deadlock": 0, "collision": 0, "optimal": 0},
+        "fcdfs": local,
+        "fcdfs5": local,
+        "left-hand": {"deadlock": 714, "collision": 166, "optimal": 0},
+        "rand-corner": local,
+    }
+    assert outcomes["bflf", "covered"] == outcomes["dflf", "covered"] == 880
+    assert digest.hexdigest() == HOLEY_10_DIGEST
 
 
 @settings(max_examples=60, deadline=None)
