@@ -7,8 +7,6 @@ map is the topmost line, so it holds the cells with the highest y.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from .errors import (
     DisconnectedRegion,
     MalformedMap,
@@ -80,15 +78,6 @@ class Region:
             raise DisconnectedRegion(
                 f"{len(cells) - len(reached)} cells unreachable from the door"
             )
-
-    def __contains__(self, cell: Cell) -> bool:
-        return cell in self.cells
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def __iter__(self) -> Iterator[Cell]:
-        return iter(self.cells)
 
     def __eq__(self, other) -> bool:
         return (

@@ -8,15 +8,20 @@ metrics, not model parity; they declare no runtime invariants.
 
 DFLF: a depth-first walk of the region is fixed up front (seeded-random
 tie-breaks). Robots follow it downward only: a cell's non-final walk
-occurrences are each followed by a child cell, so a robot either steps
+visits are each followed by a child cell, so a robot either steps
 into the next child, skips a finished subtree by jumping its walk index
-forward to the cell's next occurrence, or settles when it stands at the
-final occurrence of its cell. Deepest cells settle first.
+forward to the cell's next visit, or settles when it stands at the
+final visit of its cell. Deepest cells settle first. Two robots never
+pick one target in a step, so DFLF keeps no claims: every move enters a
+child of the mover's cell, each cell has one parent, and two robots
+never share a cell.
 
 BFLF: each spawned robot is assigned the nearest unclaimed cell whose
 claim keeps the unclaimed remainder connected to the door, and walks a
 shortest path through the unsettled cells toward it, pausing (Stay)
-whenever blocked by an active robot. Pauses count as travel but not as
+whenever blocked by an active robot or by a cell another robot enters
+this step. A spawn pending at a free door claims the door first, so no
+robot steps into it that step. Pauses count as travel but not as
 moves. The door stays unclaimed until it is the last cell and every
 claim keeps the unclaimed cells connected, so a claim is safe exactly
 when the cell is not an articulation point of the unclaimed cells: one
@@ -27,7 +32,6 @@ finds them all.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from collections import deque
 
 from ..grid import DIR_VECTORS, Cell, Region, adjacent, bfs_distances_cells
@@ -41,78 +45,72 @@ def _move_action(src: Cell, dst: Cell) -> int:
     return _DIR_OF[(dst[0] - src[0], dst[1] - src[1])]
 
 
+def _dfs_walk(region: Region, rng: random.Random) -> list[Cell]:
+    """Full DFS traversal from the door, recording every visit including
+    backtrack passes, with seeded-random tie-breaks. It ends back at the
+    door, so every cell's last visit marks the completion of its
+    subtree."""
+    door = region.door
+    cells = region.cells
+    walk = [door]
+    visited = {door}
+    trail = [door]
+    while trail:
+        head = trail[-1]
+        fresh = [nb for nb in adjacent(head) if nb in cells and nb not in visited]
+        if fresh:
+            nxt = rng.choice(fresh)
+            visited.add(nxt)
+            trail.append(nxt)
+            walk.append(nxt)
+        else:
+            trail.pop()
+            if trail:
+                walk.append(trail[-1])
+    return walk
+
+
 class Dflf(Strategy):
     name = "dflf"
 
     def __init__(self, region: Region, seed: int = 0):
         super().__init__(region, seed)
-        self.region = region
-        self.rng = random.Random(seed)
-        self.walk = self._build_walk()
-        self.occ: dict[Cell, list[int]] = {}
-        for i, cell in enumerate(self.walk):
-            self.occ.setdefault(cell, []).append(i)
+        self.walk = walk = _dfs_walk(region, random.Random(seed))
+        # skip[i]: the walk index of the next visit to walk[i], None at
+        # its last visit.
+        self.skip: list[int | None] = [None] * len(walk)
+        later: dict[Cell, int] = {}
+        for i in range(len(walk) - 1, -1, -1):
+            self.skip[i] = later.get(walk[i])
+            later[walk[i]] = i
         self.settled: set[Cell] = set()  # cells of the settles issued so far
-
-    def _build_walk(self) -> list[Cell]:
-        """Full DFS traversal from the door, recording every visit
-        including backtrack passes. It ends back at the door, so every
-        cell's last occurrence marks the completion of its subtree."""
-        door = self.region.door
-        cells = self.region.cells
-        walk = [door]
-        visited = {door}
-        trail = [door]
-        while trail:
-            head = trail[-1]
-            fresh = [nb for nb in adjacent(head) if nb in cells and nb not in visited]
-            if fresh:
-                nxt = self.rng.choice(fresh)
-                visited.add(nxt)
-                trail.append(nxt)
-                walk.append(nxt)
-            else:
-                trail.pop()
-                if trail:
-                    walk.append(trail[-1])
-        return walk
 
     def on_spawn(self, sim, robot) -> None:
         robot.mem = 0  # its position on the walk
 
     def decide_all(self, sim) -> list[int]:
         actions: list[int] = []
-        claimed: set[Cell] = set()
         settling: list[Cell] = []
         blocked, index = sim.blocked, sim.index
+        walk, skip, settled = self.walk, self.skip, self.settled
         for robot in sim.active:
             i = robot.mem
-            settle = False
-            target = None
-            while True:
-                occ = self.occ[robot.pos]
-                if i == occ[-1]:
-                    settle = True  # final visit: the subtree below is done
-                    break
-                target = self.walk[i + 1]
-                if target in self.settled:
-                    # Finished branch: skip to this cell's next occurrence.
-                    i = occ[bisect_right(occ, i)]
-                    continue
-                break
-            if settle:
-                settling.append(robot.pos)
+            # Finished branch: skip to this cell's next visit.
+            while skip[i] is not None and walk[i + 1] in settled:
+                i = skip[i]
+            if skip[i] is None:
+                settling.append(robot.pos)  # last visit: the subtree below is done
                 actions.append(A_SETTLE)
                 continue
-            if blocked[index(target)] or target in claimed:
+            target = walk[i + 1]
+            if blocked[index(target)]:
                 robot.mem = i
                 actions.append(A_STAY)
             else:
-                claimed.add(target)
                 robot.mem = i + 1
                 actions.append(_move_action(robot.pos, target))
         # Settles take effect at the end of the step.
-        self.settled.update(settling)
+        settled.update(settling)
         return actions
 
 
@@ -130,23 +128,6 @@ class Bflf(Strategy):
         self.unsettled: set[Cell] = set(region.cells)
         self.targets: dict[int, Cell] = {}  # active robot id -> target
         self.paths: dict[int, list[Cell]] = {}  # remaining cells to target
-
-    # -- target assignment -------------------------------------------------
-
-    def _assign_target(self, robot) -> None:
-        unclaimed = self.unclaimed
-        door = self.region.door
-        dist = bfs_distances_cells(self.unsettled, door)
-        cut = cut_cells(unclaimed, door)
-        safe = [c for c in unclaimed if c not in cut and (c != door or len(unclaimed) == 1)]
-        nearest = min(dist[c] for c in safe)
-        pool = sorted(c for c in safe if dist[c] == nearest)
-        target = self.rng.choice(pool)
-        self.targets[robot.id] = target
-        unclaimed.discard(target)
-        self.paths[robot.id] = self._route(robot.pos, target)
-
-    # -- routing -----------------------------------------------------------
 
     def _route(self, src: Cell, dst: Cell, avoid=()) -> list[Cell]:
         """Shortest path src -> dst through unsettled cells not in
@@ -170,16 +151,29 @@ class Bflf(Strategy):
         return []
 
     def on_spawn(self, sim, robot) -> None:
-        self._assign_target(robot)
+        """Claim the nearest safe unclaimed cell for the new robot and
+        route it there."""
+        unclaimed = self.unclaimed
+        door = self.region.door
+        dist = bfs_distances_cells(self.unsettled, door)
+        cut = cut_cells(unclaimed, door)
+        safe = [c for c in unclaimed if c not in cut and (c != door or len(unclaimed) == 1)]
+        nearest = min(dist[c] for c in safe)
+        pool = sorted(c for c in safe if dist[c] == nearest)
+        target = self.rng.choice(pool)
+        self.targets[robot.id] = target
+        unclaimed.discard(target)
+        self.paths[robot.id] = self._route(robot.pos, target)
 
     def decide_all(self, sim) -> list[int]:
         actions: list[int] = []
-        claimed_now: set[Cell] = set()
         settling: list[Cell] = []
         blocked, index = sim.blocked, sim.index
         unsettled = self.unsettled
+        # The cells this step's moves enter; a spawn pending at a free
+        # door claims it first.
         door = self.region.door
-        spawn_pending = not blocked[index(door)]
+        claimed_now: set[Cell] = set() if blocked[index(door)] else {door}
         for robot in sim.active:
             target = self.targets[robot.id]
             if robot.pos == target:
@@ -196,15 +190,11 @@ class Bflf(Strategy):
                 actions.append(A_STAY)
                 continue
             nxt = path[0]
-            if blocked[index(nxt)] or nxt in claimed_now or (spawn_pending and nxt == door):
+            if blocked[index(nxt)] or nxt in claimed_now:
                 # Try flowing around the robots in the way.
                 detour = self._route(robot.pos, target, {r.pos for r in sim.active})
                 # The detour never enters an occupied cell.
-                if (
-                    detour
-                    and detour[0] not in claimed_now
-                    and not (spawn_pending and detour[0] == door)
-                ):
+                if detour and detour[0] not in claimed_now:
                     path = detour
                     nxt = detour[0]
                 else:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dispersim.engine import Simulation, run
-from dispersim.envgen import random_simply_connected, rect
+from dispersim.envgen import g_k, random_simply_connected, rect
 from dispersim.grid import Region
 from dispersim.strategies import make_strategy
 from dispersim.topology import cut_cells
@@ -158,6 +158,29 @@ def test_dflf_choices_pinned():
         trace, m = run(r, make_strategy("dflf", r, seed), max_steps=60 * len(r.cells))
         assert astuple(m) == fields, (name, seed)
         assert hashlib.sha256(_rows(trace)).hexdigest() == digest, (name, seed)
+
+
+def test_dflf_steps_only_from_a_cell_to_its_dfs_child():
+    """Why DFLF needs no per-step claims: every move enters a child, in
+    the DFS tree of ``strategy.walk``, of the cell it leaves. A cell has
+    one parent and two robots never share a cell, so no two robots
+    move into one cell in a step."""
+    regions = [rect(12, 12, (5, 5)), random_simply_connected(70, 31), g_k(1, 5)]
+    for r in regions:
+        for seed in range(5):
+            strategy = make_strategy("dflf", r, seed)
+            parent = {}
+            for prev, cell in zip(strategy.walk, strategy.walk[1:]):
+                parent.setdefault(cell, prev)
+            sim = Simulation(r, strategy, record=False)
+            while sim.outcome is None and sim.t < 60 * len(r.cells):
+                before = [(robot, robot.pos) for robot in sim.active]
+                sim.step()
+                moves = [(pos, robot.pos) for robot, pos in before if robot.pos != pos]
+                for src, dst in moves:
+                    assert parent[dst] == src, (r.door, seed, sim.t, src, dst)
+                assert len({dst for _, dst in moves}) == len(moves), (r.door, seed, sim.t)
+            assert sim.outcome.kind == "covered", (r.door, seed)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 69])
