@@ -18,17 +18,24 @@ as a transition table. The memory contract:
   behave the same in every future step;
 - a memory can be copied with ``copy.copy`` and hashes by identity
   (None is a memory too, with key None);
-- ``decide`` depends only on the view, the memory and the strategy's
-  constants, never on the robot, the step or the region.
+- ``decide`` depends only on the view, the memory and the constants
+  named in ``table_key()``, never on the robot, the step, the region or
+  the seed.
 
-Each strategy instance interns memories by ``key()``: a robot's
-``mem`` is always the canonical object for its key, shared with every
-other robot in that state and never changed. Per canonical memory a
-row of 256 entries holds ``(action, next canonical memory)``; an entry
-is filled on first use by calling ``decide`` once on a copy of the
-memory. ``decide_all`` is then one ring read and one table read per
-active robot, and the engine's deadlock key compares memories by
-identity.
+A transition table belongs to the rule, not to one run: one table per
+``table_key()``, the strategy's class and its constants, is shared by
+every instance in the process with that key. A strategy with a
+constant overrides ``table_key()`` to add it. The table interns
+memories by ``key()``: a robot's ``mem`` is always the canonical object
+for its key, shared with every other robot in that state, in any run,
+and never changed. Per canonical memory a row of 256 entries holds
+``(action, next canonical memory)``; an entry is filled on first use by
+calling ``decide`` once on a copy of the memory. ``on_spawn`` hands
+out the table's canonical fresh memory, and ``decide_all`` is one ring
+read and one table read per active robot. The engine's deadlock key
+compares memories by identity, which is exact because equal keys share
+one object; two strategies with different table keys never run in one
+simulation.
 
 The leader-follower baselines override both hooks: they model
 algorithms whose original setting grants leader-follower signaling, so
@@ -52,8 +59,36 @@ declares no lemmas beyond the engine's own checks.
 from __future__ import annotations
 
 import copy
+import functools
 
 from ..engine import A_SETTLE, A_STAY  # noqa: F401  (re-export)
+
+
+# table_key() -> that rule's transition table, filled lazily and shared
+# by every instance in the process with the key.
+_TABLES: dict = {}
+
+
+class _Table:
+    """The interned memories of one rule, their rows and the canonical
+    fresh memory."""
+
+    __slots__ = ("memories", "rows", "fresh")
+
+    def __init__(self, fresh):
+        self.memories: dict = {}  # key() -> canonical memory
+        self.rows: dict = {}  # canonical memory -> its 256 table entries
+        self.fresh = self.intern(fresh)
+
+    def intern(self, mem):
+        """The canonical memory with ``mem``'s key, ``mem`` itself if the
+        key is new."""
+        key = None if mem is None else mem.key()
+        memories = self.memories
+        if key not in memories:
+            memories[key] = mem
+            self.rows[mem] = [None] * 256
+        return memories[key]
 
 
 class Strategy:
@@ -64,8 +99,21 @@ class Strategy:
         # Local strategies must not look at the region; the argument only
         # exists so the registry can construct every strategy uniformly.
         self.seed = seed
-        self._memories: dict = {}  # key() -> canonical memory
-        self._rows: dict = {}  # canonical memory -> its 256 table entries
+
+    def table_key(self) -> tuple:
+        """The rule's identity: its class and every constant ``decide``
+        reads. Instances with equal keys share one transition table."""
+        return (type(self),)
+
+    @functools.cached_property
+    def _table(self) -> _Table:
+        # Looked up on first use, so a subclass may set its constants
+        # after Strategy.__init__.
+        key = self.table_key()
+        table = _TABLES.get(key)
+        if table is None:
+            table = _TABLES[key] = _Table(self.fresh_memory())
+        return table
 
     def fresh_memory(self):
         raise NotImplementedError
@@ -78,7 +126,7 @@ class Strategy:
     def decide_all(self, sim) -> list[int]:
         """Return one action per robot of ``sim.active``, in that order,
         moving each robot's memory to its next canonical memory."""
-        rows = self._rows
+        rows = self._table.rows
         ring_mask = sim.ring_mask
         actions = []
         for robot in sim.active:
@@ -92,22 +140,13 @@ class Strategy:
 
     def on_spawn(self, sim, robot) -> None:
         """Set up ``robot``, which has just emerged at the door."""
-        robot.mem = self._intern(self.fresh_memory())
-
-    def _intern(self, mem):
-        """The canonical memory with ``mem``'s key, ``mem`` itself if the
-        key is new."""
-        key = None if mem is None else mem.key()
-        memories = self._memories
-        if key not in memories:
-            memories[key] = mem
-            self._rows[mem] = [None] * 256
-        return memories[key]
+        robot.mem = self._table.fresh
 
     def _transition(self, mem, view: int) -> tuple:
         """Fill and return the table entry of canonical ``mem`` under
         ``view``: ``decide`` on a copy, its result interned."""
+        table = self._table
         after = copy.copy(mem)
         action = self.decide(view, after)
-        entry = self._rows[mem][view] = (action, self._intern(after))
+        entry = table.rows[mem][view] = (action, table.intern(after))
         return entry

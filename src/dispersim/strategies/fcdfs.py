@@ -184,6 +184,9 @@ class Fcdfs(Strategy):
     invariants = RunChecker
     rotation = 0  # the initial scan starts this many quarter turns clockwise of Up
 
+    def table_key(self) -> tuple:
+        return (type(self), self.rotation)
+
     def fresh_memory(self) -> FcdfsMemory:
         return FcdfsMemory()
 

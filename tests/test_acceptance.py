@@ -17,7 +17,6 @@ from dispersim.envgen import g_k, rect
 from dispersim.grid import Region
 from dispersim.metrics import run_metrics
 from dispersim.strategies import make_strategy
-from dispersim.strategies.fcdfs import Fcdfs
 
 from oracles import articulation_points
 
@@ -63,27 +62,12 @@ def test_criterion_1_central_door_grid_exact():
     assert ok, m
 
 
-class _NoStayFcdfs(Fcdfs):
-    """Instrumented: records whether any robot ever issued Stay."""
-
-    def __init__(self, region=None, seed=0):
-        super().__init__(region, seed)
-        self.stays = 0
-
-    def decide(self, view, mem):
-        act = super().decide(view, mem)
-        if act == A_STAY:
-            self.stays += 1
-        return act
-
-
 def test_criterion_2_optimality_properties(suite):
     t0 = time.monotonic()
     failures = []
     for i, r in enumerate(suite):
         V = len(r.cells)
-        strategy = _NoStayFcdfs(r, 0)
-        sim = Simulation(r, strategy, record=False)
+        sim = Simulation(r, make_strategy("fcdfs", r, 0), record=True)
         try:
             sim.finish(4 * V)
         except Exception as exc:  # collisions arrive as exceptions
@@ -99,7 +83,7 @@ def test_criterion_2_optimality_properties(suite):
             and sim.outcome.t == 2 * V - 1
             and total == sum(dist.values())
             and per_robot_ok
-            and strategy.stays == 0
+            and not any(A_STAY in log for log in sim.trace.logs)
         ):
             failures.append((i, sim.outcome, total, sum(dist.values())))
     elapsed = time.monotonic() - t0

@@ -108,6 +108,9 @@ class _Walker(Strategy):
         super().__init__()
         self.direction = direction
 
+    def table_key(self):
+        return (type(self), self.direction)
+
     def fresh_memory(self):
         return None
 

@@ -113,8 +113,8 @@ def check_every_small_polyomino(max_cells: int) -> int:
 
 def test_every_small_polyomino_from_every_door():
     """Tier-1's bound for the exhaustive check: every polyomino of at
-    most 6 cells, none of which has a hole."""
-    assert check_every_small_polyomino(6) == 11_970
+    most 7 cells, none of which has a hole."""
+    assert check_every_small_polyomino(7) == 49_210
 
 
 HOLEY_10_DIGEST = "2ba9849a21e7024270ea47c940fbec6940ba8a7308925476453614049d68540e"

@@ -234,6 +234,79 @@ def test_a_run_shares_memories_and_changes_none(name):
         assert len(first_seen) < len(sim.robots)
 
 
+LOCAL_NAMES = sorted(n for n, cls in STRATEGIES.items() if cls.decide_all is Strategy.decide_all)
+
+
+def _spawned_memory(strategy):
+    robot = Robot(1, (0, 0), None, 0)
+    strategy.on_spawn(None, robot)
+    return robot.mem
+
+
+def test_instances_with_one_key_share_canonical_memories():
+    a = make_strategy("fcdfs", rect(12, 12, (5, 5)), 0)
+    b = make_strategy("fcdfs", g_k(1, 5), 0)
+    assert a.table_key() == b.table_key()
+    fresh = _spawned_memory(a)
+    assert _spawned_memory(b) is fresh
+    for view in range(256):
+        assert _table_entry(a, fresh, view)[1] is _table_entry(b, fresh, view)[1]
+
+
+@pytest.mark.parametrize("name", LOCAL_NAMES)
+def test_a_second_identical_run_decides_nothing(name, monkeypatch):
+    """The first run fills the rule's table; a second run of the same
+    rule on the same region reads every step from it."""
+    regions = (rect(12, 12, (5, 5)), g_k(1, 5))
+    first = [run(r, make_strategy(name, r, 1)) for r in regions]
+    cls = STRATEGIES[name]
+    decide = cls.decide
+    calls = []
+
+    def counting(self, view, mem):
+        calls.append(view)
+        return decide(self, view, mem)
+
+    monkeypatch.setattr(cls, "decide", counting)
+    second = [run(r, make_strategy(name, r, 1)) for r in regions]
+    assert calls == []
+    for (t1, m1), (t2, m2) in zip(first, second):
+        assert (t1.spawns, t1.logs, t1.outcome, m1) == (t2.spawns, t2.logs, t2.outcome, m2)
+
+
+def test_rules_with_different_constants_share_no_row():
+    """rand-corner at each rotation and fcdfs: five tables, no row or
+    memory in two of them, and each rotation's first move its own."""
+    strategies = [_local_strategy("rand-corner", rotation) for rotation in range(4)]
+    strategies.append(make_strategy("fcdfs", None, 0))
+    r = rect(6, 6, (2, 2))
+    for strategy in strategies:
+        run(r, strategy)
+        # The first step from the door of an open square: rotation's direction.
+        assert _table_entry(strategy, _spawned_memory(strategy), 0)[0] == strategy.rotation
+    tables = [strategy._table for strategy in strategies]
+    assert len({id(table) for table in tables}) == len(tables)
+    rows = [id(row) for table in tables for row in table.rows.values()]
+    memories = [id(mem) for table in tables for mem in table.rows]
+    assert len(set(rows)) == len(rows) and len(set(memories)) == len(memories)
+
+
+@pytest.mark.parametrize("name", LOCAL_NAMES)
+def test_the_table_key_names_every_constant(name):
+    """Two instances with one table key differ in nothing but their seed
+    and table handle, so no constant that ``decide`` might read is left
+    out of the key."""
+    by_key = {}
+    for seed in range(16):
+        r = rect(4, 4, (1, 1)) if seed % 2 else g_k(1, 5)
+        strategy = make_strategy(name, r, seed)
+        _spawned_memory(strategy)
+        attrs = {k: v for k, v in vars(strategy).items() if k not in ("seed", "_table")}
+        assert by_key.setdefault(strategy.table_key(), attrs) == attrs, seed
+    if name == "rand-corner":
+        assert len(by_key) == 4
+
+
 # One digest per (strategy, seed) over the per-robot rows (spawn step,
 # action log) and the metrics of every run. The rows' digests were taken
 # where the event-list digests of before the ring-mask strategies still
