@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CellNotInRegion, CollisionError, MapError
-from .grid import DIR_NAMES, DIR_VECTORS, RING, Cell, Region
+from .grid import DIR_NAMES, Cell, Layout, Region
 from .metrics import RunMetrics, run_metrics
 
 # Action codes: 0..3 move in that direction, then stay, then settle.
@@ -31,9 +31,9 @@ _STAYS = bytes((A_STAY, A_SETTLE))  # the codes that leave a robot in place
 
 class Robot:
     """One robot of a run. ``pos`` is its cell and ``idx`` the same cell
-    as :meth:`Simulation.index` numbers it; the engine moves both
-    together. ``mem`` is everything else it carries from one step to the
-    next, set by the strategy. ``spawned`` is the step it emerged at the
+    as the run's :class:`~dispersim.grid.Layout` numbers it; the engine
+    moves both together. ``mem`` is everything else it carries from one
+    step to the next, set by the strategy. ``spawned`` is the step it emerged at the
     door and ``settled`` the step it settled (None while active), so its
     travel is a difference of the two
     (:func:`~dispersim.metrics.run_metrics`). ``log`` is its action log
@@ -285,12 +285,11 @@ class Simulation:
     and a step costs O(active robots). Recording appends one action code
     to the log of each robot of ``active``.
 
-    Inside the engine a cell is an int, :meth:`index`: the region's
-    bounding box laid out row-major with one padding cell on each side,
-    so a region cell's ring and move targets are always in range. The
-    ``bytearray`` ``blocked`` is 1 for walls, padding and occupied cells,
-    a ring read is 8 indexed reads of it (:meth:`ring_mask`) and a move
-    adds one of 4 offsets. ``blocked`` is the one record of which cells
+    Inside the engine a cell is an int, numbered by ``layout``, the
+    region's :class:`~dispersim.grid.Layout`. The ``bytearray``
+    ``blocked`` is 1 for walls, padding and occupied cells, a ring read
+    is 8 indexed reads of it (:meth:`ring_mask`) and a move adds one of
+    the 4 ``layout.dirs``. ``blocked`` is the one record of which cells
     hold a robot. Cells stay ``(x, y)`` tuples at the public boundary:
     ``robot.pos`` moves together with ``robot.idx``.
 
@@ -332,37 +331,22 @@ class Simulation:
         self.checker = checker
         self._seen_configs: set = set()
 
-        self._x0 = region.min_x - 1
-        self._y0 = region.min_y - 1
-        width = region.max_x - region.min_x + 3
-        self._width = width
-        size = width * (region.max_y - region.min_y + 3)
-        self.blocked = bytearray(b"\x01") * size
-        self._cell_at: list[Cell | None] = [None] * size
-        for cell in region.cells:
-            i = self.index(cell)
-            self.blocked[i] = 0
-            self._cell_at[i] = cell
-        self._ring_offsets = tuple(dx + dy * width for dx, dy in RING)
-        self._dir_offsets = tuple(dx + dy * width for dx, dy in DIR_VECTORS)
-        self._door = self.index(region.door)
+        self.layout = layout = Layout(region)
+        self.blocked = bytearray([cell is None for cell in layout.cell_at])
+        self._ring = layout.ring  # read once per robot per step by ring_mask
+        self._door = layout.index(region.door)
 
     @property
     def covered(self) -> bool:
         # Robots never leave the region and never share a cell.
         return len(self.robots) == len(self.region.cells)
 
-    def index(self, pos: Cell) -> int:
-        """The int that numbers ``pos`` in the padded layout; defined for
-        the bounding box and its padding ring."""
-        return (pos[1] - self._y0) * self._width + pos[0] - self._x0
-
     def ring_mask(self, idx: int) -> int:
         """The ring mask of the region cell numbered ``idx``: bit i is set
         when the cell ``RING[i]`` away is a wall or holds a robot. Only a
         region cell's ring is sure to lie inside the layout."""
         b = self.blocked
-        o0, o1, o2, o3, o4, o5, o6, o7 = self._ring_offsets
+        o0, o1, o2, o3, o4, o5, o6, o7 = self._ring
         return (
             b[idx + o0] | b[idx + o1] << 1 | b[idx + o2] << 2 | b[idx + o3] << 3
             | b[idx + o4] << 4 | b[idx + o5] << 5 | b[idx + o6] << 6 | b[idx + o7] << 7
@@ -375,7 +359,7 @@ class Simulation:
         CellNotInRegion for any other cell."""
         if pos not in self.region.cells:
             raise CellNotInRegion(f"{pos} is not a cell of the region")
-        return self.ring_mask(self.index(pos))
+        return self.ring_mask(self.layout.index(pos))
 
     def step(self) -> None:
         """Advance one synchronized Look-Compute-Move step."""
@@ -394,7 +378,7 @@ class Simulation:
 
         # One pass: collect the settles and validate moves against the
         # snapshot.
-        offsets = self._dir_offsets
+        offsets, cell_at = self.layout.dirs, self.layout.cell_at
         targets: dict[int, int] = {}
         movers = []
         settled_now = []
@@ -406,13 +390,13 @@ class Simulation:
                 continue
             target = robot.idx + offsets[act]
             if blocked[target]:
-                cell = self._cell_at[target]
+                cell = cell_at[target]
                 where = "off the region" if cell is None else f"into occupied cell {cell}"
                 raise CollisionError(f"t={t}: robot {robot.id} at {robot.pos} moved {DIR_NAMES[act]} {where}")
             if target in targets:
                 raise CollisionError(
                     f"t={t}: robots {targets[target]} and {robot.id} both "
-                    f"target {self._cell_at[target]}"
+                    f"target {cell_at[target]}"
                 )
             targets[target] = robot.id
             movers.append((robot, target))
@@ -424,7 +408,6 @@ class Simulation:
                 robot.log.append(act)
 
         # Apply all moves simultaneously, then settles.
-        cell_at = self._cell_at
         for robot, _ in movers:
             blocked[robot.idx] = 0
         for robot, target in movers:

@@ -1,5 +1,5 @@
 """Grid environments: cells, directions, the 4-neighbor order and BFS,
-the 8-ring, regions and the ASCII map format.
+the 8-ring, regions, their int layout and the ASCII map format.
 
 Coordinate frame: x grows to the right, y grows upward. Row 0 of an ASCII
 map is the topmost line, so it holds the cells with the highest y.
@@ -119,6 +119,34 @@ class Region:
         return "\n".join(rows)
 
 
+class Layout:
+    """A region's cells numbered as ints: its bounding box laid out
+    row-major with one padding cell on each side, so every region cell's
+    ring and move targets are in range.
+
+    ``index(pos)`` numbers a cell of the box or its padding, and
+    ``cell_at[i]`` is the region cell numbered i, None on padding and
+    walls. ``ring`` and ``dirs`` are the offsets of the cells
+    :data:`RING` and :data:`DIR_VECTORS` away, in their order, so a
+    move in direction d is ``+ dirs[d]`` and the direction of a step
+    ``s`` is ``dirs.index(s)``.
+    """
+
+    __slots__ = ("cell_at", "ring", "dirs", "_width", "_base")
+
+    def __init__(self, region: Region):
+        self._width = width = region.max_x - region.min_x + 3
+        self._base = (region.min_y - 1) * width + region.min_x - 1
+        self.cell_at: list[Cell | None] = [None] * (width * (region.max_y - region.min_y + 3))
+        for cell in region.cells:
+            self.cell_at[self.index(cell)] = cell
+        self.ring = tuple(dx + dy * width for dx, dy in RING)
+        self.dirs = tuple(dx + dy * width for dx, dy in DIR_VECTORS)
+
+    def index(self, pos: Cell) -> int:
+        return pos[1] * self._width + pos[0] - self._base
+
+
 def adjacent(cell: Cell) -> tuple[Cell, Cell, Cell, Cell]:
     """The four 4-neighbors of ``cell`` in :data:`DIR_VECTORS` order:
     up, right, down, left. Strategy determinism depends on this order."""
@@ -128,7 +156,9 @@ def adjacent(cell: Cell) -> tuple[Cell, Cell, Cell, Cell]:
 
 def bfs_distances_cells(cells, src: Cell) -> dict[Cell, int]:
     """4-neighbor shortest-path distances from ``src`` within ``cells``;
-    the keys are exactly the cells reachable from ``src``."""
+    the keys are exactly the cells reachable from ``src``. This is the
+    tuple BFS of ``Region``, ``topology`` and the test oracles; the
+    planners search their :class:`Layout` instead."""
     dist = {src: 0}
     frontier = [src]
     d = 0
@@ -136,7 +166,8 @@ def bfs_distances_cells(cells, src: Cell) -> dict[Cell, int]:
         d += 1
         reached = []
         for x, y in frontier:
-            # adjacent(), inline: BFLF runs this BFS once per spawn.
+            # adjacent(), inline: every Region build runs this BFS to check
+            # connectivity, and every run's optimum (sum_distances) once.
             for nb in ((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)):
                 if nb in cells and nb not in dist:
                     dist[nb] = d

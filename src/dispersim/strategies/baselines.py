@@ -4,7 +4,11 @@ These model the classic dispersal algorithms whose original setting
 grants robots communication (Hsiang et al., WAFR 2002). They are
 run-level controllers: they override ``decide_all`` and ``on_spawn`` and
 plan from the whole simulation. The comparison with FCDFS targets
-metrics, not model parity; they declare no runtime invariants.
+metrics, not model parity; they declare no runtime invariants. Both
+plan on the region's :class:`~dispersim.grid.Layout`, the engine's own
+cell numbering, so a cell is an int, a move's action is
+``layout.dirs.index(step)``, and the engine's ``sim.blocked`` reads
+directly.
 
 DFLF: a depth-first walk of the region is fixed up front (seeded-random
 tie-breaks). Robots follow it downward only: a cell's non-final walk
@@ -26,38 +30,34 @@ moves. The door stays unclaimed until it is the last cell and every
 claim keeps the unclaimed cells connected, so a claim is safe exactly
 when the cell is not an articulation point of the unclaimed cells: one
 Hopcroft-Tarjan pass from the door per spawn, ``topology.cut_cells``,
-finds them all.
+finds them all. One breadth-first search from the door through the
+unsettled cells then stops at the first level that holds a safe cell:
+that level's safe cells, in ``(x, y)`` order, are the pool the target
+is drawn from, and the search tree gives the robot's path to it.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 
-from ..grid import DIR_VECTORS, Cell, Region, adjacent, bfs_distances_cells
+from ..grid import Layout, Region
 from ..topology import cut_cells
 from .base import A_SETTLE, A_STAY, Strategy
 
-_DIR_OF = {v: d for d, v in enumerate(DIR_VECTORS)}
 
-
-def _move_action(src: Cell, dst: Cell) -> int:
-    return _DIR_OF[(dst[0] - src[0], dst[1] - src[1])]
-
-
-def _dfs_walk(region: Region, rng: random.Random) -> list[Cell]:
+def _dfs_walk(region: Region, layout: Layout, rng: random.Random) -> list[int]:
     """Full DFS traversal from the door, recording every visit including
     backtrack passes, with seeded-random tie-breaks. It ends back at the
     door, so every cell's last visit marks the completion of its
     subtree."""
-    door = region.door
-    cells = region.cells
+    cell_at, dirs = layout.cell_at, layout.dirs
+    door = layout.index(region.door)
     walk = [door]
     visited = {door}
     trail = [door]
     while trail:
         head = trail[-1]
-        fresh = [nb for nb in adjacent(head) if nb in cells and nb not in visited]
+        fresh = [nb for nb in (head + d for d in dirs) if cell_at[nb] is not None and nb not in visited]
         if fresh:
             nxt = rng.choice(fresh)
             visited.add(nxt)
@@ -75,23 +75,24 @@ class Dflf(Strategy):
 
     def __init__(self, region: Region, seed: int = 0):
         super().__init__(region, seed)
-        self.walk = walk = _dfs_walk(region, random.Random(seed))
+        self.layout = layout = Layout(region)
+        self.walk = walk = _dfs_walk(region, layout, random.Random(seed))
         # skip[i]: the walk index of the next visit to walk[i], None at
         # its last visit.
         self.skip: list[int | None] = [None] * len(walk)
-        later: dict[Cell, int] = {}
+        later: dict[int, int] = {}
         for i in range(len(walk) - 1, -1, -1):
             self.skip[i] = later.get(walk[i])
             later[walk[i]] = i
-        self.settled: set[Cell] = set()  # cells of the settles issued so far
+        self.settled: set[int] = set()  # cells of the settles issued so far
 
     def on_spawn(self, sim, robot) -> None:
         robot.mem = 0  # its position on the walk
 
     def decide_all(self, sim) -> list[int]:
         actions: list[int] = []
-        settling: list[Cell] = []
-        blocked, index = sim.blocked, sim.index
+        settling: list[int] = []
+        blocked, dirs = sim.blocked, self.layout.dirs
         walk, skip, settled = self.walk, self.skip, self.settled
         for robot in sim.active:
             i = robot.mem
@@ -99,16 +100,16 @@ class Dflf(Strategy):
             while skip[i] is not None and walk[i + 1] in settled:
                 i = skip[i]
             if skip[i] is None:
-                settling.append(robot.pos)  # last visit: the subtree below is done
+                settling.append(robot.idx)  # last visit: the subtree below is done
                 actions.append(A_SETTLE)
                 continue
             target = walk[i + 1]
-            if blocked[index(target)]:
+            if blocked[target]:
                 robot.mem = i
                 actions.append(A_STAY)
             else:
                 robot.mem = i + 1
-                actions.append(_move_action(robot.pos, target))
+                actions.append(dirs.index(target - robot.idx))
         # Settles take effect at the end of the step.
         settled.update(settling)
         return actions
@@ -119,64 +120,75 @@ class Bflf(Strategy):
 
     def __init__(self, region: Region, seed: int = 0):
         super().__init__(region, seed)
-        self.region = region
+        self.layout = layout = Layout(region)
+        self.door = layout.index(region.door)
         self.rng = random.Random(seed)
-        self.unclaimed: set[Cell] = set(region.cells)
+        self.unclaimed: set[int] = {layout.index(c) for c in region.cells}
         # Cells without a settled robot. decide_all removes the cells it
         # settles after deciding every robot, so the set stays the
         # settles of earlier steps while it decides.
-        self.unsettled: set[Cell] = set(region.cells)
-        self.targets: dict[int, Cell] = {}  # active robot id -> target
-        self.paths: dict[int, list[Cell]] = {}  # remaining cells to target
+        self.unsettled: set[int] = set(self.unclaimed)
+        self.targets: dict[int, int] = {}  # active robot id -> target
+        self.paths: dict[int, list[int]] = {}  # remaining cells to target
 
-    def _route(self, src: Cell, dst: Cell, avoid=()) -> list[Cell]:
-        """Shortest path src -> dst through unsettled cells not in
-        ``avoid`` (excluding src); empty when none exists."""
-        unsettled = self.unsettled
-        prev: dict[Cell, Cell] = {src: src}
-        todo = deque([src])
-        while todo:
-            v = todo.popleft()
-            if v == dst:
-                path = [v]
-                while prev[v] != v:
-                    v = prev[v]
-                    path.append(v)
+    def _search(self, src: int, goal, blocked=None) -> list[int]:
+        """Breadth-first search from ``src`` through the unsettled cells
+        not set in ``blocked``, one level at a time. It stops at the first
+        level for which ``goal(level)`` names a cell and returns the
+        search tree's path to that cell, ``src`` excluded; [] when no
+        level does."""
+        unsettled, dirs = self.unsettled, self.layout.dirs
+        prev = {src: src}
+        level = [src]
+        while level:
+            cell = goal(level)
+            if cell is not None:
+                path = []
+                while cell != src:
+                    path.append(cell)
+                    cell = prev[cell]
                 path.reverse()
-                return path[1:]
-            for nb in adjacent(v):
-                if nb in unsettled and nb not in prev and nb not in avoid:
-                    prev[nb] = v
-                    todo.append(nb)
+                return path
+            reached = []
+            for v in level:
+                for d in dirs:
+                    nb = v + d
+                    if nb in unsettled and nb not in prev and (blocked is None or not blocked[nb]):
+                        prev[nb] = v
+                        reached.append(nb)
+            level = reached
         return []
 
+    def _route(self, src: int, dst: int, blocked=None) -> list[int]:
+        """A shortest path src -> dst: the search with the goal ``dst``."""
+        return self._search(src, lambda level: dst if dst in level else None, blocked)
+
     def on_spawn(self, sim, robot) -> None:
-        """Claim the nearest safe unclaimed cell for the new robot and
-        route it there."""
-        unclaimed = self.unclaimed
-        door = self.region.door
-        dist = bfs_distances_cells(self.unsettled, door)
-        cut = cut_cells(unclaimed, door)
-        safe = [c for c in unclaimed if c not in cut and (c != door or len(unclaimed) == 1)]
-        nearest = min(dist[c] for c in safe)
-        pool = sorted(c for c in safe if dist[c] == nearest)
-        target = self.rng.choice(pool)
-        self.targets[robot.id] = target
+        """Claim a nearest safe unclaimed cell for the new robot, drawn in
+        ``(x, y)`` order, and route it there."""
+        unclaimed, door, cell_at = self.unclaimed, self.door, self.layout.cell_at
+        cut = cut_cells(unclaimed, door, self.layout.dirs)
+
+        def nearest(level):
+            pool = [c for c in level if c in unclaimed and c not in cut and (c != door or len(unclaimed) == 1)]
+            return self.rng.choice(sorted(pool, key=cell_at.__getitem__)) if pool else None
+
+        path = self._search(door, nearest)
+        # An empty path from the door ends at the door.
+        self.targets[robot.id] = target = path[-1] if path else door
         unclaimed.discard(target)
-        self.paths[robot.id] = self._route(robot.pos, target)
+        self.paths[robot.id] = path
 
     def decide_all(self, sim) -> list[int]:
         actions: list[int] = []
-        settling: list[Cell] = []
-        blocked, index = sim.blocked, sim.index
-        unsettled = self.unsettled
+        settling: list[int] = []
+        blocked, dirs, unsettled = sim.blocked, self.layout.dirs, self.unsettled
         # The cells this step's moves enter; a spawn pending at a free
         # door claims it first.
-        door = self.region.door
-        claimed_now: set[Cell] = set() if blocked[index(door)] else {door}
+        claimed_now: set[int] = set() if blocked[self.door] else {self.door}
         for robot in sim.active:
             target = self.targets[robot.id]
-            if robot.pos == target:
+            if robot.idx == target:
                 del self.targets[robot.id]
                 del self.paths[robot.id]
                 settling.append(target)
@@ -184,15 +196,15 @@ class Bflf(Strategy):
                 continue
             path = self.paths[robot.id]
             if not path or not unsettled.issuperset(path):
-                path = self._route(robot.pos, target)
+                path = self._route(robot.idx, target)
                 self.paths[robot.id] = path
             if not path:
                 actions.append(A_STAY)
                 continue
             nxt = path[0]
-            if blocked[index(nxt)] or nxt in claimed_now:
+            if blocked[nxt] or nxt in claimed_now:
                 # Try flowing around the robots in the way.
-                detour = self._route(robot.pos, target, {r.pos for r in sim.active})
+                detour = self._route(robot.idx, target, blocked)
                 # The detour never enters an occupied cell.
                 if detour and detour[0] not in claimed_now:
                     path = detour
@@ -202,7 +214,7 @@ class Bflf(Strategy):
                     continue
             claimed_now.add(nxt)
             self.paths[robot.id] = path[1:]
-            actions.append(_move_action(robot.pos, nxt))
+            actions.append(dirs.index(nxt - robot.idx))
         # Settles take effect at the end of the step.
         unsettled.difference_update(settling)
         return actions

@@ -2,15 +2,17 @@
 the hall tree decomposition, BFS distances, articulation points and
 optimal door placement.
 
-The simulation's checks and the BFLF planner call these routines, so
-none is a remove-and-test brute force: simple connectivity is one count
-over the tree of column runs, the articulation points (``cut_cells``)
-are one Hopcroft-Tarjan pass, and ``geometric_median`` runs in O(V)
-through the half-spaces of a median graph, on the same column runs. The
-brute-force oracles they are tested against live under ``tests/``: the
-flood fill of the complement and the remove-and-test articulation
-points in ``tests/oracles.py``, and the one-BFS-per-cell median in
-``tests/test_properties.py``.
+Cells are ``(x, y)`` tuples, except in ``cut_cells``: BFLF plans on the
+int cells of a :class:`~dispersim.grid.Layout`, so it takes ints and
+their neighbor offsets. The simulation's checks and the BFLF planner
+call these routines, so none is a remove-and-test brute force: simple
+connectivity is one count over the tree of column runs, the
+articulation points (``cut_cells``) are one Hopcroft-Tarjan pass, and
+``geometric_median`` runs in O(V) through the half-spaces of a median
+graph, on the same column runs. The brute-force oracles they are
+tested against live under ``tests/``: the flood fill of the complement
+and the remove-and-test articulation points in ``tests/oracles.py``,
+and the one-BFS-per-cell median in ``tests/test_properties.py``.
 """
 
 from __future__ import annotations
@@ -129,18 +131,21 @@ def hall_tree(r: Region) -> HallTree:
     )
 
 
-def cut_cells(cells, root: Cell) -> set[Cell]:
-    """Articulation points of the 4-connected cells reachable from
-    ``root`` within ``cells``: one iterative Hopcroft-Tarjan (1973)
+def cut_cells(cells, root: int, dirs) -> set[int]:
+    """Articulation points of the int cells reachable from ``root``
+    within ``cells``, where the neighbors of v are ``v + d`` for the
+    offsets ``d`` of ``dirs`` (a :class:`~dispersim.grid.Layout`'s
+    ``dirs`` for the 4-neighbors): one iterative Hopcroft-Tarjan (1973)
     depth-first pass, O(cells), with no recursion."""
     depth = {root: 0}
     low = {root: 0}
-    cut: set[Cell] = set()
+    cut: set[int] = set()
     root_children = 0
-    stack = [(root, iter(adjacent(root)))]
+    stack = [(root, iter(dirs))]
     while stack:
         v, todo = stack[-1]
-        for w in todo:
+        for d in todo:
+            w = v + d
             if w not in cells:
                 continue
             if w in depth:
@@ -150,7 +155,7 @@ def cut_cells(cells, root: Cell) -> set[Cell]:
                     low[v] = depth[w]
             else:
                 depth[w] = low[w] = len(depth)
-                stack.append((w, iter(adjacent(w))))
+                stack.append((w, iter(dirs)))
                 break
         else:
             stack.pop()

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dispersim.engine import Simulation, run
 from dispersim.envgen import g_k, random_simply_connected, rect
-from dispersim.grid import Region
+from dispersim.grid import Layout, Region
 from dispersim.strategies import make_strategy
 from dispersim.topology import cut_cells
 
@@ -75,18 +75,23 @@ def test_cut_cells_match_the_brute_force_oracle_under_safe_claims(V, seed, claim
     # BFLF's claim sequence in miniature: claim a random cell whose loss
     # keeps the unclaimed cells connected, the door last.
     r = random_simply_connected(V, seed)
+    layout = Layout(r)
     unclaimed = set(r.cells)
     while unclaimed:
         expected = articulation_points(Region(unclaimed, r.door))
-        assert cut_cells(unclaimed, r.door) == expected
+        cut = cut_cells({layout.index(c) for c in unclaimed}, layout.index(r.door), layout.dirs)
+        assert {layout.cell_at[i] for i in cut} == expected
         safe = sorted(unclaimed - expected - {r.door}) or [r.door]
         unclaimed.remove(claims.choice(safe))
 
 
 def test_cut_cells_on_a_long_corridor_needs_no_recursion():
     corridor = rect(3000, 1, (0, 0))
-    assert cut_cells(corridor.cells, (0, 0)) == corridor.cells - {(0, 0), (2999, 0)}
-    assert cut_cells(corridor.cells, (1500, 0)) == corridor.cells - {(0, 0), (2999, 0)}
+    layout = Layout(corridor)
+    cells = {layout.index(c) for c in corridor.cells}
+    for root in ((0, 0), (1500, 0)):
+        cut = cut_cells(cells, layout.index(root), layout.dirs)
+        assert {layout.cell_at[i] for i in cut} == corridor.cells - {(0, 0), (2999, 0)}
 
 
 def _rows(trace) -> bytes:
@@ -169,8 +174,9 @@ def test_dflf_steps_only_from_a_cell_to_its_dfs_child():
     for r in regions:
         for seed in range(5):
             strategy = make_strategy("dflf", r, seed)
+            walk = [strategy.layout.cell_at[i] for i in strategy.walk]
             parent = {}
-            for prev, cell in zip(strategy.walk, strategy.walk[1:]):
+            for prev, cell in zip(walk, walk[1:]):
                 parent.setdefault(cell, prev)
             sim = Simulation(r, strategy, record=False)
             while sim.outcome is None and sim.t < 60 * len(r.cells):

@@ -11,7 +11,7 @@ from dispersim import envgen
 from dispersim.engine import Simulation, SimulationTrace, run
 from dispersim.envgen import g_k, random_simply_connected, rect
 from dispersim.errors import CollisionError, NotSimplyConnected
-from dispersim.grid import RING, Region, from_ascii
+from dispersim.grid import DIR_VECTORS, RING, Layout, Region, from_ascii
 from dispersim.metrics import compute_metrics
 from dispersim.render import ascii_frame
 from dispersim.strategies import STRATEGIES, make_strategy
@@ -302,9 +302,21 @@ def _tuple_space_mask(sim, cell):
 
 
 def _assert_layout_matches_cells(r):
-    """After every step of ``fcdfs`` and ``left-hand``, the int-indexed
-    ring of every region cell equals its tuple-space definition, and
-    every robot's ``idx`` numbers its ``pos``."""
+    """The layout numbers the padded bounding box one to one, ``cell_at``
+    reading back each region cell and None on padding and walls, and its
+    ``ring`` and ``dirs`` step to the cells ``RING`` and ``DIR_VECTORS``
+    away, in that order. After every step of ``fcdfs`` and
+    ``left-hand``, the int-indexed ring of every region cell equals its
+    tuple-space definition, and every robot's ``idx`` numbers its
+    ``pos``."""
+    layout = Layout(r)
+    box = [(x, y) for x in range(r.min_x - 1, r.max_x + 2) for y in range(r.min_y - 1, r.max_y + 2)]
+    assert sorted(layout.index(c) for c in box) == list(range(len(layout.cell_at)))
+    for c in box:
+        assert layout.cell_at[layout.index(c)] == (c if c in r.cells else None), c
+    x, y = r.door
+    for offsets, vectors in ((layout.ring, RING), (layout.dirs, DIR_VECTORS)):
+        assert [layout.index((x + dx, y + dy)) - layout.index(r.door) for dx, dy in vectors] == list(offsets)
     for name in ("fcdfs", "left-hand"):
         sim = Simulation(r, make_strategy(name, r, 0), record=False)
         while sim.outcome is None and sim.t < 4 * len(r.cells):
@@ -312,7 +324,7 @@ def _assert_layout_matches_cells(r):
             for cell in r.cells:
                 assert sim.sense(cell) == _tuple_space_mask(sim, cell), (name, sim.t, cell)
             for robot in sim.robots:
-                assert robot.idx == sim.index(robot.pos), (name, sim.t, robot.id)
+                assert robot.idx == sim.layout.index(robot.pos), (name, sim.t, robot.id)
 
 
 @settings(max_examples=40, deadline=None)
