@@ -2,10 +2,11 @@
 
 Each step: take an occupancy snapshot, let the strategy decide every
 active robot's action (a local strategy from that robot's 8-bit ring
-mask, :meth:`Simulation.sense`, and its memory state alone), apply all
-moves simultaneously (targets must have been unoccupied in the
-snapshot), then settle robots and spawn a new one at the door if the
-door was free in the snapshot.
+mask, :meth:`Simulation.ring_mask` of its cell's int, and its memory
+alone; :meth:`Simulation.sense` is the checked entry point for an
+``(x, y)`` cell), apply all moves simultaneously (targets must have
+been unoccupied in the snapshot), then settle robots and spawn a new
+one at the door if the door was free in the snapshot.
 Runs end on full coverage, an exact configuration repeat (deadlock) or
 a step limit.
 """
@@ -290,8 +291,11 @@ class Simulation:
     ``blocked`` is 1 for walls, padding and occupied cells, a ring read
     is 8 indexed reads of it (:meth:`ring_mask`) and a move adds one of
     the 4 ``layout.dirs``. ``blocked`` is the one record of which cells
-    hold a robot. Cells stay ``(x, y)`` tuples at the public boundary:
-    ``robot.pos`` moves together with ``robot.idx``.
+    hold a robot, and the set ``residual`` the one record of settled
+    cells: the residual region, the ints of the region's cells that hold
+    no settled robot. The step's settle loop alone removes a cell from
+    it; strategies only read it. Cells stay ``(x, y)`` tuples at the
+    public boundary: ``robot.pos`` moves together with ``robot.idx``.
 
     Every step asks ``strategy.decide_all`` for a list of one action per
     robot of ``active``, in order, and hands a new robot to
@@ -333,6 +337,7 @@ class Simulation:
 
         self.layout = layout = Layout(region)
         self.blocked = bytearray([cell is None for cell in layout.cell_at])
+        self.residual = {layout.index(c) for c in region.cells}
         self._ring = layout.ring  # read once per robot per step by ring_mask
         self._door = layout.index(region.door)
 
@@ -418,6 +423,7 @@ class Simulation:
         if settled_now:
             for robot in settled_now:
                 robot.settled = t
+                self.residual.discard(robot.idx)
             self.active = [r for r in stepping if r.settled is None]
 
         # Spawn: door free in the snapshot and still free after moves

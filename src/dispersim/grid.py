@@ -36,12 +36,12 @@ FLOOR_CHAR = "."
 DOOR_CHAR = "S"
 
 
-def rotate_cw(d: int, quarters: int = 1) -> int:
-    return (d + quarters) % 4
+def rotate_cw(d: int) -> int:
+    return (d + 1) % 4
 
 
-def rotate_ccw(d: int, quarters: int = 1) -> int:
-    return (d - quarters) % 4
+def rotate_ccw(d: int) -> int:
+    return (d - 1) % 4
 
 
 def opposite(d: int) -> int:

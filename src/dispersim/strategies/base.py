@@ -45,11 +45,11 @@ A run's configuration is its active robots' cells and memories: the
 engine's deadlock key holds nothing else, and its seen set is cleared
 on every spawn and settle. So a strategy keeps in ``robot.mem``
 whatever of its state can change in between. ``dflf`` keeps each
-robot's walk index there, which moves when a staying robot skips a
-finished branch. ``bflf`` leaves ``robot.mem`` None: its claims and
-targets change only when a robot spawns or settles, and the tests
-check that two steps with one key between two clears hold the same
-routes.
+robot's walk index there. ``bflf`` keeps each robot's target there,
+drawn at spawn and fixed until the robot settles on it; its claims
+change only when a robot spawns, and its routes stay out of the key:
+the tests check that two steps with one key between two clears hold
+the same routes.
 
 ``invariants`` names the runtime checker of the lemmas a strategy
 guarantees, built as ``invariants(region)`` when a run is checked; None

@@ -8,7 +8,10 @@ metrics, not model parity; they declare no runtime invariants. Both
 plan on the region's :class:`~dispersim.grid.Layout`, the engine's own
 cell numbering, so a cell is an int, a move's action is
 ``layout.dirs.index(step)``, and the engine's ``sim.blocked`` reads
-directly.
+directly. Both read the residual region, the engine's ``sim.residual``,
+and never write it: the engine removes a settling robot's cell after
+every robot of the step has decided, so a planner sees only the settles
+of earlier steps.
 
 DFLF: a depth-first walk of the region is fixed up front (seeded-random
 tie-breaks). Robots follow it downward only: a cell's non-final walk
@@ -20,18 +23,28 @@ pick one target in a step, so DFLF keeps no claims: every move enters a
 child of the mover's cell, each cell has one parent, and two robots
 never share a cell.
 
+DFLF never stays, so for DFLF the residual's timing cannot change a
+run: seeing a settle of the same step could only turn a Stay behind the
+settling robot into a skip. Suppose robot R at cell c stays at step t
+because its next walk cell, a child ch of c, holds an active robot Q. Q
+entered ch from c at some step s. R could not enter c at step s, by a
+move or, at the door, by a spawn, since Q held c in that step's
+snapshot, so t >= s + 2. Robots only move down the tree, so Q held ch
+and was active from step s to step t: at step s + 1 it stayed. Every
+Stay follows an earlier one, so there is no first.
+
 BFLF: each spawned robot is assigned the nearest unclaimed cell whose
-claim keeps the unclaimed remainder connected to the door, and walks a
-shortest path through the unsettled cells toward it, pausing (Stay)
-whenever blocked by an active robot or by a cell another robot enters
-this step. A spawn pending at a free door claims the door first, so no
-robot steps into it that step. Pauses count as travel but not as
-moves. The door stays unclaimed until it is the last cell and every
-claim keeps the unclaimed cells connected, so a claim is safe exactly
-when the cell is not an articulation point of the unclaimed cells: one
-Hopcroft-Tarjan pass from the door per spawn, ``topology.cut_cells``,
-finds them all. One breadth-first search from the door through the
-unsettled cells then stops at the first level that holds a safe cell:
+claim keeps the unclaimed remainder connected to the door, kept in its
+``robot.mem`` until it settles there, and walks a shortest path through
+the residual region toward it, pausing (Stay) whenever blocked by an
+active robot or by a cell another robot enters this step. A spawn
+pending at a free door claims the door first, so no robot steps into
+it that step. Pauses count as travel but not as moves. The door stays
+unclaimed until it is the last cell and every claim keeps the
+unclaimed cells connected, so a claim is safe exactly when the cell is
+not an articulation point of the unclaimed cells: one Hopcroft-Tarjan
+pass from the door per spawn, ``topology.cut_cells``, finds them all. One breadth-first search from the door through the
+residual region then stops at the first level that holds a safe cell:
 that level's safe cells, in ``(x, y)`` order, are the pool the target
 is drawn from, and the search tree gives the robot's path to it.
 """
@@ -84,24 +97,21 @@ class Dflf(Strategy):
         for i in range(len(walk) - 1, -1, -1):
             self.skip[i] = later.get(walk[i])
             later[walk[i]] = i
-        self.settled: set[int] = set()  # cells of the settles issued so far
 
     def on_spawn(self, sim, robot) -> None:
         robot.mem = 0  # its position on the walk
 
     def decide_all(self, sim) -> list[int]:
         actions: list[int] = []
-        settling: list[int] = []
-        blocked, dirs = sim.blocked, self.layout.dirs
-        walk, skip, settled = self.walk, self.skip, self.settled
+        blocked, residual, dirs = sim.blocked, sim.residual, self.layout.dirs
+        walk, skip = self.walk, self.skip
         for robot in sim.active:
             i = robot.mem
             # Finished branch: skip to this cell's next visit.
-            while skip[i] is not None and walk[i + 1] in settled:
+            while skip[i] is not None and walk[i + 1] not in residual:
                 i = skip[i]
             if skip[i] is None:
-                settling.append(robot.idx)  # last visit: the subtree below is done
-                actions.append(A_SETTLE)
+                actions.append(A_SETTLE)  # last visit: the subtree below is done
                 continue
             target = walk[i + 1]
             if blocked[target]:
@@ -110,8 +120,6 @@ class Dflf(Strategy):
             else:
                 robot.mem = i + 1
                 actions.append(dirs.index(target - robot.idx))
-        # Settles take effect at the end of the step.
-        settled.update(settling)
         return actions
 
 
@@ -124,20 +132,15 @@ class Bflf(Strategy):
         self.door = layout.index(region.door)
         self.rng = random.Random(seed)
         self.unclaimed: set[int] = {layout.index(c) for c in region.cells}
-        # Cells without a settled robot. decide_all removes the cells it
-        # settles after deciding every robot, so the set stays the
-        # settles of earlier steps while it decides.
-        self.unsettled: set[int] = set(self.unclaimed)
-        self.targets: dict[int, int] = {}  # active robot id -> target
         self.paths: dict[int, list[int]] = {}  # remaining cells to target
 
-    def _search(self, src: int, goal, blocked=None) -> list[int]:
-        """Breadth-first search from ``src`` through the unsettled cells
+    def _search(self, src: int, goal, residual: set[int], blocked=None) -> list[int]:
+        """Breadth-first search from ``src`` through the ``residual`` cells
         not set in ``blocked``, one level at a time. It stops at the first
         level for which ``goal(level)`` names a cell and returns the
         search tree's path to that cell, ``src`` excluded; [] when no
         level does."""
-        unsettled, dirs = self.unsettled, self.layout.dirs
+        dirs = self.layout.dirs
         prev = {src: src}
         level = [src]
         while level:
@@ -153,19 +156,19 @@ class Bflf(Strategy):
             for v in level:
                 for d in dirs:
                     nb = v + d
-                    if nb in unsettled and nb not in prev and (blocked is None or not blocked[nb]):
+                    if nb in residual and nb not in prev and (blocked is None or not blocked[nb]):
                         prev[nb] = v
                         reached.append(nb)
             level = reached
         return []
 
-    def _route(self, src: int, dst: int, blocked=None) -> list[int]:
+    def _route(self, src: int, dst: int, residual: set[int], blocked=None) -> list[int]:
         """A shortest path src -> dst: the search with the goal ``dst``."""
-        return self._search(src, lambda level: dst if dst in level else None, blocked)
+        return self._search(src, lambda level: dst if dst in level else None, residual, blocked)
 
     def on_spawn(self, sim, robot) -> None:
         """Claim a nearest safe unclaimed cell for the new robot, drawn in
-        ``(x, y)`` order, and route it there."""
+        ``(x, y)`` order, as its ``mem``, and route it there."""
         unclaimed, door, cell_at = self.unclaimed, self.door, self.layout.cell_at
         cut = cut_cells(unclaimed, door, self.layout.dirs)
 
@@ -173,30 +176,27 @@ class Bflf(Strategy):
             pool = [c for c in level if c in unclaimed and c not in cut and (c != door or len(unclaimed) == 1)]
             return self.rng.choice(sorted(pool, key=cell_at.__getitem__)) if pool else None
 
-        path = self._search(door, nearest)
+        path = self._search(door, nearest, sim.residual)
         # An empty path from the door ends at the door.
-        self.targets[robot.id] = target = path[-1] if path else door
+        robot.mem = target = path[-1] if path else door
         unclaimed.discard(target)
         self.paths[robot.id] = path
 
     def decide_all(self, sim) -> list[int]:
         actions: list[int] = []
-        settling: list[int] = []
-        blocked, dirs, unsettled = sim.blocked, self.layout.dirs, self.unsettled
+        blocked, residual, dirs = sim.blocked, sim.residual, self.layout.dirs
         # The cells this step's moves enter; a spawn pending at a free
         # door claims it first.
         claimed_now: set[int] = set() if blocked[self.door] else {self.door}
         for robot in sim.active:
-            target = self.targets[robot.id]
+            target = robot.mem
             if robot.idx == target:
-                del self.targets[robot.id]
                 del self.paths[robot.id]
-                settling.append(target)
                 actions.append(A_SETTLE)
                 continue
             path = self.paths[robot.id]
-            if not path or not unsettled.issuperset(path):
-                path = self._route(robot.idx, target)
+            if not path or not residual.issuperset(path):
+                path = self._route(robot.idx, target, residual)
                 self.paths[robot.id] = path
             if not path:
                 actions.append(A_STAY)
@@ -204,7 +204,7 @@ class Bflf(Strategy):
             nxt = path[0]
             if blocked[nxt] or nxt in claimed_now:
                 # Try flowing around the robots in the way.
-                detour = self._route(robot.idx, target, blocked)
+                detour = self._route(robot.idx, target, residual, blocked)
                 # The detour never enters an occupied cell.
                 if detour and detour[0] not in claimed_now:
                     path = detour
@@ -215,6 +215,4 @@ class Bflf(Strategy):
             claimed_now.add(nxt)
             self.paths[robot.id] = path[1:]
             actions.append(dirs.index(nxt - robot.idx))
-        # Settles take effect at the end of the step.
-        unsettled.difference_update(settling)
         return actions

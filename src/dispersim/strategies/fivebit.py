@@ -42,10 +42,6 @@ class FiveBitMemory:
         self.b5 = 0
 
     @property
-    def settled(self) -> bool:
-        return (self.b3, self.b4, self.b5) == (0, 1, 1)
-
-    @property
     def primary(self) -> int | None:
         # Before initialization (b4b5 = 00) no direction has been chosen.
         if (self.b4, self.b5) == (0, 0):

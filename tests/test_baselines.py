@@ -165,11 +165,31 @@ def test_dflf_choices_pinned():
         assert hashlib.sha256(_rows(trace)).hexdigest() == digest, (name, seed)
 
 
+def baseline_digest() -> str:
+    """One SHA-256 over 1,248 baseline runs: ``dflf`` then ``bflf`` at
+    seeds 0-11, per region, on three rectangles, G(1, 5) and the random
+    regions of 20, 25, ..., 255 cells, each run's outcome, rows and
+    ``RunMetrics`` hashed in turn. It takes 20-30 s, so CI runs it as a
+    step of its own rather than in tier-1."""
+    regions = [rect(12, 12, (5, 5)), rect(20, 20, (9, 9)), rect(7, 16, (0, 0)), g_k(1, 5)]
+    regions += [random_simply_connected(v, 1000 + v) for v in range(20, 256, 5)]
+    digest = hashlib.sha256()
+    for r in regions:
+        for name in ("dflf", "bflf"):
+            for seed in range(12):
+                trace, m = run(r, make_strategy(name, r, seed), max_steps=60 * len(r.cells))
+                logs = [bytes(log) for log in trace.logs]
+                digest.update(repr((trace.outcome.kind, trace.outcome.t, trace.spawns, logs, astuple(m))).encode())
+    return digest.hexdigest()
+
+
 def test_dflf_steps_only_from_a_cell_to_its_dfs_child():
     """Why DFLF needs no per-step claims: every move enters a child, in
     the DFS tree of ``strategy.walk``, of the cell it leaves. A cell has
     one parent and two robots never share a cell, so no two robots
-    move into one cell in a step."""
+    move into one cell in a step. No robot ever stays either: the
+    premise of the ``baselines`` docstring's argument that seeing a
+    settle within its own step could not change a DFLF run."""
     regions = [rect(12, 12, (5, 5)), random_simply_connected(70, 31), g_k(1, 5)]
     for r in regions:
         for seed in range(5):
@@ -186,16 +206,36 @@ def test_dflf_steps_only_from_a_cell_to_its_dfs_child():
                 for src, dst in moves:
                     assert parent[dst] == src, (r.door, seed, sim.t, src, dst)
                 assert len({dst for _, dst in moves}) == len(moves), (r.door, seed, sim.t)
+                stays = [robot.id for robot, pos in before if robot.active and robot.pos == pos]
+                assert not stays, (r.door, seed, sim.t, stays)
             assert sim.outcome.kind == "covered", (r.door, seed)
+
+
+def test_bflf_target_is_the_robot_memory():
+    """A ``bflf`` robot's ``mem`` is its target: a region cell's int
+    from the step it spawns, never changed, and the cell it settles on."""
+    for r, seed in ((rect(12, 12, (5, 5)), 0), (rect(12, 12, (5, 5)), 69), (random_simply_connected(70, 31), 1)):
+        sim = Simulation(r, make_strategy("bflf", r, seed), record=False)
+        cells = {sim.layout.index(c) for c in r.cells}
+        targets: dict[int, int] = {}
+        while sim.outcome is None and sim.t < 60 * len(r.cells):
+            sim.step()
+            for robot in sim.robots:
+                assert robot.mem in cells, (seed, sim.t, robot.id)
+                assert targets.setdefault(robot.id, robot.mem) == robot.mem, (seed, sim.t, robot.id)
+                if not robot.active:
+                    assert robot.idx == robot.mem, (seed, sim.t, robot.id)
+        assert sim.outcome.kind == ("deadlock" if seed == 69 else "covered")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 69])
 def test_bflf_equal_deadlock_keys_imply_equal_paths(seed):
     """The deadlock key holds only the active robots' cells and
-    memories, and ``bflf`` leaves ``robot.mem`` None, so its ``paths``
-    are not in it: between two clears of the engine's seen set, two
-    steps with one configuration key also hold the same paths, the
-    repeat that ends seed 69's run included."""
+    memories. A ``bflf`` robot's memory is its target, fixed between
+    its spawn and its settle, and its route in ``paths`` is not in the
+    key: between two clears of the engine's seen set, two steps with one
+    configuration key also hold the same paths, the repeat that ends
+    seed 69's run included."""
     r = rect(12, 12, (5, 5))
     strategy = make_strategy("bflf", r, seed)
     sim = Simulation(r, strategy, record=False)

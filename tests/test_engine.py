@@ -415,6 +415,44 @@ def test_checker_residual_is_region_minus_settled_cells():
         assert sim.outcome.kind == "covered"
 
 
+# The local strategies deadlock on G(1, 5) and collide on the holey
+# region; the baselines cover both.
+RESIDUAL_REGIONS = {
+    "rect": rect(12, 12, (5, 5)),
+    "random": random_simply_connected(60, seed=7),
+    "g_k(1,5)": g_k(1, 5),
+    "holey": grid.from_ascii("...#\n.#.#\n....\n###S"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_residual_is_the_region_minus_the_settled_cells(name):
+    """``sim.residual`` is the region's layout ints minus the ``idx`` of
+    every settled robot after every step, through a deadlock and up to
+    a collision."""
+    ends = {}
+    for key, r in RESIDUAL_REGIONS.items():
+        sim = Simulation(r, make_strategy(name, r, 1), record=False)
+        cells = {sim.layout.index(c) for c in r.cells}
+        while True:
+            assert sim.residual == cells - {rb.idx for rb in sim.robots if not rb.active}, (key, sim.t)
+            if sim.outcome is not None or sim.t == 60 * len(r.cells):
+                ends[key] = sim.outcome and sim.outcome.kind
+                break
+            try:
+                sim.step()
+            except CollisionError:
+                ends[key] = "collision"
+                break
+    local = name not in ("bflf", "dflf")
+    assert ends == {
+        "rect": "covered",
+        "random": "covered",
+        "g_k(1,5)": "deadlock" if local else "covered",
+        "holey": "collision" if local else "covered",
+    }
+
+
 # -- the action logs ----------------------------------------------------
 
 RING = Region({(x, y) for x in range(3) for y in range(3)} - {(1, 1)}, (0, 0))

@@ -68,9 +68,6 @@ def test_five_bit_memory_is_five_bits():
     assert m.key() == (0, 0, 0, 0)  # b12 packed, then b3, b4, b5
     m.b12, m.b3, m.b4, m.b5 = 3, 1, 0, 1
     assert all(v in (0, 1, 2, 3) for v in m.key())
-    assert not m.settled
-    m.b3, m.b4, m.b5 = 0, 1, 1
-    assert m.settled
 
 
 def test_five_bit_automaton_exhaustive():
