@@ -6,8 +6,8 @@ run-level controllers: they override ``decide_all`` and ``on_spawn`` and
 plan from the whole simulation. The comparison with FCDFS targets
 metrics, not model parity; they declare no runtime invariants. Both
 plan on the region's :class:`~dispersim.grid.Layout`, the engine's own
-cell numbering, so a cell is an int, a move's action is
-``layout.dirs.index(step)``, and the engine's ``sim.blocked`` reads
+cell numbering, so a cell is an int and a move's action is
+``layout.dirs.index(step)``; BFLF reads the engine's ``sim.blocked``
 directly. Both read the residual region, the engine's ``sim.residual``,
 and never write it: the engine removes a settling robot's cell after
 every robot of the step has decided, so a planner sees only the settles
@@ -23,9 +23,11 @@ pick one target in a step, so DFLF keeps no claims: every move enters a
 child of the mover's cell, each cell has one parent, and two robots
 never share a cell.
 
-DFLF never stays, so for DFLF the residual's timing cannot change a
-run: seeing a settle of the same step could only turn a Stay behind the
-settling robot into a skip. Suppose robot R at cell c stays at step t
+DFLF never stays, so its ``decide_all`` issues no Stay and reads no
+``sim.blocked``: the engine's collision check stays the guard. Nor can
+the residual's timing change a DFLF run: seeing a settle of the same
+step could only turn a Stay behind the settling robot into a skip.
+Suppose robot R at cell c stays at step t
 because its next walk cell, a child ch of c, holds an active robot Q. Q
 entered ch from c at some step s. R could not enter c at step s, by a
 move or, at the door, by a spawn, since Q held c in that step's
@@ -41,12 +43,39 @@ active robot or by a cell another robot enters this step. A spawn
 pending at a free door claims the door first, so no robot steps into
 it that step. Pauses count as travel but not as moves. The door stays
 unclaimed until it is the last cell and every claim keeps the
-unclaimed cells connected, so a claim is safe exactly when the cell is
-not an articulation point of the unclaimed cells: one Hopcroft-Tarjan
-pass from the door per spawn, ``topology.cut_cells``, finds them all. One breadth-first search from the door through the
-residual region then stops at the first level that holds a safe cell:
-that level's safe cells, in ``(x, y)`` order, are the pool the target
-is drawn from, and the search tree gives the robot's path to it.
+unclaimed cells U connected, so a claim is safe exactly when the cell
+is not a cut cell of U.
+
+A spawn tests only the cells it looks at, each with one ring read and
+at most four union-find lookups, by the 4/8 duality of digital
+topology (Kong & Rosenfeld, "Digital topology: introduction and
+survey", 1989): a closed 8-path of cells outside U separates U's
+4-connected cells. The cells outside U, walls,
+layout padding and claimed cells, only grow, so a union-find keeps
+their 8-connected components (``taken``, ``parent``).
+
+- **Ring and gaps.** Group the 4-neighbors in U of a cell c of U around
+  c's 8-ring, two consecutive ones joined when the diagonal between
+  them is in U. The ring cells between two groups, a gap, hold at least
+  one cell outside U, and those are 8-connected. With at most one group
+  c is not a cut cell. Otherwise it is one exactly when two of its gaps
+  lie in one component outside U: that component and c close a curve
+  between two groups. If every gap lies in its own component, taking c
+  out merges k components into one and raises U's Euler number
+  (components minus holes) by k - 1, so U keeps its component count.
+  ``_GAPS`` gives one ring position per gap for each of the 256 masks.
+- **The cache.** A claim outside c's ring leaves c's gaps as they are
+  and can only merge components. So a cut cell stays cut until a claim
+  enters its ring, and ``cut``, the cells found cut, cleared around each
+  claim, holds only cut cells.
+
+The pool is the safe cells of the first level of a breadth-first search
+from the door through the residual region that holds one, in ``(x, y)``
+order; the search tree gives the robot's path. The tree depends on the
+residual region alone, which changes only when a robot settles, and
+BFLF decides every settle. So the tree lives until BFLF issues a
+settle, and grows a level at a time only as far as a spawn asks; each
+spawn runs the pool test again on its levels.
 """
 
 from __future__ import annotations
@@ -54,7 +83,6 @@ from __future__ import annotations
 import random
 
 from ..grid import Layout, Region
-from ..topology import cut_cells
 from .base import A_SETTLE, A_STAY, Strategy
 
 
@@ -103,7 +131,7 @@ class Dflf(Strategy):
 
     def decide_all(self, sim) -> list[int]:
         actions: list[int] = []
-        blocked, residual, dirs = sim.blocked, sim.residual, self.layout.dirs
+        residual, dirs = sim.residual, self.layout.dirs
         walk, skip = self.walk, self.skip
         for robot in sim.active:
             i = robot.mem
@@ -113,14 +141,28 @@ class Dflf(Strategy):
             if skip[i] is None:
                 actions.append(A_SETTLE)  # last visit: the subtree below is done
                 continue
-            target = walk[i + 1]
-            if blocked[target]:
-                robot.mem = i
-                actions.append(A_STAY)
-            else:
-                robot.mem = i + 1
-                actions.append(dirs.index(target - robot.idx))
+            robot.mem = i + 1
+            actions.append(dirs.index(walk[i + 1] - robot.idx))
         return actions
+
+
+def _gaps(taken: int) -> tuple[int, ...]:
+    """One ring position per gap of a ring mask (bit i set: the cell
+    ``RING[i]`` away is outside the unclaimed cells), () when the
+    unclaimed 4-neighbors form fewer than two groups. Two consecutive
+    unclaimed 4-neighbors are one group when the diagonal between them
+    is unclaimed; a gap is the arc between two groups, and the position
+    given is its first outside cell."""
+    axes = [p for p in (0, 2, 4, 6) if not taken >> p & 1]
+    gaps = []
+    for a, b in zip(axes, axes[1:] + axes[:1]):
+        arc = [p % 8 for p in range(a + 1, b if b > a else b + 8) if taken >> p % 8 & 1]
+        if arc:
+            gaps.append(arc[0])
+    return tuple(gaps) if len(gaps) > 1 else ()
+
+
+_GAPS = tuple(_gaps(m) for m in range(256))
 
 
 class Bflf(Strategy):
@@ -131,55 +173,137 @@ class Bflf(Strategy):
         self.layout = layout = Layout(region)
         self.door = layout.index(region.door)
         self.rng = random.Random(seed)
-        self.unclaimed: set[int] = {layout.index(c) for c in region.cells}
         self.paths: dict[int, list[int]] = {}  # remaining cells to target
+        # taken[i]: layout int i is outside the unclaimed cells (a wall,
+        # padding or a claimed cell); left counts the unclaimed cells.
+        self.taken = taken = bytearray([cell is None for cell in layout.cell_at])
+        self.left = len(region.cells)
+        # A union-find of the 8-connected components of the taken cells,
+        # and the cells known to be cut cells of the unclaimed ones.
+        self.parent = list(range(len(taken)))
+        for i, out in enumerate(taken):
+            if out:
+                self._join(i)
+        self.cut: set[int] = set()
+        # The door's BFS tree through the residual region, grown a level
+        # at a time: each reached cell's predecessor and the levels. A
+        # settle drops it.
+        self.prev: dict[int, int] | None = None
+        self.levels: list[list[int]] = []
 
-    def _search(self, src: int, goal, residual: set[int], blocked=None) -> list[int]:
-        """Breadth-first search from ``src`` through the ``residual`` cells
-        not set in ``blocked``, one level at a time. It stops at the first
-        level for which ``goal(level)`` names a cell and returns the
-        search tree's path to that cell, ``src`` excluded; [] when no
-        level does."""
+    def _find(self, i: int) -> int:
+        parent = self.parent
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    def _join(self, i: int) -> None:
+        """Union the taken cell ``i`` with the taken cells of its ring.
+        Padding cells' rings may leave the layout, or wrap to the other
+        side of it, onto padding that is one component anyway."""
+        taken, parent, find = self.taken, self.parent, self._find
+        for o in self.layout.ring:
+            j = i + o
+            if 0 <= j < len(taken) and taken[j]:
+                parent[find(j)] = find(i)
+
+    def claim(self, c: int) -> None:
+        """Take the unclaimed cell ``c`` out of the unclaimed cells. Only
+        the cut cells in its ring can stop being cut."""
+        self.taken[c] = 1
+        self.left -= 1
+        self._join(c)
+        cut = self.cut
+        for o in self.layout.ring:
+            cut.discard(c + o)
+
+    def is_cut(self, c: int) -> bool:
+        """True when the unclaimed cell ``c``, not in ``cut``, is a cut
+        cell of the unclaimed cells: two of its ring's gaps lie in one
+        component of the taken cells. It then joins ``cut``."""
+        t = self.taken
+        o0, o1, o2, o3, o4, o5, o6, o7 = ring = self.layout.ring
+        gaps = _GAPS[
+            t[c + o0] | t[c + o1] << 1 | t[c + o2] << 2 | t[c + o3] << 3
+            | t[c + o4] << 4 | t[c + o5] << 5 | t[c + o6] << 6 | t[c + o7] << 7
+        ]
+        if not gaps:
+            return False
+        find = self._find
+        roots = {find(c + ring[g]) for g in gaps}
+        if len(roots) == len(gaps):
+            return False
+        self.cut.add(c)
+        return True
+
+    def pool(self, residual: set[int]) -> list[int]:
+        """The safe unclaimed cells, in ``(x, y)`` order, of the first
+        level of the door's BFS tree through ``residual`` that holds one;
+        [] when no level does. The door is safe only as the last
+        unclaimed cell. The tree grows only as far as this asks."""
+        door, taken, left, cut, is_cut = self.door, self.taken, self.left, self.cut, self.is_cut
+        if self.prev is None:
+            self.prev, self.levels = {door: door}, [[door]]
+        levels, prev, dirs = self.levels, self.prev, self.layout.dirs
+        k = 0
+        while True:
+            if k == len(levels):
+                reached = []
+                for v in levels[-1]:
+                    for d in dirs:
+                        nb = v + d
+                        if nb in residual and nb not in prev:
+                            prev[nb] = v
+                            reached.append(nb)
+                if not reached:
+                    return []
+                levels.append(reached)
+            found = [
+                c for c in levels[k]
+                if not taken[c] and (c != door or left == 1) and c not in cut and not is_cut(c)
+            ]
+            if found:
+                return sorted(found, key=self.layout.cell_at.__getitem__)
+            k += 1
+
+    def _route(self, src: int, dst: int, residual: set[int], blocked=None) -> list[int]:
+        """A shortest path from ``src`` to ``dst != src`` through the
+        ``residual`` cells not set in ``blocked``, ``src`` excluded; []
+        when there is none. It returns when the search first reaches
+        ``dst``, whose predecessor is fixed from then on."""
         dirs = self.layout.dirs
         prev = {src: src}
         level = [src]
         while level:
-            cell = goal(level)
-            if cell is not None:
-                path = []
-                while cell != src:
-                    path.append(cell)
-                    cell = prev[cell]
-                path.reverse()
-                return path
             reached = []
             for v in level:
                 for d in dirs:
                     nb = v + d
                     if nb in residual and nb not in prev and (blocked is None or not blocked[nb]):
                         prev[nb] = v
+                        if nb == dst:
+                            path = [nb]
+                            while v != src:
+                                path.append(v)
+                                v = prev[v]
+                            path.reverse()
+                            return path
                         reached.append(nb)
             level = reached
         return []
 
-    def _route(self, src: int, dst: int, residual: set[int], blocked=None) -> list[int]:
-        """A shortest path src -> dst: the search with the goal ``dst``."""
-        return self._search(src, lambda level: dst if dst in level else None, residual, blocked)
-
     def on_spawn(self, sim, robot) -> None:
-        """Claim a nearest safe unclaimed cell for the new robot, drawn in
-        ``(x, y)`` order, as its ``mem``, and route it there."""
-        unclaimed, door, cell_at = self.unclaimed, self.door, self.layout.cell_at
-        cut = cut_cells(unclaimed, door, self.layout.dirs)
-
-        def nearest(level):
-            pool = [c for c in level if c in unclaimed and c not in cut and (c != door or len(unclaimed) == 1)]
-            return self.rng.choice(sorted(pool, key=cell_at.__getitem__)) if pool else None
-
-        path = self._search(door, nearest, sim.residual)
-        # An empty path from the door ends at the door.
-        robot.mem = target = path[-1] if path else door
-        unclaimed.discard(target)
+        """Claim a cell of the pool for the new robot, drawn at random,
+        as its ``mem``, and route it there along the door's tree."""
+        door, pool = self.door, self.pool(sim.residual)
+        robot.mem = cell = self.rng.choice(pool) if pool else door
+        prev = self.prev
+        path = []
+        while cell != door:
+            path.append(cell)
+            cell = prev[cell]
+        path.reverse()
+        self.claim(robot.mem)
         self.paths[robot.id] = path
 
     def decide_all(self, sim) -> list[int]:
@@ -192,6 +316,7 @@ class Bflf(Strategy):
             target = robot.mem
             if robot.idx == target:
                 del self.paths[robot.id]
+                self.prev = None  # the settle changes the residual region
                 actions.append(A_SETTLE)
                 continue
             path = self.paths[robot.id]

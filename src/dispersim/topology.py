@@ -1,19 +1,16 @@
 """Region topology: corner/hall classification, simple connectivity,
-the hall tree decomposition, BFS distances, articulation points and
-optimal door placement.
+the hall tree decomposition, BFS distances and optimal door placement.
 
-Cells are ``(x, y)`` tuples, except in ``cut_cells``: BFLF plans on the
-int cells of a :class:`~dispersim.grid.Layout`, so it takes ints and
-their neighbor offsets. The simulation's checks and the BFLF planner
-call these routines, so none is a remove-and-test brute force: simple
-connectivity is one count over the tree of column runs, the
-articulation points (``cut_cells``) are one Hopcroft-Tarjan pass, and
+Cells are ``(x, y)`` tuples. The simulation's checks call these
+routines, so none is a remove-and-test brute force: simple
+connectivity is one count over the tree of column runs, and
 ``geometric_median`` runs in O(V) through the half-spaces of a median
 graph, on the same column runs. The brute-force oracles they are
 tested against live under ``tests/``: the flood fill of the complement
-and the remove-and-test articulation points in ``tests/oracles.py``,
-and the one-BFS-per-cell median in ``tests/test_properties.py``.
-"""
+in ``tests/oracles.py``, and the one-BFS-per-cell median in
+``tests/test_properties.py``. BFLF keeps the cut cells of its unclaimed
+cells itself (``strategies/baselines.py``), tested against the
+remove-and-test articulation points of ``tests/oracles.py``."""
 
 from __future__ import annotations
 
@@ -129,47 +126,6 @@ def hall_tree(r: Region) -> HallTree:
         edges=tuple(sorted(edges)),
         root=root,
     )
-
-
-def cut_cells(cells, root: int, dirs) -> set[int]:
-    """Articulation points of the int cells reachable from ``root``
-    within ``cells``, where the neighbors of v are ``v + d`` for the
-    offsets ``d`` of ``dirs`` (a :class:`~dispersim.grid.Layout`'s
-    ``dirs`` for the 4-neighbors): one iterative Hopcroft-Tarjan (1973)
-    depth-first pass, O(cells), with no recursion."""
-    depth = {root: 0}
-    low = {root: 0}
-    cut: set[int] = set()
-    root_children = 0
-    stack = [(root, iter(dirs))]
-    while stack:
-        v, todo = stack[-1]
-        for d in todo:
-            w = v + d
-            if w not in cells:
-                continue
-            if w in depth:
-                # A back edge, or the tree edge to v's parent, which can
-                # only lower low[v] to its parent's depth: harmless here.
-                if depth[w] < low[v]:
-                    low[v] = depth[w]
-            else:
-                depth[w] = low[w] = len(depth)
-                stack.append((w, iter(dirs)))
-                break
-        else:
-            stack.pop()
-            if stack:
-                parent = stack[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-                if parent == root:
-                    root_children += 1
-                elif low[v] >= depth[parent]:
-                    cut.add(parent)
-    if root_children > 1:
-        cut.add(root)
-    return cut
 
 
 def bfs_distances(r: Region, src: Cell) -> dict[Cell, int]:

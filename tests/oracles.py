@@ -9,12 +9,13 @@ from collections import deque
 from dispersim.grid import RING, Cell, Region, adjacent, bfs_distances_cells
 
 
-def articulation_points(r: Region) -> set[Cell]:
-    """Cells whose removal disconnects the region: one BFS per cell."""
+def articulation_points(r: Region, among=None) -> set[Cell]:
+    """Cells whose removal disconnects the region, of all its cells or
+    only of those ``among``: one BFS per cell."""
     out = set()
     if len(r.cells) <= 1:
         return out
-    for v in r.cells:
+    for v in r.cells if among is None else among:
         rest = set(r.cells)
         rest.remove(v)
         seed = next(iter(rest))

@@ -7,11 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from dispersim.engine import Simulation, run
 from dispersim.envgen import g_k, random_simply_connected, rect
-from dispersim.grid import Layout, Region
+from dispersim.grid import RING, Region, from_ascii
 from dispersim.strategies import make_strategy
-from dispersim.topology import cut_cells
 
-from oracles import articulation_points
+from oracles import articulation_points, fixed_polyominoes
 
 
 def test_dflf_corridor_total_moves_exact():
@@ -69,29 +68,159 @@ def test_baseline_ordering_on_open_square():
     assert results["fcdfs"] == m.optimum
 
 
+def _holed(r: Region, rng: random.Random, holes: int) -> Region:
+    """``r`` with up to ``holes`` cells taken out whose whole 8-ring lies
+    in the region: each leaves a hole and keeps the region connected."""
+    cells = set(r.cells)
+    for _ in range(holes):
+        inner = sorted(
+            c for c in cells
+            if c != r.door and all((c[0] + dx, c[1] + dy) in cells for dx, dy in RING)
+        )
+        if not inner:
+            break
+        cells.remove(rng.choice(inner))
+    return Region(cells, r.door)
+
+
 @settings(max_examples=60, deadline=None)
-@given(V=st.integers(1, 80), seed=st.integers(0, 2**20), claims=st.randoms(use_true_random=False))
-def test_cut_cells_match_the_brute_force_oracle_under_safe_claims(V, seed, claims):
+@given(
+    V=st.integers(1, 80),
+    seed=st.integers(0, 2**20),
+    holes=st.integers(0, 3),
+    claims=st.randoms(use_true_random=False),
+)
+def test_cut_cells_match_the_brute_force_oracle_under_safe_claims(V, seed, holes, claims):
     # BFLF's claim sequence in miniature: claim a random cell whose loss
-    # keeps the unclaimed cells connected, the door last.
-    r = random_simply_connected(V, seed)
-    layout = Layout(r)
+    # keeps the unclaimed cells connected, the door last. Each hole, and
+    # each pocket of claimed cells, is a component of its own outside the
+    # unclaimed cells until claims join it to another.
+    r = _holed(random_simply_connected(V, seed), claims, holes)
+    strategy = make_strategy("bflf", r, 0)
+    index, cell_at = strategy.layout.index, strategy.layout.cell_at
     unclaimed = set(r.cells)
     while unclaimed:
         expected = articulation_points(Region(unclaimed, r.door))
-        cut = cut_cells({layout.index(c) for c in unclaimed}, layout.index(r.door), layout.dirs)
-        assert {layout.cell_at[i] for i in cut} == expected
+        assert {cell_at[i] for i in strategy.cut} <= expected
+        cut = {c for c in unclaimed if index(c) in strategy.cut or strategy.is_cut(index(c))}
+        assert cut == expected
         safe = sorted(unclaimed - expected - {r.door}) or [r.door]
-        unclaimed.remove(claims.choice(safe))
+        claimed = claims.choice(safe)
+        unclaimed.remove(claimed)
+        strategy.claim(index(claimed))
 
 
 def test_cut_cells_on_a_long_corridor_needs_no_recursion():
+    # The union-find's chains grow with the corridor; its find is a loop.
     corridor = rect(3000, 1, (0, 0))
-    layout = Layout(corridor)
-    cells = {layout.index(c) for c in corridor.cells}
-    for root in ((0, 0), (1500, 0)):
-        cut = cut_cells(cells, layout.index(root), layout.dirs)
-        assert {layout.cell_at[i] for i in cut} == corridor.cells - {(0, 0), (2999, 0)}
+    for door in ((0, 0), (1500, 0)):
+        strategy = make_strategy("bflf", Region(corridor.cells, door), 0)
+        index = strategy.layout.index
+        cut = {c for c in corridor.cells if strategy.is_cut(index(c))}
+        assert cut == corridor.cells - {(0, 0), (2999, 0)}
+
+
+def _door_tree(strategy, residual, depth=None):
+    """A fresh breadth-first search from the door through ``residual``,
+    ``depth`` levels deep or to its end: its levels and each reached
+    cell's predecessor, in the order BFLF's own tree finds them."""
+    door, dirs = strategy.door, strategy.layout.dirs
+    levels, prev = [[door]], {door: door}
+    while levels[-1] and (depth is None or len(levels) < depth):
+        reached = []
+        for v in levels[-1]:
+            for d in dirs:
+                if v + d in residual and v + d not in prev:
+                    prev[v + d] = v
+                    reached.append(v + d)
+        levels.append(reached)
+    return levels, prev
+
+
+def _check_every_spawn(strategy, check_pool=True):
+    """Wrap ``strategy.on_spawn`` to check BFLF's claim state against
+    fresh computations at every spawn: the cells cached in ``cut`` are
+    cut cells of the unclaimed cells (``oracles.articulation_points``),
+    and the kept door tree equals a fresh search through the residual
+    region, before and after the spawn grows it. With ``check_pool``,
+    the pool is also the first level of a fresh search that holds an
+    unclaimed cell that is no articulation point, the door only as the
+    last one. The unclaimed cells are the region's minus the spawned
+    robots' targets. Returns the list of the targets drawn, one per spawn."""
+    on_spawn, layout, door = strategy.on_spawn, strategy.layout, strategy.door
+    targets = []
+
+    def tree_is_fresh(sim):
+        if strategy.prev is not None:
+            fresh = _door_tree(strategy, sim.residual, len(strategy.levels))
+            assert (strategy.levels, strategy.prev) == fresh, sim.t
+
+    def checked(sim, robot):
+        unclaimed = sim.region.cells - {layout.cell_at[rb.mem] for rb in sim.robots if rb.mem is not None}
+        assert strategy.left == len(unclaimed), sim.t
+        rest = Region(unclaimed, sim.region.door)
+        cached = {layout.cell_at[i] for i in strategy.cut}
+        assert articulation_points(rest, cached) == cached, sim.t
+        tree_is_fresh(sim)
+        pool = strategy.pool(sim.residual)
+        tree_is_fresh(sim)
+        if check_pool:
+            expected = []
+            for level in _door_tree(strategy, sim.residual)[0]:
+                cells = {layout.cell_at[i] for i in level if i != door or len(unclaimed) == 1} & unclaimed
+                safe = cells - articulation_points(rest, cells)
+                if safe:
+                    expected = [layout.index(c) for c in sorted(safe)]
+                    break
+            assert pool == expected, sim.t
+        on_spawn(sim, robot)
+        assert robot.mem in pool, sim.t
+        targets.append(robot.mem)
+
+    strategy.on_spawn = checked
+    return targets
+
+
+def test_bflf_claim_state_at_every_spawn():
+    """At every spawn of BFLF's runs on a square, a random region, G(1, 5)
+    and a region with a hole, the cut cache holds only cut cells and the
+    door tree kept between settles is the fresh search's. The pool is
+    checked on every small polyomino instead."""
+    runs = [(rect(12, 12, (5, 5)), seed) for seed in range(5)]
+    runs += [(random_simply_connected(70, 31), 0), (g_k(1, 5), 0), (from_ascii("...#\n.#.#\n....\n###S"), 0)]
+    for r, seed in runs:
+        strategy = make_strategy("bflf", r, seed)
+        targets = _check_every_spawn(strategy, check_pool=False)
+        _, m = run(r, strategy, record=False, max_steps=60 * len(r.cells))
+        assert m.outcome == "covered", (r, seed)
+        assert len(targets) == len(r.cells), (r, seed)
+
+
+def check_bflf_pools_on_every_small_polyomino(max_cells: int) -> int:
+    """BFLF at seed 0 on every fixed polyomino of at most ``max_cells``
+    cells, holey ones included, from every door, with its claim state
+    checked at every spawn as in ``_check_every_spawn``. Every run
+    covers. Returns the number of runs. CI's deep run calls it beyond
+    tier-1's bound: ``PYTHONPATH=src:tests python -c "from
+    test_baselines import check_bflf_pools_on_every_small_polyomino as
+    c; assert c(9) == 118_020"``."""
+    count = 0
+    for cells in fixed_polyominoes(max_cells):
+        for door in sorted(cells):
+            r = Region(cells, door)
+            strategy = make_strategy("bflf", r, 0)
+            targets = _check_every_spawn(strategy)
+            _, m = run(r, strategy, record=False, max_steps=60 * len(cells))
+            assert m.outcome == "covered" and len(targets) == len(cells), (sorted(cells), door)
+            count += 1
+    return count
+
+
+def test_bflf_pools_on_every_small_polyomino():
+    """Tier-1's bound for the BFLF pool check: every polyomino of at
+    most 7 cells from every door. The first polyomino with a hole has 8
+    cells, so CI's deep run is the one that meets holes."""
+    assert check_bflf_pools_on_every_small_polyomino(7) == 7_030
 
 
 def _rows(trace) -> bytes:

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from dispersim import topology as tp
 from dispersim.envgen import g_k, random_simply_connected, rect
 from dispersim.errors import NotSimplyConnected
-from dispersim.grid import Layout, Region, from_ascii
+from dispersim.grid import Region, from_ascii
+from dispersim.strategies import make_strategy
 
 from oracles import articulation_points, fixed_polyominoes, has_hole
 
@@ -111,11 +112,11 @@ def test_rectangle_has_no_halls():
 
 
 def _cut_cells(r, root):
-    """``tp.cut_cells`` of the region's cells, run on its int layout and
-    read back as cells."""
-    layout = Layout(r)
-    cells = {layout.index(c) for c in r.cells}
-    return {layout.cell_at[i] for i in tp.cut_cells(cells, layout.index(root), layout.dirs)}
+    """The cut cells that BFLF finds in the region's cells with the door
+    at ``root``, before any claim, read back as cells."""
+    strategy = make_strategy("bflf", Region(r.cells, root), 0)
+    index = strategy.layout.index
+    return {c for c in r.cells if strategy.is_cut(index(c))}
 
 
 def test_articulation_points_corridor():
