@@ -291,11 +291,16 @@ class Simulation:
     ``blocked`` is 1 for walls, padding and occupied cells, a ring read
     is 8 indexed reads of it (:meth:`ring_mask`) and a move adds one of
     the 4 ``layout.dirs``. ``blocked`` is the one record of which cells
-    hold a robot, and the set ``residual`` the one record of settled
-    cells: the residual region, the ints of the region's cells that hold
-    no settled robot. The step's settle loop alone removes a cell from
-    it; strategies only read it. Cells stay ``(x, y)`` tuples at the
+    hold a robot, and the ``bytearray`` ``residual`` the one record of
+    settled cells: the residual region, 1 at each region cell that
+    holds no settled robot. The step's settle loop alone clears a cell
+    of it; strategies only read it. Cells stay ``(x, y)`` tuples at the
     public boundary: ``robot.pos`` moves together with ``robot.idx``.
+
+    A move check is one read of ``blocked``: each move marks its target
+    there as it is checked, so a second robot aiming at the same cell
+    fails the same test. A refused step clears its marks before it
+    raises, and looks up the earlier mover only then.
 
     Every step asks ``strategy.decide_all`` for a list of one action per
     robot of ``active``, in order, and hands a new robot to
@@ -337,7 +342,7 @@ class Simulation:
 
         self.layout = layout = Layout(region)
         self.blocked = bytearray([cell is None for cell in layout.cell_at])
-        self.residual = {layout.index(c) for c in region.cells}
+        self.residual = bytearray([cell is not None for cell in layout.cell_at])
         self._ring = layout.ring  # read once per robot per step by ring_mask
         self._door = layout.index(region.door)
 
@@ -382,10 +387,10 @@ class Simulation:
             raise ValueError(f"t={t}: {len(actions)} actions for {len(stepping)} active robots")
 
         # One pass: collect the settles and validate moves against the
-        # snapshot.
+        # snapshot and the targets marked so far.
         offsets, cell_at = self.layout.dirs, self.layout.cell_at
-        targets: dict[int, int] = {}
-        movers = []
+        movers: list[Robot] = []
+        targets: list[int] = []
         settled_now = []
         for robot, act in zip(stepping, actions):
             if act == A_SETTLE:
@@ -395,16 +400,19 @@ class Simulation:
                 continue
             target = robot.idx + offsets[act]
             if blocked[target]:
+                for marked in targets:
+                    blocked[marked] = 0
+                if target in targets:
+                    earlier = movers[targets.index(target)]
+                    raise CollisionError(
+                        f"t={t}: robots {earlier.id} and {robot.id} both target {cell_at[target]}"
+                    )
                 cell = cell_at[target]
                 where = "off the region" if cell is None else f"into occupied cell {cell}"
                 raise CollisionError(f"t={t}: robot {robot.id} at {robot.pos} moved {DIR_NAMES[act]} {where}")
-            if target in targets:
-                raise CollisionError(
-                    f"t={t}: robots {targets[target]} and {robot.id} both "
-                    f"target {cell_at[target]}"
-                )
-            targets[target] = robot.id
-            movers.append((robot, target))
+            blocked[target] = 1
+            movers.append(robot)
+            targets.append(target)
         # Recorded once the step is valid: a refused step leaves the logs
         # as they were.
         logs = self.trace.logs
@@ -412,18 +420,18 @@ class Simulation:
             for robot, act in zip(stepping, actions):
                 robot.log.append(act)
 
-        # Apply all moves simultaneously, then settles.
-        for robot, _ in movers:
+        # Apply all moves simultaneously, then settles. The targets are
+        # marked already, and no target was occupied in the snapshot, so
+        # no mover's cell is another's target.
+        for robot, target in zip(movers, targets):
             blocked[robot.idx] = 0
-        for robot, target in movers:
-            blocked[target] = 1
             robot.idx = target
             robot.pos = cell_at[target]
             robot.moves += 1
         if settled_now:
             for robot in settled_now:
                 robot.settled = t
-                self.residual.discard(robot.idx)
+                self.residual[robot.idx] = 0
             self.active = [r for r in stepping if r.settled is None]
 
         # Spawn: door free in the snapshot and still free after moves

@@ -9,16 +9,19 @@ plan on the region's :class:`~dispersim.grid.Layout`, the engine's own
 cell numbering, so a cell is an int and a move's action is
 ``layout.dirs.index(step)``; BFLF reads the engine's ``sim.blocked``
 directly. Both read the residual region, the engine's ``sim.residual``,
-and never write it: the engine removes a settling robot's cell after
+a ``bytearray`` that is 1 at each region cell without a settled robot,
+and never write it: the engine clears a settling robot's cell after
 every robot of the step has decided, so a planner sees only the settles
-of earlier steps.
+of earlier steps. Outside BFLF's searches, and its path test on the
+step after a settle, a step costs O(1) per robot.
 
 DFLF: a depth-first walk of the region is fixed up front (seeded-random
 tie-breaks). Robots follow it downward only: a cell's non-final walk
 visits are each followed by a child cell, so a robot either steps
 into the next child, skips a finished subtree by jumping its walk index
 forward to the cell's next visit, or settles when it stands at the
-final visit of its cell. Deepest cells settle first. Two robots never
+final visit of its cell. Each walk step's action is computed once,
+up front. Deepest cells settle first. Two robots never
 pick one target in a step, so DFLF keeps no claims: every move enters a
 child of the mover's cell, each cell has one parent, and two robots
 never share a cell.
@@ -45,6 +48,13 @@ it that step. Pauses count as travel but not as moves. The door stays
 unclaimed until it is the last cell and every claim keeps the
 unclaimed cells U connected, so a claim is safe exactly when the cell
 is not a cut cell of U.
+
+A path is a stack, the target first and the next cell last, so a move
+pops it. It is re-routed when it is empty or meets a cell settled in
+the last step, ``stale``. No other settled cell can be on it: every
+active robot is decided every step, so a path kept from an earlier
+step was tested then, and a route or a spawn's path reads the
+residual region of its own step.
 
 A spawn tests only the cells it looks at, each with one ring read and
 at most four union-find lookups, by the 4/8 duality of digital
@@ -73,9 +83,21 @@ The pool is the safe cells of the first level of a breadth-first search
 from the door through the residual region that holds one, in ``(x, y)``
 order; the search tree gives the robot's path. The tree depends on the
 residual region alone, which changes only when a robot settles, and
-BFLF decides every settle. So the tree lives until BFLF issues a
-settle, and grows a level at a time only as far as a spawn asks; each
-spawn runs the pool test again on its levels.
+BFLF decides every settle. It grows a level at a time only as far as a
+spawn asks.
+
+- **Leaf settles.** A settle on a cell that no tree cell has as its
+  predecessor (child count 0) leaves every other cell's level and
+  predecessor as they were: the cell leaves its level, and empty tail
+  levels go. A settle on a cell the tree has not reached changes none.
+  Levels grown later read the new residual region. A settle on any
+  other tree cell drops the tree.
+- **The first level to scan.** ``low`` is the first level that can
+  still hold a safe cell. Below it every unclaimed cell but the door is
+  in ``cut`` (the door is level 0 and is safe only as the last
+  unclaimed cell, which the pool answers first), and such a cell
+  becomes safe again only when a claim clears it from ``cut``, which
+  lowers ``low`` to its depth. A rebuild starts at level 1.
 """
 
 from __future__ import annotations
@@ -118,6 +140,8 @@ class Dflf(Strategy):
         super().__init__(region, seed)
         self.layout = layout = Layout(region)
         self.walk = walk = _dfs_walk(region, layout, random.Random(seed))
+        # action[i]: the move from walk[i] to walk[i + 1].
+        self.action = [layout.dirs.index(b - a) for a, b in zip(walk, walk[1:])]
         # skip[i]: the walk index of the next visit to walk[i], None at
         # its last visit.
         self.skip: list[int | None] = [None] * len(walk)
@@ -131,18 +155,17 @@ class Dflf(Strategy):
 
     def decide_all(self, sim) -> list[int]:
         actions: list[int] = []
-        residual, dirs = sim.residual, self.layout.dirs
-        walk, skip = self.walk, self.skip
+        residual, walk, skip, action = sim.residual, self.walk, self.skip, self.action
         for robot in sim.active:
             i = robot.mem
             # Finished branch: skip to this cell's next visit.
-            while skip[i] is not None and walk[i + 1] not in residual:
+            while skip[i] is not None and not residual[walk[i + 1]]:
                 i = skip[i]
             if skip[i] is None:
                 actions.append(A_SETTLE)  # last visit: the subtree below is done
                 continue
             robot.mem = i + 1
-            actions.append(dirs.index(walk[i + 1] - robot.idx))
+            actions.append(action[i])
         return actions
 
 
@@ -165,6 +188,15 @@ def _gaps(taken: int) -> tuple[int, ...]:
 _GAPS = tuple(_gaps(m) for m in range(256))
 
 
+def _free(residual: bytearray, blocked: bytearray) -> bytearray:
+    """``residual[i] and not blocked[i]`` for every i, as a new
+    bytearray: both hold only 0s and 1s, so one bitwise pass over them
+    as ints gives it."""
+    n = len(residual)
+    free = int.from_bytes(residual, "little") & ~int.from_bytes(blocked, "little")
+    return bytearray(free.to_bytes(n, "little"))
+
+
 class Bflf(Strategy):
     name = "bflf"
 
@@ -173,7 +205,12 @@ class Bflf(Strategy):
         self.layout = layout = Layout(region)
         self.door = layout.index(region.door)
         self.rng = random.Random(seed)
-        self.paths: dict[int, list[int]] = {}  # remaining cells to target
+        # Each active robot's remaining cells to its target, as a stack:
+        # the target first, the next cell last.
+        self.paths: dict[int, list[int]] = {}
+        # The cells settled in the last decide_all, which the engine has
+        # taken out of the residual region since.
+        self.stale: set[int] = set()
         # taken[i]: layout int i is outside the unclaimed cells (a wall,
         # padding or a claimed cell); left counts the unclaimed cells.
         self.taken = taken = bytearray([cell is None for cell in layout.cell_at])
@@ -186,10 +223,14 @@ class Bflf(Strategy):
                 self._join(i)
         self.cut: set[int] = set()
         # The door's BFS tree through the residual region, grown a level
-        # at a time: each reached cell's predecessor and the levels. A
-        # settle drops it.
+        # at a time: each reached cell's predecessor, depth and child
+        # count, and the levels. low is the first level that can still
+        # hold a safe cell. A settle on a cell with a child drops it.
         self.prev: dict[int, int] | None = None
+        self.depth: dict[int, int] = {}
+        self.kids = bytearray()
         self.levels: list[list[int]] = []
+        self.low = 1
 
     def _find(self, i: int) -> int:
         parent = self.parent
@@ -209,13 +250,18 @@ class Bflf(Strategy):
 
     def claim(self, c: int) -> None:
         """Take the unclaimed cell ``c`` out of the unclaimed cells. Only
-        the cut cells in its ring can stop being cut."""
+        the cut cells in its ring can stop being cut; one in a level of
+        the door's tree below ``low`` lowers it."""
         self.taken[c] = 1
         self.left -= 1
         self._join(c)
-        cut = self.cut
+        cut, depth = self.cut, self.depth
         for o in self.layout.ring:
-            cut.discard(c + o)
+            j = c + o
+            if j in cut:
+                cut.remove(j)
+                if depth.get(j, self.low) < self.low:
+                    self.low = depth[j]
 
     def is_cut(self, c: int) -> bool:
         """True when the unclaimed cell ``c``, not in ``cut``, is a cut
@@ -236,60 +282,109 @@ class Bflf(Strategy):
         self.cut.add(c)
         return True
 
-    def pool(self, residual: set[int]) -> list[int]:
+    def pool(self, residual: bytearray) -> list[int]:
         """The safe unclaimed cells, in ``(x, y)`` order, of the first
         level of the door's BFS tree through ``residual`` that holds one;
-        [] when no level does. The door is safe only as the last
-        unclaimed cell. The tree grows only as far as this asks."""
-        door, taken, left, cut, is_cut = self.door, self.taken, self.left, self.cut, self.is_cut
+        [] when no level does. The door, level 0, is safe only as the
+        last unclaimed cell. The scan starts at ``low`` and the tree
+        grows only as far as it asks."""
+        door, taken, cut, is_cut = self.door, self.taken, self.cut, self.is_cut
+        if self.left == 1:
+            return [door]
         if self.prev is None:
-            self.prev, self.levels = {door: door}, [[door]]
-        levels, prev, dirs = self.levels, self.prev, self.layout.dirs
-        k = 0
+            self.prev, self.depth, self.levels, self.low = {door: door}, {door: 0}, [[door]], 1
+            self.kids = bytearray(len(taken))
+        levels, prev, depth, kids, dirs = self.levels, self.prev, self.depth, self.kids, self.layout.dirs
+        k = self.low
         while True:
             if k == len(levels):
                 reached = []
                 for v in levels[-1]:
                     for d in dirs:
                         nb = v + d
-                        if nb in residual and nb not in prev:
+                        if residual[nb] and nb not in prev:
                             prev[nb] = v
+                            depth[nb] = k
+                            kids[v] += 1
                             reached.append(nb)
                 if not reached:
+                    self.low = k
                     return []
                 levels.append(reached)
-            found = [
-                c for c in levels[k]
-                if not taken[c] and (c != door or left == 1) and c not in cut and not is_cut(c)
-            ]
+            found = [c for c in levels[k] if not taken[c] and c not in cut and not is_cut(c)]
             if found:
+                self.low = k
                 return sorted(found, key=self.layout.cell_at.__getitem__)
             k += 1
 
-    def _route(self, src: int, dst: int, residual: set[int], blocked=None) -> list[int]:
+    def _settle(self, c: int) -> None:
+        """Keep the door's tree across the settle on ``c`` when no tree
+        cell has ``c`` as its predecessor: every other cell keeps its
+        level and predecessor, and the levels grown later read the new
+        residual region. Otherwise drop it."""
+        prev = self.prev
+        if prev is None or c not in prev:
+            return
+        if self.kids[c] or c == self.door:
+            self.prev = None
+            return
+        self.kids[prev.pop(c)] -= 1
+        levels = self.levels
+        levels[self.depth.pop(c)].remove(c)
+        while not levels[-1]:
+            levels.pop()
+        self.low = min(self.low, len(levels))
+
+    def _route(self, src: int, dst: int, residual: bytearray, blocked=None) -> list[int]:
         """A shortest path from ``src`` to ``dst != src`` through the
-        ``residual`` cells not set in ``blocked``, ``src`` excluded; []
-        when there is none. It returns when the search first reaches
-        ``dst``, whose predecessor is fixed from then on."""
-        dirs = self.layout.dirs
-        prev = {src: src}
+        ``residual`` cells not set in ``blocked``, as a stack: ``dst``
+        first, ``src`` left out; [] when there is none. It returns when
+        the search first reaches ``dst``, whose predecessor is fixed from
+        then on."""
+        d0, d1, d2, d3 = dirs = self.layout.dirs
+        free = bytearray(residual) if blocked is None else _free(residual, blocked)
+        # The search's visited mark: a reached cell's byte becomes 2 plus
+        # the direction it was reached in, which leads back to src. The
+        # four directions are written out, since this loop is most of
+        # BFLF's time.
+        free[src] = 0
         level = [src]
         while level:
             reached = []
             for v in level:
-                for d in dirs:
-                    nb = v + d
-                    if nb in residual and nb not in prev and (blocked is None or not blocked[nb]):
-                        prev[nb] = v
-                        if nb == dst:
-                            path = [nb]
-                            while v != src:
-                                path.append(v)
-                                v = prev[v]
-                            path.reverse()
-                            return path
-                        reached.append(nb)
-            level = reached
+                nb = v + d0
+                if free[nb] == 1:
+                    free[nb] = 2
+                    if nb == dst:
+                        break
+                    reached.append(nb)
+                nb = v + d1
+                if free[nb] == 1:
+                    free[nb] = 3
+                    if nb == dst:
+                        break
+                    reached.append(nb)
+                nb = v + d2
+                if free[nb] == 1:
+                    free[nb] = 4
+                    if nb == dst:
+                        break
+                    reached.append(nb)
+                nb = v + d3
+                if free[nb] == 1:
+                    free[nb] = 5
+                    if nb == dst:
+                        break
+                    reached.append(nb)
+            else:  # dst not reached yet
+                level = reached
+                continue
+            path = []
+            v = dst
+            while v != src:
+                path.append(v)
+                v -= dirs[free[v] - 2]
+            return path
         return []
 
     def on_spawn(self, sim, robot) -> None:
@@ -302,42 +397,45 @@ class Bflf(Strategy):
         while cell != door:
             path.append(cell)
             cell = prev[cell]
-        path.reverse()
         self.claim(robot.mem)
         self.paths[robot.id] = path
 
     def decide_all(self, sim) -> list[int]:
         actions: list[int] = []
-        blocked, residual, dirs = sim.blocked, sim.residual, self.layout.dirs
+        blocked, residual, dirs, paths = sim.blocked, sim.residual, self.layout.dirs, self.paths
+        # A path can meet a settled cell only if that cell settled in the
+        # last step: every robot tested its path then.
+        stale = self.stale
+        self.stale = settling = set()
         # The cells this step's moves enter; a spawn pending at a free
         # door claims it first.
         claimed_now: set[int] = set() if blocked[self.door] else {self.door}
         for robot in sim.active:
-            target = robot.mem
-            if robot.idx == target:
-                del self.paths[robot.id]
-                self.prev = None  # the settle changes the residual region
+            idx, target = robot.idx, robot.mem
+            if idx == target:
+                del paths[robot.id]
+                settling.add(target)
+                self._settle(target)
                 actions.append(A_SETTLE)
                 continue
-            path = self.paths[robot.id]
-            if not path or not residual.issuperset(path):
-                path = self._route(robot.idx, target, residual)
-                self.paths[robot.id] = path
+            path = paths[robot.id]
+            if not path or stale and not stale.isdisjoint(path):
+                path = paths[robot.id] = self._route(idx, target, residual)
             if not path:
                 actions.append(A_STAY)
                 continue
-            nxt = path[0]
+            nxt = path[-1]
             if blocked[nxt] or nxt in claimed_now:
                 # Try flowing around the robots in the way.
-                detour = self._route(robot.idx, target, residual, blocked)
+                detour = self._route(idx, target, residual, blocked)
                 # The detour never enters an occupied cell.
-                if detour and detour[0] not in claimed_now:
-                    path = detour
-                    nxt = detour[0]
+                if detour and detour[-1] not in claimed_now:
+                    path = paths[robot.id] = detour
+                    nxt = detour[-1]
                 else:
                     actions.append(A_STAY)
                     continue
             claimed_now.add(nxt)
-            self.paths[robot.id] = path[1:]
-            actions.append(dirs.index(nxt - robot.idx))
+            path.pop()
+            actions.append(dirs.index(nxt - idx))
         return actions

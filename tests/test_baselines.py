@@ -130,7 +130,7 @@ def _door_tree(strategy, residual, depth=None):
         reached = []
         for v in levels[-1]:
             for d in dirs:
-                if v + d in residual and v + d not in prev:
+                if residual[v + d] and v + d not in prev:
                     prev[v + d] = v
                     reached.append(v + d)
         levels.append(reached)
@@ -142,18 +142,28 @@ def _check_every_spawn(strategy, check_pool=True):
     fresh computations at every spawn: the cells cached in ``cut`` are
     cut cells of the unclaimed cells (``oracles.articulation_points``),
     and the kept door tree equals a fresh search through the residual
-    region, before and after the spawn grows it. With ``check_pool``,
-    the pool is also the first level of a fresh search that holds an
-    unclaimed cell that is no articulation point, the door only as the
-    last one. The unclaimed cells are the region's minus the spawned
-    robots' targets. Returns the list of the targets drawn, one per spawn."""
+    region, before and after the spawn grows it, with no empty tail
+    level and, while more than the door is unclaimed, no safe unclaimed
+    cell in a level below ``low``. With ``check_pool``, the pool is also
+    the first level of a fresh search that holds an unclaimed cell that
+    is no articulation point, the door only as the last one. The
+    unclaimed cells are the region's minus the spawned robots' targets.
+    Returns the list of the targets drawn, one per spawn."""
     on_spawn, layout, door = strategy.on_spawn, strategy.layout, strategy.door
     targets = []
 
-    def tree_is_fresh(sim):
+    def safe_cells(level, unclaimed, rest):
+        cells = {layout.cell_at[i] for i in level if i != door or len(unclaimed) == 1} & unclaimed
+        return cells - articulation_points(rest, cells)
+
+    def tree_is_fresh(sim, unclaimed, rest):
         if strategy.prev is not None:
             fresh = _door_tree(strategy, sim.residual, len(strategy.levels))
             assert (strategy.levels, strategy.prev) == fresh, sim.t
+            assert strategy.levels[-1], sim.t
+            if len(unclaimed) > 1:  # the door, the last one, skips the scan
+                for level in strategy.levels[: strategy.low]:
+                    assert not safe_cells(level, unclaimed, rest), (sim.t, strategy.low)
 
     def checked(sim, robot):
         unclaimed = sim.region.cells - {layout.cell_at[rb.mem] for rb in sim.robots if rb.mem is not None}
@@ -161,14 +171,13 @@ def _check_every_spawn(strategy, check_pool=True):
         rest = Region(unclaimed, sim.region.door)
         cached = {layout.cell_at[i] for i in strategy.cut}
         assert articulation_points(rest, cached) == cached, sim.t
-        tree_is_fresh(sim)
+        tree_is_fresh(sim, unclaimed, rest)
         pool = strategy.pool(sim.residual)
-        tree_is_fresh(sim)
+        tree_is_fresh(sim, unclaimed, rest)
         if check_pool:
             expected = []
             for level in _door_tree(strategy, sim.residual)[0]:
-                cells = {layout.cell_at[i] for i in level if i != door or len(unclaimed) == 1} & unclaimed
-                safe = cells - articulation_points(rest, cells)
+                safe = safe_cells(level, unclaimed, rest)
                 if safe:
                     expected = [layout.index(c) for c in sorted(safe)]
                     break
@@ -185,14 +194,23 @@ def test_bflf_claim_state_at_every_spawn():
     """At every spawn of BFLF's runs on a square, a random region, G(1, 5)
     and a region with a hole, the cut cache holds only cut cells and the
     door tree kept between settles is the fresh search's. The pool is
-    checked on every small polyomino instead."""
+    checked on every small polyomino instead. After every step, each
+    kept path lies in the residual region or meets a cell settled in
+    that step, the one case the next step re-routes."""
     runs = [(rect(12, 12, (5, 5)), seed) for seed in range(5)]
     runs += [(random_simply_connected(70, 31), 0), (g_k(1, 5), 0), (from_ascii("...#\n.#.#\n....\n###S"), 0)]
     for r, seed in runs:
         strategy = make_strategy("bflf", r, seed)
         targets = _check_every_spawn(strategy, check_pool=False)
-        _, m = run(r, strategy, record=False, max_steps=60 * len(r.cells))
-        assert m.outcome == "covered", (r, seed)
+        sim = Simulation(r, strategy, record=False)
+        while sim.outcome is None and sim.t < 60 * len(r.cells):
+            sim.step()
+            settled_now = {rb.idx for rb in sim.robots if rb.settled == sim.t}
+            assert strategy.stale == settled_now, (r, seed, sim.t)
+            for rb in sim.active:
+                path = strategy.paths[rb.id]
+                assert all(sim.residual[c] for c in path) or settled_now & set(path), (r, seed, sim.t, rb.id)
+        assert sim.outcome and sim.outcome.kind == "covered", (r, seed)
         assert len(targets) == len(r.cells), (r, seed)
 
 

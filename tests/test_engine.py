@@ -174,6 +174,16 @@ def test_simultaneous_same_target_raises():
             sim.step()
 
 
+def _state(sim):
+    """Everything a refused step must leave as it was."""
+    robots = [(rb.id, rb.pos, rb.idx, rb.spawned, rb.settled, rb.moves) for rb in sim.robots]
+    logs = [bytes(log) for log in sim.trace.logs]
+    return (
+        sim.t, bytes(sim.blocked), bytes(sim.residual), robots, [rb.id for rb in sim.active],
+        list(sim.trace.spawns), logs,
+    )
+
+
 @pytest.mark.parametrize("extra", [-1, 1])
 def test_decide_all_of_the_wrong_length_raises_before_anything_changes(extra):
     """Every active robot gets exactly one action: a list one short (here
@@ -191,17 +201,64 @@ def test_decide_all_of_the_wrong_length_raises_before_anything_changes(extra):
         return actions[:-1] if extra < 0 else actions + [A_STAY]
 
     strategy.decide_all = miscounted
-
-    def state():
-        robots = [(rb.id, rb.pos, rb.idx, rb.spawned, rb.settled, rb.moves) for rb in sim.robots]
-        logs = [bytes(log) for log in sim.trace.logs]
-        return sim.t, bytes(sim.blocked), robots, [rb.id for rb in sim.active], list(sim.trace.spawns), logs
-
-    before = state()
+    before = _state(sim)
     with pytest.raises(ValueError) as info:
         sim.step()
     assert str(info.value) == f"t=3: {1 + extra} actions for 1 active robots"
-    assert state() == before
+    assert _state(sim) == before
+
+
+class _Scripted:
+    """Plays ``script[t]``, the actions of the active robots at step t,
+    and stays otherwise."""
+
+    name = "scripted"
+    seed = 0
+
+    def __init__(self, script):
+        self.script = script
+
+    def decide_all(self, sim):
+        return self.script.get(sim.t + 1, [A_STAY] * len(sim.active))
+
+    def on_spawn(self, sim, robot):
+        robot.mem = None
+
+
+@pytest.mark.parametrize(
+    "last, message",
+    [
+        ([UP, UP], "t=6: robot 3 at (0, 0) moved U into occupied cell (0, 1)"),
+        ([UP, LEFT], "t=6: robot 3 at (0, 0) moved L off the region"),
+        ([DOWN, RIGHT], "t=6: robots 2 and 3 both target (1, 0)"),
+    ],
+    ids=["into-occupied", "off-the-region", "one-target"],
+)
+def test_a_step_refused_for_a_collision_changes_nothing(last, message):
+    """A move marks its target in ``blocked`` as it is checked. When a
+    later move of the step collides, into a settled robot, off the
+    region or onto a cell an earlier robot of the step targets, the
+    step raises with the marks cleared: no robot has moved, settled or
+    spawned, and the trace has not grown. Robot 1 settles at (0, 1) on
+    a 2x4 square; robots 2 at (1, 1) and 3 at the door (0, 0) are
+    active when robot 2's move is marked and robot 3's collides."""
+    r = rect(2, 4, (0, 0))
+    script = {2: [UP], 3: [A_SETTLE], 4: [RIGHT], 5: [UP], 6: last}
+    sim = Simulation(r, _Scripted(script))
+    for _ in range(5):
+        sim.step()
+    assert [(rb.id, rb.pos, rb.active) for rb in sim.robots] == [
+        (1, (0, 1), False), (2, (1, 1), True), (3, (0, 0), True)
+    ]
+    before = _state(sim)
+    with pytest.raises(CollisionError) as info:
+        sim.step()
+    assert str(info.value) == message
+    assert _state(sim) == before
+    # The refused step left nothing behind: a valid step 6 runs.
+    script[6] = [UP, RIGHT]
+    sim.step()
+    assert [rb.pos for rb in sim.active] == [(1, 2), (1, 0)]
 
 
 def test_step_limit_outcome():
@@ -427,15 +484,16 @@ RESIDUAL_REGIONS = {
 
 @pytest.mark.parametrize("name", sorted(STRATEGIES))
 def test_residual_is_the_region_minus_the_settled_cells(name):
-    """``sim.residual`` is the region's layout ints minus the ``idx`` of
-    every settled robot after every step, through a deadlock and up to
-    a collision."""
+    """``sim.residual`` is 1 exactly at the region's layout ints minus the
+    ``idx`` of every settled robot after every step, through a deadlock
+    and up to a collision."""
     ends = {}
     for key, r in RESIDUAL_REGIONS.items():
         sim = Simulation(r, make_strategy(name, r, 1), record=False)
         cells = {sim.layout.index(c) for c in r.cells}
         while True:
-            assert sim.residual == cells - {rb.idx for rb in sim.robots if not rb.active}, (key, sim.t)
+            residual = {i for i, one in enumerate(sim.residual) if one}
+            assert residual == cells - {rb.idx for rb in sim.robots if not rb.active}, (key, sim.t)
             if sim.outcome is not None or sim.t == 60 * len(r.cells):
                 ends[key] = sim.outcome and sim.outcome.kind
                 break
