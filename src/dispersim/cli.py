@@ -5,7 +5,8 @@ without parsing output: 0 covered, 1 input/generator error or failed
 write, 2 bad arguments, unknown strategy or ``--check`` on a strategy
 that declares no runtime invariants, 3 deadlock, 4 step limit, 5
 invariant violation, 6 collision (two robots targeted one cell, or a
-move targeted an occupied one: a strategy fault, not an input error).
+move targeted an occupied one or left the region: a run's outcome, so
+``run`` still prints its CSV row and writes its ``--trace``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from collections import Counter
 
 from . import envgen, render, topology
 from .engine import SimulationTrace, run
-from .errors import BadParameters, CollisionError, DispersimError, InvariantViolation
+from .errors import BadParameters, DispersimError, InvariantViolation
 from .grid import from_ascii
 from .metrics import CSV_HEADER, compare_runs
 from .strategies import STRATEGIES, make_strategy
@@ -33,7 +34,9 @@ EXIT_LIMIT = 4
 EXIT_INVARIANT = 5
 EXIT_COLLISION = 6
 
-_OUTCOME_EXITS = {"covered": EXIT_OK, "deadlock": EXIT_DEADLOCK, "limit": EXIT_LIMIT}
+_OUTCOME_EXITS = {
+    "covered": EXIT_OK, "deadlock": EXIT_DEADLOCK, "limit": EXIT_LIMIT, "collision": EXIT_COLLISION,
+}
 
 
 def _load_region(path: str):
@@ -107,11 +110,10 @@ def cmd_run(args) -> int:
     strategy = make_strategy(args.strategy, region, args.seed)
     if args.check and strategy.invariants is None:
         raise BadParameters(f"{args.strategy} declares no runtime invariants to check")
-    record = args.trace is not None
     try:
         with _output(args.trace):
             trace, metrics = run(
-                region, strategy, max_steps=args.max_steps, record=record, check=args.check
+                region, strategy, max_steps=args.max_steps, record=args.trace is not None, check=args.check
             )
             if args.trace:
                 with open(args.trace, "w", encoding="utf-8") as fh:
@@ -120,9 +122,8 @@ def cmd_run(args) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except CollisionError as exc:
-        print(f"collision: {exc}", file=sys.stderr)
-        return EXIT_COLLISION
+    if trace.outcome.kind == "collision":
+        print(f"collision: {trace.outcome.message}", file=sys.stderr)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
     writer.writerow(metrics.csv_fields(args.env, region, args.strategy, args.seed))
@@ -154,18 +155,19 @@ def cmd_compare(args) -> int:
                     else:
                         row = [args.env, *region.door, len(region.cells), name, seed, f"error:{err}"]
                         writer.writerow(row + [""] * (len(header) - len(row)))
-    # A run that deadlocked or hit the step limit counts in ``runs`` and
-    # in its outcome's column; a run that raised (a collision, say)
-    # counts only in ``failed``.
+    # A run that deadlocked, hit the step limit or collided counts in
+    # ``runs`` and in its outcome's column; a run that raised counts only
+    # in ``failed``.
     outcomes = Counter((name, m.outcome) for name, _, m, _ in table.rows if m is not None)
     width = max(len("strategy"), *map(len, names))
-    print(f"{'strategy':<{width}}  runs  deadlock  limit  failed  total (max)")
+    print(f"{'strategy':<{width}}  runs  deadlock  limit  collision  failed  total (max)")
     for summary in table.summaries:
         name = summary.strategy
         entry = summary.table_entry() if summary.runs else "-"
         print(
             f"{name:<{width}}  {summary.runs:>4}  {outcomes[name, 'deadlock']:>8}  "
-            f"{outcomes[name, 'limit']:>5}  {summary.failures:>6}  {entry}"
+            f"{outcomes[name, 'limit']:>5}  {outcomes[name, 'collision']:>9}  "
+            f"{summary.failures:>6}  {entry}"
         )
     return EXIT_OK
 

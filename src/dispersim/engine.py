@@ -7,15 +7,15 @@ alone; :meth:`Simulation.sense` is the checked entry point for an
 ``(x, y)`` cell), apply all moves simultaneously (targets must have
 been unoccupied in the snapshot), then settle robots and spawn a new
 one at the door if the door was free in the snapshot.
-Runs end on full coverage, an exact configuration repeat (deadlock) or
-a step limit.
+Runs end on full coverage, an exact configuration repeat (deadlock), a
+step limit or a refused step (collision).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import CellNotInRegion, CollisionError, MapError
+from .errors import CellNotInRegion, MapError
 from .grid import DIR_NAMES, Cell, Layout, Region
 from .metrics import RunMetrics, run_metrics
 
@@ -60,8 +60,12 @@ class Robot:
 
 @dataclass(frozen=True)
 class Outcome:
-    kind: str  # "covered" | "deadlock" | "limit"
+    """How a run ended, after step ``t``. ``message`` names the step a
+    collision refused, and stays out of equality and of the JSON."""
+
+    kind: str  # "covered" | "deadlock" | "limit" | "collision"
     t: int
+    message: str = field(default="", compare=False)
 
 
 class SimulationTrace:
@@ -162,8 +166,10 @@ class SimulationTrace:
         the outcome, and the same outcome. A recorded ``deadlock`` also
         matches a ``limit`` at its step, since the player cannot see the
         memories that repeated: read back, a deadlock certifies its step
-        count, not the cycle. The engine stops at its own outcome, so the
-        work is bounded by the size of the data.
+        count, not the cycle. So does a recorded ``collision``, whose
+        refused step is in no log. Logs that collide raise ValueError
+        with the engine's message. The engine stops at its own outcome,
+        so the work is bounded by the size of the data.
 
         A malformed or inconsistent trace raises ValueError, as does a
         trace without ``robots`` (the older event log and per-step
@@ -195,7 +201,7 @@ class SimulationTrace:
             raise ValueError(f"strategy must be a string, got {type(strategy).__name__}")
         if type(seed) is not int:
             raise ValueError(f"seed must be an integer, got {type(seed).__name__}")
-        if outcome.kind not in ("covered", "deadlock", "limit"):
+        if outcome.kind not in ("covered", "deadlock", "limit", "collision"):
             raise ValueError(f"unknown outcome kind {outcome.kind!r}")
         if type(outcome.t) is not int or outcome.t < 0:
             raise ValueError(f"outcome t must be an integer >= 0, got {outcome.t!r}")
@@ -216,12 +222,11 @@ class SimulationTrace:
         trace.outcome = outcome
         last = outcome.t
         sim = Simulation(region, _LogPlayer(trace), record=False)
-        try:
-            sim.finish(last)
-        except CollisionError as exc:
-            raise ValueError(str(exc)) from exc
+        sim.finish(last)
         ran = sim.outcome
-        if ran != outcome and not (outcome.kind == "deadlock" and ran == Outcome("limit", last)):
+        if ran.kind == "collision":
+            raise ValueError(ran.message)
+        if ran != outcome and (outcome.kind in ("covered", "limit") or ran != Outcome("limit", last)):
             raise ValueError(
                 f"outcome {outcome.kind} at step {last}, but the logs run to {ran.kind} at step {ran.t}"
             )
@@ -299,14 +304,14 @@ class Simulation:
 
     A move check is one read of ``blocked``: each move marks its target
     there as it is checked, so a second robot aiming at the same cell
-    fails the same test. A refused step clears its marks before it
-    raises, and looks up the earlier mover only then.
+    fails the same test. A move that fails it, a collision, ends the run
+    at the last step done: the step clears its marks, looks up the earlier
+    mover only then, and moves, settles, spawns and records nothing.
 
     Every step asks ``strategy.decide_all`` for a list of one action per
     robot of ``active``, in order, and hands a new robot to
-    ``strategy.on_spawn``; the trace records ``strategy.seed``. The
-    engine's own checks are always on: moves must not collide, and a
-    list of another length raises ValueError before anything moves.
+    ``strategy.on_spawn``; the trace records ``strategy.seed``. A list
+    of another length raises ValueError before anything moves.
     ``checker``, when given, is called as ``before_step(sim)`` and
     ``after_step(sim, actions, settled_now)``, ``actions`` lined up with
     ``active`` as ``before_step`` saw it, and raises to stop the run.
@@ -402,14 +407,14 @@ class Simulation:
             if blocked[target]:
                 for marked in targets:
                     blocked[marked] = 0
-                if target in targets:
-                    earlier = movers[targets.index(target)]
-                    raise CollisionError(
-                        f"t={t}: robots {earlier.id} and {robot.id} both target {cell_at[target]}"
-                    )
                 cell = cell_at[target]
-                where = "off the region" if cell is None else f"into occupied cell {cell}"
-                raise CollisionError(f"t={t}: robot {robot.id} at {robot.pos} moved {DIR_NAMES[act]} {where}")
+                if target in targets:
+                    why = f"robots {movers[targets.index(target)].id} and {robot.id} both target {cell}"
+                else:
+                    where = "off the region" if cell is None else f"into occupied cell {cell}"
+                    why = f"robot {robot.id} at {robot.pos} moved {DIR_NAMES[act]} {where}"
+                self.outcome = Outcome("collision", self.t, f"t={t}: {why}")
+                return
             blocked[target] = 1
             movers.append(robot)
             targets.append(target)

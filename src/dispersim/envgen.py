@@ -7,7 +7,7 @@ import random
 from bisect import bisect_left, insort
 
 from .errors import BadParameters, DoorOutOfBounds
-from .grid import RING, Cell, Region, adjacent
+from .grid import RING, RING_GAPS, Cell, Region, adjacent
 
 
 def rect(w: int, h: int, door: Cell) -> Region:
@@ -20,31 +20,19 @@ def rect(w: int, h: int, door: Cell) -> Region:
     return Region(cells, door)
 
 
-def _one_empty_group(occupied: int) -> bool:
-    """True when the empty cells of a ring (bit i set: ``RING[i]`` is
-    occupied) form one 8-connected group. Ring neighbors are 8-adjacent,
-    and so are the two axis cells on either side of a ring corner."""
-    empty = [not occupied >> i & 1 for i in range(8)]
-    # An occupied corner between two empty axis cells does not split them.
-    joined = [e or (i % 2 and empty[i - 1] and empty[(i + 1) % 8]) for i, e in enumerate(empty)]
-    runs = sum(1 for i in range(8) if joined[i] and not joined[i - 1])
-    return runs == 1 or all(joined)
-
-
-_ATTACHABLE = tuple(_one_empty_group(m) for m in range(256))
-
-
 def _attachable(cells: set, c: Cell) -> bool:
     """True when adding c, a 4-neighbor of the simply connected region
     ``cells``, keeps the region simply connected: c is a simple point
-    exactly when the empty cells of its 8-ring form one 8-connected group
-    (Rosenfeld, JACM 1970; Kong & Rosenfeld, 1989)."""
+    exactly when its 4-neighbors in the region form one group around its
+    8-ring, so that it has fewer than two gaps
+    (:data:`~dispersim.grid.RING_GAPS`; Rosenfeld, JACM 1970; Kong &
+    Rosenfeld, 1989). Its ring is never all region: c would be a hole."""
     x, y = c
-    occupied = 0
+    empty = 0
     for i, (ox, oy) in enumerate(RING):
-        if (x + ox, y + oy) in cells:
-            occupied |= 1 << i
-    return _ATTACHABLE[occupied]
+        if (x + ox, y + oy) not in cells:
+            empty |= 1 << i
+    return not RING_GAPS[empty]
 
 
 def random_simply_connected(V: int, seed: int) -> Region:

@@ -41,11 +41,6 @@ class DoorOutOfBounds(BadParameters):
     pass
 
 
-class CollisionError(DispersimError):
-    """Two robots targeted the same cell, or a move targeted an occupied
-    cell. Signals a strategy bug; carries the offending positions."""
-
-
 class StepOutOfRange(DispersimError):
     pass
 

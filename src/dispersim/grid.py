@@ -1,5 +1,5 @@
 """Grid environments: cells, directions, the 4-neighbor order and BFS,
-the 8-ring, regions, their int layout and the ASCII map format.
+the 8-ring and its gaps, regions, their int layout and ASCII maps.
 
 Coordinate frame: x grows to the right, y grows upward. Row 0 of an ASCII
 map is the topmost line, so it holds the cells with the highest y.
@@ -30,6 +30,30 @@ DIR_BITS = (1, 4, 16, 64)  # the ring-mask bit of each axis direction
 FREE_DIRS: tuple[tuple[int, ...], ...] = tuple(
     tuple(d for d in range(4) if not mask & DIR_BITS[d]) for mask in range(256)
 )
+
+
+def _ring_gaps(outside: int) -> tuple[int, ...]:
+    """One ring position per gap of a ring mask (bit i set: the cell
+    ``RING[i]`` away is outside a cell set S), () when the 4-neighbors
+    in S form fewer than two groups. Two consecutive 4-neighbors in S
+    are one group when the diagonal between them is in S; a gap is the
+    arc between two groups, and the position given is its first outside
+    cell."""
+    axes = [p for p in (0, 2, 4, 6) if not outside >> p & 1]
+    gaps = []
+    for a, b in zip(axes, axes[1:] + axes[:1]):
+        arc = [p % 8 for p in range(a + 1, b if b > a else b + 8) if outside >> p % 8 & 1]
+        if arc:
+            gaps.append(arc[0])
+    return tuple(gaps) if len(gaps) > 1 else ()
+
+
+# RING_GAPS[mask]: the gaps of each ring mask. By the 4/8 duality of
+# digital topology (Kong & Rosenfeld, 1989), a cell of S is a cut cell
+# of S when two of its gaps lie in one 8-component outside S, and a
+# 4-neighbor of a simply connected S joins it keeping it simply
+# connected exactly when it has fewer than two gaps.
+RING_GAPS: tuple[tuple[int, ...], ...] = tuple(_ring_gaps(m) for m in range(256))
 
 WALL_CHAR = "#"
 FLOOR_CHAR = "."

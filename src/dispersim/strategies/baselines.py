@@ -26,17 +26,18 @@ pick one target in a step, so DFLF keeps no claims: every move enters a
 child of the mover's cell, each cell has one parent, and two robots
 never share a cell.
 
-DFLF never stays, so its ``decide_all`` issues no Stay and reads no
-``sim.blocked``: the engine's collision check stays the guard. Nor can
-the residual's timing change a DFLF run: seeing a settle of the same
-step could only turn a Stay behind the settling robot into a skip.
-Suppose robot R at cell c stays at step t
-because its next walk cell, a child ch of c, holds an active robot Q. Q
-entered ch from c at some step s. R could not enter c at step s, by a
-move or, at the door, by a spawn, since Q held c in that step's
-snapshot, so t >= s + 2. Robots only move down the tree, so Q held ch
-and was active from step s to step t: at step s + 1 it stayed. Every
-Stay follows an earlier one, so there is no first.
+DFLF never stays, so its ``decide_all`` reads no ``sim.blocked``: a
+settled robot's cell is skipped, and no active robot holds the next
+walk cell (below), so no DFLF move collides. Nor can the residual's
+timing change a DFLF run: seeing a settle of the same step could only
+turn a Stay behind the settling robot into a skip. Suppose robot R at
+cell c stays at step t because its next walk cell, a child ch of c,
+holds an active robot Q. Q entered ch from c at some step s. R could
+not enter c at step s, by a move or, at the door, by a spawn, since Q
+held c in that step's snapshot, so t >= s + 2. Robots only move down
+the tree, so Q held ch and was active from step s to step t: at step
+s + 1 it stayed. Every Stay follows an earlier one, so there is no
+first.
 
 BFLF: each spawned robot is assigned the nearest unclaimed cell whose
 claim keeps the unclaimed remainder connected to the door, kept in its
@@ -73,7 +74,7 @@ their 8-connected components (``taken``, ``parent``).
   between two groups. If every gap lies in its own component, taking c
   out merges k components into one and raises U's Euler number
   (components minus holes) by k - 1, so U keeps its component count.
-  ``_GAPS`` gives one ring position per gap for each of the 256 masks.
+  ``grid.RING_GAPS`` gives one ring position per gap for each mask.
 - **The cache.** A claim outside c's ring leaves c's gaps as they are
   and can only merge components. So a cut cell stays cut until a claim
   enters its ring, and ``cut``, the cells found cut, cleared around each
@@ -104,7 +105,7 @@ from __future__ import annotations
 
 import random
 
-from ..grid import Layout, Region
+from ..grid import RING_GAPS, Layout, Region
 from .base import A_SETTLE, A_STAY, Strategy
 
 
@@ -167,25 +168,6 @@ class Dflf(Strategy):
             robot.mem = i + 1
             actions.append(action[i])
         return actions
-
-
-def _gaps(taken: int) -> tuple[int, ...]:
-    """One ring position per gap of a ring mask (bit i set: the cell
-    ``RING[i]`` away is outside the unclaimed cells), () when the
-    unclaimed 4-neighbors form fewer than two groups. Two consecutive
-    unclaimed 4-neighbors are one group when the diagonal between them
-    is unclaimed; a gap is the arc between two groups, and the position
-    given is its first outside cell."""
-    axes = [p for p in (0, 2, 4, 6) if not taken >> p & 1]
-    gaps = []
-    for a, b in zip(axes, axes[1:] + axes[:1]):
-        arc = [p % 8 for p in range(a + 1, b if b > a else b + 8) if taken >> p % 8 & 1]
-        if arc:
-            gaps.append(arc[0])
-    return tuple(gaps) if len(gaps) > 1 else ()
-
-
-_GAPS = tuple(_gaps(m) for m in range(256))
 
 
 def _free(residual: bytearray, blocked: bytearray) -> bytearray:
@@ -269,7 +251,7 @@ class Bflf(Strategy):
         component of the taken cells. It then joins ``cut``."""
         t = self.taken
         o0, o1, o2, o3, o4, o5, o6, o7 = ring = self.layout.ring
-        gaps = _GAPS[
+        gaps = RING_GAPS[
             t[c + o0] | t[c + o1] << 1 | t[c + o2] << 2 | t[c + o3] << 3
             | t[c + o4] << 4 | t[c + o5] << 5 | t[c + o6] << 6 | t[c + o7] << 7
         ]

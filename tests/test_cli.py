@@ -198,23 +198,28 @@ def test_compare_runs_a_repeated_name_once(corridor_map, capsys):
     assert [row.split()[:2] for row in rows] == [["fcdfs", "2"], ["dflf", "2"]]
 
 
-def test_compare_counts_deadlocked_and_failed_runs(ring_map, tmp_path, capsys):
-    """No run leaves the table silently: a run that raised (here a
-    collision) counts as failed, and a deadlocked run is marked."""
+def test_compare_counts_deadlocked_and_failed_runs(ring_map, tmp_path, capsys, monkeypatch):
+    """No run leaves the table silently: a collided run counts in
+    ``runs`` and in its own column, a deadlocked run is marked, and a
+    run that raised counts as failed, and only there."""
     env = tmp_path / "collide.map"
     env.write_text("#...\n#.#.\nS...\n")
     argv = ["compare", "--env", str(env), "--strategies", "fcdfs,left-hand,bflf", "--reps", "2"]
     assert main(argv) == 0
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["strategy", "runs", "deadlock", "limit", "failed", "total", "(max)"]
-    assert [row.split()[:6] for row in rows] == [
-        ["fcdfs", "0", "0", "0", "2", "-"],
-        ["left-hand", "0", "0", "0", "2", "-"],
-        ["bflf", "2", "0", "0", "0", "30"],
+    assert header.split() == ["strategy", "runs", "deadlock", "limit", "collision", "failed", "total", "(max)"]
+    assert [row.split() for row in rows] == [
+        ["fcdfs", "2", "0", "0", "2", "0", "20", "(8)"],
+        ["left-hand", "2", "0", "0", "2", "0", "20", "(8)"],
+        ["bflf", "2", "0", "0", "0", "0", "30", "(7)"],
     ]
     assert main(["compare", "--env", ring_map, "--strategies", "fcdfs", "--reps", "2"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
-    assert [row.split()[:5] for row in rows] == [["fcdfs", "2", "2", "0", "0"]]
+    assert [row.split()[:6] for row in rows] == [["fcdfs", "2", "2", "0", "0", "0"]]
+    monkeypatch.setitem(STRATEGIES, "broken", _Broken)
+    assert main(["compare", "--env", ring_map, "--strategies", "broken", "--reps", "2"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split() for row in rows] == [["broken", "0", "0", "0", "0", "2", "-"]]
 
 
 def test_compare_counts_runs_that_hit_the_step_limit(tmp_path, capsys):
@@ -227,11 +232,11 @@ def test_compare_counts_runs_that_hit_the_step_limit(tmp_path, capsys):
     argv = ["compare", "--env", str(env), "--strategies", "fcdfs5,dflf,bflf", "--max-steps", "5"]
     assert main(argv) == 0
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["strategy", "runs", "deadlock", "limit", "failed", "total", "(max)"]
+    assert header.split() == ["strategy", "runs", "deadlock", "limit", "collision", "failed", "total", "(max)"]
     assert [row.split() for row in rows] == [
-        ["fcdfs5", "1", "0", "1", "0", "6", "(4)"],
-        ["dflf", "1", "0", "1", "0", "6", "(4)"],
-        ["bflf", "1", "0", "1", "0", "4", "(2)"],
+        ["fcdfs5", "1", "0", "1", "0", "0", "6", "(4)"],
+        ["dflf", "1", "0", "1", "0", "0", "6", "(4)"],
+        ["bflf", "1", "0", "1", "0", "0", "4", "(2)"],
     ]
 
 
@@ -243,9 +248,9 @@ def test_compare_header_lines_up_with_the_rows(corridor_map, capsys):
     header, *rows = capsys.readouterr().out.splitlines()
 
     def ends(line):
-        return [m.end() for m in re.finditer(r"\S+", line)][1:5]
+        return [m.end() for m in re.finditer(r"\S+", line)][1:6]
 
-    assert header.split()[1:5] == ["runs", "deadlock", "limit", "failed"]
+    assert header.split()[1:6] == ["runs", "deadlock", "limit", "collision", "failed"]
     assert len(rows) == 3
     for row in rows:
         assert ends(row) == ends(header), (header, row)
@@ -304,17 +309,23 @@ def test_invariant_violation_writes_no_trace(tmp_path, capsys):
 
 
 def test_collision_exits_six(tmp_path, capsys):
-    """A collision is a strategy fault, not an input error: it has its
-    own exit code and leaves no trace file."""
+    """A collision is how a run ends, like a deadlock: it has its own
+    exit code and stderr line, and the run still prints its CSV row and
+    writes a trace that ``render`` reads back, one frame per step done."""
     env = tmp_path / "collide.map"
     env.write_text("#...\n#.#.\nS...\n")
     trace = tmp_path / "t.json"
     argv = ["run", "--env", str(env), "--strategy", "fcdfs", "--trace", str(trace)]
     assert main(argv) == 6
     out, err = capsys.readouterr()
-    assert out == ""
     assert err == "collision: t=10: robots 1 and 5 both target (1, 0)\n"
-    assert not trace.exists()
+    header, row = csv.reader(out.splitlines())
+    assert header[6:] == ["outcome", "makespan", "total_travel", "max_travel", "total_moves", "max_moves",
+                          "optimum", "optimal"]
+    assert row == [str(env), "0", "0", "9", "fcdfs", "0", "collision", "", "20", "8", "20", "8", "24", "false"]
+    assert main(["render", "--trace", str(trace), "--every", "1"]) == 0
+    frames = capsys.readouterr().out
+    assert re.findall(r"^t=(\d+)$", frames, re.M) == [str(t) for t in range(1, 10)]
 
 
 def test_oracle_output(tmp_path, capsys):

@@ -9,13 +9,14 @@ from dispersim import grid, topology
 from dispersim.engine import (
     A_SETTLE,
     A_STAY,
+    Outcome,
     Robot,
     Simulation,
     SimulationTrace,
     run,
 )
 from dispersim.envgen import g_k, random_simply_connected, rect
-from dispersim.errors import CellNotInRegion, CollisionError, DispersimError, InvariantViolation
+from dispersim.errors import CellNotInRegion, DispersimError, InvariantViolation
 from dispersim.grid import (
     DIR_BITS, DIR_NAMES, DIR_VECTORS, DOWN, FREE_DIRS, LEFT, Region, UP, RIGHT, manhattan,
 )
@@ -89,14 +90,17 @@ class _Rammer(Strategy):
 
 
 def test_moving_into_occupied_cell_raises():
+    """A refused move ends the run at the last step done. Robot 1, the
+    first in id order, is refused first: it leaves the column's top."""
     r = rect(1, 3, (0, 0))
     sim = Simulation(r, _Rammer())
     sim.step()
     sim.step()
     sim.step()  # robot 2 now directly below robot 1
-    with pytest.raises(CollisionError):
-        while sim.outcome is None:
-            sim.step()
+    while sim.outcome is None:
+        sim.step()
+    assert sim.outcome == Outcome("collision", 3)
+    assert sim.outcome.message == "t=4: robot 1 at (0, 2) moved U off the region"
 
 
 class _Walker(Strategy):
@@ -130,9 +134,9 @@ def test_moving_off_a_corridor_edge_raises(direction, door, target):
     assert target not in r.cells
     sim = Simulation(r, _Walker(direction))
     sim.step()  # robot 1 emerges at the door
-    with pytest.raises(CollisionError) as info:
-        sim.step()
-    assert str(info.value) == f"t=2: robot 1 at {door} moved {DIR_NAMES[direction]} off the region"
+    sim.step()
+    assert sim.outcome == Outcome("collision", 1)
+    assert sim.outcome.message == f"t=2: robot 1 at {door} moved {DIR_NAMES[direction]} off the region"
 
 
 def test_sense_takes_region_cells_only():
@@ -169,9 +173,11 @@ class _TwoWayRammer(Strategy):
 def test_simultaneous_same_target_raises():
     r = rect(2, 2, (0, 0))
     sim = Simulation(r, _TwoWayRammer())
-    with pytest.raises(CollisionError):
-        for _ in range(6):
-            sim.step()
+    while sim.outcome is None:
+        sim.step()
+    # Robot 1, the first in id order, is refused before the two meet.
+    assert sim.outcome == Outcome("collision", 3)
+    assert sim.outcome.message == "t=4: robot 1 at (1, 1) moved R off the region"
 
 
 def _state(sim):
@@ -238,10 +244,11 @@ def test_a_step_refused_for_a_collision_changes_nothing(last, message):
     """A move marks its target in ``blocked`` as it is checked. When a
     later move of the step collides, into a settled robot, off the
     region or onto a cell an earlier robot of the step targets, the
-    step raises with the marks cleared: no robot has moved, settled or
-    spawned, and the trace has not grown. Robot 1 settles at (0, 1) on
-    a 2x4 square; robots 2 at (1, 1) and 3 at the door (0, 0) are
-    active when robot 2's move is marked and robot 3's collides."""
+    run ends in a collision at the last step done, with the marks
+    cleared: no robot has moved, settled or spawned, and the trace has
+    not grown. Robot 1 settles at (0, 1) on a 2x4 square; robots 2 at
+    (1, 1) and 3 at the door (0, 0) are active when robot 2's move is
+    marked and robot 3's collides."""
     r = rect(2, 4, (0, 0))
     script = {2: [UP], 3: [A_SETTLE], 4: [RIGHT], 5: [UP], 6: last}
     sim = Simulation(r, _Scripted(script))
@@ -251,14 +258,10 @@ def test_a_step_refused_for_a_collision_changes_nothing(last, message):
         (1, (0, 1), False), (2, (1, 1), True), (3, (0, 0), True)
     ]
     before = _state(sim)
-    with pytest.raises(CollisionError) as info:
-        sim.step()
-    assert str(info.value) == message
-    assert _state(sim) == before
-    # The refused step left nothing behind: a valid step 6 runs.
-    script[6] = [UP, RIGHT]
     sim.step()
-    assert [rb.pos for rb in sim.active] == [(1, 2), (1, 0)]
+    assert sim.outcome == Outcome("collision", 5)
+    assert sim.outcome.message == message
+    assert _state(sim) == before
 
 
 def test_step_limit_outcome():
@@ -497,11 +500,7 @@ def test_residual_is_the_region_minus_the_settled_cells(name):
             if sim.outcome is not None or sim.t == 60 * len(r.cells):
                 ends[key] = sim.outcome and sim.outcome.kind
                 break
-            try:
-                sim.step()
-            except CollisionError:
-                ends[key] = "collision"
-                break
+            sim.step()
     local = name not in ("bflf", "dflf")
     assert ends == {
         "rect": "covered",
@@ -578,6 +577,34 @@ def test_frames_by_jumps_equal_frames_by_steps(name):
         assert compute_metrics(back, r) == compute_metrics(trace, r) == m
 
 
+# Runs that end in a collision: fcdfs on a 3x4 map with one wall cell
+# inside, and for each local strategy a holey 10-cell region and door.
+COLLIDED_RUNS = [
+    ("fcdfs", "#...\n#.#.\nS...", "t=10: robots 1 and 5 both target (1, 0)"),
+    ("fcdfs", "...#\n.#.#\n....\n###S", "t=11: robots 1 and 5 both target (2, 1)"),
+    ("fcdfs5", "...#\n.#.#\n...S\n###.", "t=12: robots 2 and 6 both target (2, 1)"),
+    ("rand-corner", "#...\n#.#.\nS...\n###.", "t=12: robots 2 and 6 both target (1, 1)"),
+    ("left-hand", "#...\n#.#.\n....\n###S", "t=12: robots 2 and 6 both target (3, 1)"),
+]
+
+
+@pytest.mark.parametrize("name, env, message", COLLIDED_RUNS)
+def test_a_collided_run_keeps_a_usable_trace(name, env, message):
+    """A collision ends a run as a deadlock does: its trace goes through
+    JSON and back, recounts to the live run's metrics and draws one
+    frame per step done."""
+    r = grid.from_ascii(env)
+    trace, m = run(r, make_strategy(name, r, 0))
+    assert (trace.outcome.kind, trace.outcome.message, m.outcome) == ("collision", message, "collision")
+    back = _json_round_trip(trace)
+    assert back.outcome == trace.outcome
+    assert compute_metrics(back, r) == m
+    steps = range(1, trace.outcome.t + 1)
+    frames = [frame for _, frame in ascii_frames(back, steps)]
+    assert len(frames) == trace.outcome.t
+    assert frames == [ascii_frame(trace, t) for t in steps]
+
+
 def _corrupted(data):
     """``data`` with one defect, each paired with the error it must raise."""
     rows = data["robots"]
@@ -591,6 +618,9 @@ def _corrupted(data):
 
     def corridor(robots, t):  # "S..": the door at (0, 0), two cells right of it
         return {**data, "env": "S..", "robots": robots, "outcome": {"kind": "limit", "t": t}}
+
+    collide = grid.from_ascii("#...\n#.#.\nS...")
+    collided, _ = run(collide, make_strategy("fcdfs", collide, 0))  # refused at step 10
 
     return [
         ("no longer read", {**old, "steps": []}),
@@ -634,6 +664,13 @@ def _corrupted(data):
         # A deadlock read back matches only a step limit, not a cover.
         ("outcome deadlock at step 7, but the logs run to covered at step 7", {
             **data, "outcome": {"kind": "deadlock", "t": 7},
+        }),
+        # So does a collision: the step refused is in no log.
+        ("outcome collision at step 7, but the logs run to covered at step 7", {
+            **data, "outcome": {"kind": "collision", "t": 7},
+        }),
+        ("outcome covered at step 9, but the logs run to limit at step 9", {
+            **collided.to_json_dict(), "outcome": {"kind": "covered", "t": 9},
         }),
         ("robot 2: a row is \\[spawn t, action letters\\]", {**data, "robots": [rows[0], [3]]}),
         ("robot 1: a row is", {**data, "robots": [[1, 85]]}),
