@@ -7,6 +7,8 @@ map is the topmost line, so it holds the cells with the highest y.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .errors import (
     DisconnectedRegion,
     MalformedMap,
@@ -80,9 +82,16 @@ class Region:
     """A finite 4-connected set of lattice cells with a designated door.
 
     Immutable after construction; safe to share between threads.
+
+    ``door_distances`` is the read-only map from every cell to its
+    4-neighbor distance from the door: the BFS that checks connectivity
+    here, kept. A run's optimum (:func:`~dispersim.metrics.run_metrics`),
+    the FCDFS checker's door-distance schedule and
+    :func:`~dispersim.topology.geometric_median` read it, so none of
+    them runs a BFS of its own.
     """
 
-    __slots__ = ("cells", "door", "min_x", "max_x", "min_y", "max_y")
+    __slots__ = ("cells", "door", "door_distances", "min_x", "max_x", "min_y", "max_y")
 
     def __init__(self, cells, door: Cell):
         cells = frozenset(tuple(c) for c in cells)
@@ -102,6 +111,7 @@ class Region:
             raise DisconnectedRegion(
                 f"{len(cells) - len(reached)} cells unreachable from the door"
             )
+        self.door_distances = MappingProxyType(reached)
 
     def __eq__(self, other) -> bool:
         return (
@@ -190,8 +200,8 @@ def bfs_distances_cells(cells, src: Cell) -> dict[Cell, int]:
         d += 1
         reached = []
         for x, y in frontier:
-            # adjacent(), inline: every Region build runs this BFS to check
-            # connectivity, and every run's optimum (sum_distances) once.
+            # adjacent(), inline: every Region build runs this BFS, which
+            # checks connectivity and is kept as the door distances.
             for nb in ((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)):
                 if nb in cells and nb not in dist:
                     dist[nb] = d

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 from .errors import TraceRegionMismatch
 from .grid import Region
-from .topology import sum_distances
 
 CSV_HEADER = (
     "env,door_x,door_y,V,strategy,seed,outcome,makespan,"
@@ -59,11 +58,16 @@ def run_metrics(r: Region, outcome, robots) -> RunMetrics:
     active at both step boundaries, from its spawn to the step before its
     settle or to the end of the run, so pauses count and the settle step
     does not.
+
+    The optimum is the sum of the region's ``door_distances``, kept from
+    the BFS that built it. A run is ``optimal`` only when it covered the
+    region with that much travel: a run cut short may have travelled as
+    much without dispersing.
     """
     last = outcome.t
     travels = [(last if rb.settled is None else rb.settled - 1) - rb.spawned for rb in robots]
     moves = [rb.moves for rb in robots]
-    optimum = sum_distances(r, r.door)
+    optimum = sum(r.door_distances.values())
     total_travel = sum(travels)
     return RunMetrics(
         V=len(r.cells),
@@ -73,7 +77,7 @@ def run_metrics(r: Region, outcome, robots) -> RunMetrics:
         total_moves=sum(moves),
         max_moves=max(moves, default=0),
         optimum=optimum,
-        optimal=total_travel == optimum,
+        optimal=outcome.kind == "covered" and total_travel == optimum,
         outcome=outcome.kind,
         robots=len(travels),
     )

@@ -82,46 +82,50 @@ class RunChecker:
 
     Settled robots never move or change memory again, so every check
     walks only the robots active at the start of the step plus the one
-    spawned during it. ``residual`` (the region minus settled cells) is
-    kept incrementally: a cell leaves it when its robot settles. The
-    positions of the active robots at the start of this step and of the
-    previous one are kept as two maps, id -> cell.
+    spawned during it, and each hook walks them once. ``before_step``
+    keeps the step's robots with their primary directions, as (robot,
+    primary) pairs, and their cells by id; the cells by id of the
+    previous step are kept too. ``after_step`` checks the redirects and
+    follow-the-leader in one pass over those pairs, and still raises
+    every redirect violation before any follow-the-leader one.
+    ``residual`` (the region minus settled cells) is kept incrementally:
+    a cell leaves it when its robot settles. The door distances are the
+    region's own (``region.door_distances``), so building a checker
+    runs no BFS.
     """
 
     def __init__(self, region):
         self.region = region
         self.dist: dict = {}  # cell -> its BFS distances, for off-schedule pairs
-        self.door_dist = topology.bfs_distances(region, region.door)
         self.residual = set(region.cells)
         self._at_start: dict[int, tuple[int, int]] = {}  # active at the start of the step
         self._at_prev: dict[int, tuple[int, int]] = {}  # active at the start of the last one
-        self._primaries: list = []  # (robot, primary at the start of the step)
-        self._stepping: list = []  # robots active at the start of the step
+        self._primaries: list = []  # (robot, primary at the start of the step), then the spawned robot
         self._n_robots = 0  # robots spawned before the step
 
     def before_step(self, sim) -> None:
         t = sim.t + 1
-        # A copy: the engine appends the robot spawned this step to sim.active.
-        active = list(sim.active)
-        door_dist = self.door_dist
+        door_dist = self.region.door_distances
         at_start = {}
+        primaries = []
         on_schedule = True
-        for a in active:
-            at_start[a.id] = a.pos
-            if door_dist[a.pos] != t - 2 * a.id:
+        for a in sim.active:
+            pos = a.pos
+            at_start[a.id] = pos
+            # A memory without a primary direction (a baseline's, or a
+            # hand-fed run's None) has none to watch.
+            primaries.append((a, getattr(a.mem, "primary", None)))
+            if on_schedule and door_dist[pos] != t - 2 * a.id:
                 on_schedule = False
         if not on_schedule:
-            self._check_spacing(t, active)
+            self._check_spacing(t, [a for a, _ in primaries])
         self._at_prev = self._at_start
         self._at_start = at_start
-        self._stepping = active
+        self._primaries = primaries
         self._n_robots = len(sim.robots)
-        # A memory without a primary direction (a baseline's, or a
-        # hand-fed run's None) has none to watch.
-        self._primaries = [(r, getattr(r.mem, "primary", None)) for r in active]
 
     def _check_spacing(self, t, active) -> None:
-        door_dist = self.door_dist
+        door_dist = self.region.door_distances
         for i, a in enumerate(active):
             for b in active[i + 1 :]:
                 bound = 2 * (b.id - a.id)
@@ -140,8 +144,9 @@ class RunChecker:
     def after_step(self, sim, actions, settled_now) -> None:
         t = sim.t
         residual = self.residual
+        primaries = self._primaries
         if A_STAY in actions:
-            rid = self._stepping[actions.index(A_STAY)].id
+            rid = primaries[actions.index(A_STAY)][0].id
             raise InvariantViolation(f"t={t}: robot {rid} issued Stay")
         for robot in settled_now:
             cls = topology.classify_cells(residual, robot.pos)
@@ -150,33 +155,40 @@ class RunChecker:
                     f"t={t}: robot {robot.id} settled at {robot.pos}, a "
                     f"{cls.kind} of the residual region"
                 )
-        at_start = self._at_start
-        for robot, before in self._primaries:
-            if before is None:
-                continue
-            after = robot.mem.primary
-            if after is None or before == after:
-                continue
-            # Position at the start of the step, where the redirect happened.
-            at = at_start[robot.id]
-            cls = topology.classify_cells(residual, at)
-            if cls.kind != topology.HALL:
-                raise InvariantViolation(
-                    f"t={t}: robot {robot.id} changed primary at {at}, a "
-                    f"{cls.kind} of the residual region"
-                )
         # Follow the leader: position of A_{i+1} at the end of this step
         # must equal A_i's position at the start of the previous step, as
-        # long as A_i was active at the start of both steps.
+        # long as A_i was active at the start of both steps. The robot
+        # spawned this step follows too, and has no primary to watch. The
+        # first robot that strays is raised only once no redirect is wrong.
+        for robot in sim.robots[self._n_robots :]:
+            primaries.append((robot, None))
+        at_start = self._at_start
         at_prev = self._at_prev
-        for robot in self._stepping + sim.robots[self._n_robots :]:
-            pred = robot.id - 1
-            if pred in at_start and pred in at_prev and robot.pos != at_prev[pred]:
-                raise InvariantViolation(
-                    f"t={t}: robot {robot.id} at {robot.pos} does not "
-                    f"follow robot {pred} (expected {at_prev[pred]})"
-                )
-        residual.difference_update(robot.pos for robot in settled_now)
+        stray = None
+        for robot, before in primaries:
+            if before is not None:
+                after = robot.mem.primary
+                if after != before and after is not None:
+                    # Position at the start of the step, where the redirect happened.
+                    at = at_start[robot.id]
+                    cls = topology.classify_cells(residual, at)
+                    if cls.kind != topology.HALL:
+                        raise InvariantViolation(
+                            f"t={t}: robot {robot.id} changed primary at {at}, a "
+                            f"{cls.kind} of the residual region"
+                        )
+            if stray is None:
+                pred = robot.id - 1
+                if pred in at_prev and robot.pos != at_prev[pred] and pred in at_start:
+                    stray = robot
+        if stray is not None:
+            pred = stray.id - 1
+            raise InvariantViolation(
+                f"t={t}: robot {stray.id} at {stray.pos} does not "
+                f"follow robot {pred} (expected {at_prev[pred]})"
+            )
+        if settled_now:
+            residual.difference_update(robot.pos for robot in settled_now)
 
 
 class Fcdfs(Strategy):

@@ -45,25 +45,36 @@ class HallTree:
     root: int
 
 
+# The classes without a diagonal, shared by every call that returns one.
+_CORNER = VertexClass(CORNER)
+_INTERIOR = VertexClass(INTERIOR)
+
+
 def classify_cells(cells: frozenset | set, v: Cell) -> VertexClass:
     """Classify ``v`` against an explicit cell set (used both for full
-    regions and for residual regions during runtime checks)."""
+    regions and for residual regions during runtime checks).
+
+    A cell with at most one neighbor in ``cells`` is a corner, one with
+    three or four, or with two opposite ones, is interior. With two
+    neighbors at a right angle (an L) it is a corner when the diagonal
+    cell between them is in ``cells`` and a hall when it is not; only
+    this class carries its diagonal, and only it is built per call."""
     if v not in cells:
         raise CellNotInRegion(f"{v} is not in the cell set")
-    nbrs = [nb for nb in adjacent(v) if nb in cells]
-    if len(nbrs) <= 1:
-        return VertexClass(CORNER, None)
-    if len(nbrs) >= 3:
-        return VertexClass(INTERIOR, None)
-    u, u2 = nbrs
     x, y = v
-    if u[0] + u2[0] == 2 * x and u[1] + u2[1] == 2 * y:
-        return VertexClass(INTERIOR, None)  # straight corridor
-    # L-configuration: the unique common neighbor of u, u2 other than v.
-    w = (u[0] + u2[0] - x, u[1] + u2[1] - y)
-    if w in cells:
-        return VertexClass(CORNER, w)
-    return VertexClass(HALL, w)
+    # adjacent(), inline: the checker classifies every settle.
+    up = (x, y + 1) in cells
+    right = (x + 1, y) in cells
+    down = (x, y - 1) in cells
+    left = (x - 1, y) in cells
+    n = up + right + down + left
+    if n <= 1:
+        return _CORNER
+    if n >= 3 or up == down:  # up == down: a straight corridor
+        return _INTERIOR
+    # L-configuration: the unique common neighbor of the two, other than v.
+    w = (x + 1 if right else x - 1, y + 1 if up else y - 1)
+    return VertexClass(CORNER if w in cells else HALL, w)
 
 
 def halls(r: Region) -> list[Cell]:
@@ -78,8 +89,7 @@ def is_simply_connected(r: Region) -> bool:
     adjacent columns, form a tree exactly when this holds; see
     :func:`_column_runs`.
     """
-    _, size, joined = _column_runs(r.cells)
-    return len(joined) == len(size) - 1
+    return _is_tree(_column_runs(r.cells))
 
 
 def hall_tree(r: Region) -> HallTree:
@@ -150,24 +160,26 @@ def geometric_median(r: Region) -> set[Cell]:
     2008). Removing one Θ-class of edges splits it into two half-spaces,
     and along an edge u→w every cell of the half holding w comes one step
     closer while the rest go one step farther: S(w) = S(u) + V - 2·|W_w|.
-    One BFS gives S at the door and one more pass gives every other S.
-    Raises NotSimplyConnected on a region with a hole.
+    The region's door distances give S at the door and one more pass
+    gives every other S. Raises NotSimplyConnected on a region with a
+    hole.
     """
-    if not is_simply_connected(r):
+    cells = r.cells
+    V = len(cells)
+    runs = _column_runs(cells)
+    if not _is_tree(runs):
         raise NotSimplyConnected(
             "geometric median is only computed for simply connected regions"
         )
-    cells = r.cells
-    V = len(cells)
     half: dict[tuple[Cell, Cell], int] = {}  # (u, w) -> |half holding w|
     for flip in (False, True):
-        frame = {(y, x) for x, y in cells} if flip else cells
-        for u, w, size in _east_halves(frame, V):
+        frame_runs = _column_runs({(y, x) for x, y in cells}) if flip else runs
+        for u, w, size in _east_halves(frame_runs, V):
             if flip:
                 u, w = u[::-1], w[::-1]
             half[u, w] = size
             half[w, u] = V - size
-    sums = {r.door: sum(bfs_distances_cells(cells, r.door).values())}
+    sums = {r.door: sum(r.door_distances.values())}
     todo = [r.door]
     for u in todo:
         for w in adjacent(u):
@@ -203,16 +215,24 @@ def _column_runs(cells):
     return run, size, joined
 
 
-def _east_halves(cells, V: int):
+def _is_tree(runs) -> bool:
+    """True when the column runs ``runs`` of a 4-connected region, joined
+    where they overlap, form a tree: the region is simply connected."""
+    _, size, joined = runs
+    return len(joined) == len(size) - 1
+
+
+def _east_halves(runs, V: int):
     """Yield (u, w, |half holding w|) for every edge from a cell u to its
-    east neighbor w of a simply connected region.
+    east neighbor w of a simply connected region of V cells, given its
+    column runs ``runs`` as :func:`_column_runs` returns them.
 
     The edges between columns x and x+1 where a maximal vertical run of
     column x overlaps one of column x+1 form a Θ-class. The runs, joined
-    when they overlap, form a tree (:func:`_column_runs`), and the half
-    holding w is the cell count of the subtree on w's side of that edge.
+    when they overlap, form a tree, and the half holding w is the cell
+    count of the subtree on w's side of that edge.
     """
-    run, size, joined = _column_runs(cells)
+    run, size, joined = runs
     adj: list[list[int]] = [[] for _ in size]
     for a, b in joined:
         adj[a].append(b)

@@ -24,6 +24,26 @@ def articulation_points(r: Region, among=None) -> set[Cell]:
     return out
 
 
+def vertex_class(cells, v: Cell) -> tuple[str, Cell | None]:
+    """``(kind, diagonal)`` of ``v`` in ``cells``, spelled out from the
+    definitions: with at most one neighbor ``v`` is a corner; with three
+    or more, interior; with two, the cells other than ``v`` next to both
+    are its diagonal, none for opposite neighbors (interior), and the
+    one of a right angle makes ``v`` a corner when it is in ``cells``
+    and a hall when it is not."""
+    nbrs = [u for u in adjacent(v) if u in cells]
+    if len(nbrs) <= 1:
+        return "corner", None
+    if len(nbrs) >= 3:
+        return "interior", None
+    u, w = nbrs
+    common = (set(adjacent(u)) & set(adjacent(w))) - {v}
+    if not common:
+        return "interior", None
+    (diagonal,) = common
+    return ("corner" if diagonal in cells else "hall"), diagonal
+
+
 def has_hole(r: Region) -> bool:
     """True when a wall inside the bounding box is cut off from the
     outside: one 8-connected flood fill of the complement, from a ring of

@@ -77,30 +77,38 @@ def test_single_cell_region():
     assert m.total_travel == 0
 
 
-class _Rammer(Strategy):
-    """Always moves up; used to provoke collisions and limits."""
+class _Counter:
+    def __init__(self):
+        self.n = 0
 
-    name = "rammer"
+    def key(self):
+        return self.n
+
+
+class _Climber(Strategy):
+    """Moves up twice, then settles; the next robot up the column runs
+    into it."""
+
+    name = "climber"
 
     def fresh_memory(self):
-        return None
+        return _Counter()
 
     def decide(self, view, mem):
-        return UP
+        mem.n += 1
+        return UP if mem.n <= 2 else A_SETTLE
 
 
-def test_moving_into_occupied_cell_raises():
-    """A refused move ends the run at the last step done. Robot 1, the
-    first in id order, is refused first: it leaves the column's top."""
+def test_moving_into_occupied_cell_collides():
+    """A refused move ends the run at the last step done. Robot 1 settles
+    at the top of the column at t=4, and robot 2, one cell below, moves
+    into it at t=5."""
     r = rect(1, 3, (0, 0))
-    sim = Simulation(r, _Rammer())
-    sim.step()
-    sim.step()
-    sim.step()  # robot 2 now directly below robot 1
+    sim = Simulation(r, _Climber())
     while sim.outcome is None:
         sim.step()
-    assert sim.outcome == Outcome("collision", 3)
-    assert sim.outcome.message == "t=4: robot 1 at (0, 2) moved U off the region"
+    assert sim.outcome == Outcome("collision", 4)
+    assert sim.outcome.message == "t=5: robot 2 at (0, 1) moved U into occupied cell (0, 2)"
 
 
 class _Walker(Strategy):
@@ -147,37 +155,42 @@ def test_sense_takes_region_cells_only():
             sim.sense(cell)
 
 
-class _Counter:
+class _Heading:
     def __init__(self):
-        self.n = 0
+        self.d = None
 
     def key(self):
-        return self.n
+        return self.d
 
 
 class _TwoWayRammer(Strategy):
-    """Robots head for (1, 1) from both sides of a 2x2 block."""
+    """Robots head for (1, 1) of a 2x2 block from both sides: robot 1 up
+    from the door, robot 2 right. Each waits until the other is beside
+    (1, 1), at ``RING[3]`` from (0, 1) or ``RING[7]`` from (1, 0), and
+    then moves into it."""
 
     name = "tworam"
 
     def fresh_memory(self):
-        return _Counter()
+        return _Heading()
 
     def decide(self, view, mem):
-        mem.n += 1
-        if mem.n == 1:
-            return UP if not view & DIR_BITS[UP] else RIGHT
-        return RIGHT if not view & DIR_BITS[DOWN] else UP
+        if mem.d is None:
+            mem.d = UP if not view & DIR_BITS[UP] else RIGHT
+            return mem.d
+        if not view & (1 << 3 if mem.d == UP else 1 << 7):
+            return A_STAY
+        return RIGHT if mem.d == UP else UP
 
 
-def test_simultaneous_same_target_raises():
+def test_simultaneous_same_target_collides():
     r = rect(2, 2, (0, 0))
     sim = Simulation(r, _TwoWayRammer())
     while sim.outcome is None:
         sim.step()
-    # Robot 1, the first in id order, is refused before the two meet.
-    assert sim.outcome == Outcome("collision", 3)
-    assert sim.outcome.message == "t=4: robot 1 at (1, 1) moved R off the region"
+    assert [rb.pos for rb in sim.robots] == [(0, 1), (1, 0)]
+    assert sim.outcome == Outcome("collision", 4)
+    assert sim.outcome.message == "t=5: robots 1 and 2 both target (1, 1)"
 
 
 def _state(sim):
@@ -463,6 +476,29 @@ def test_settled_robots_are_never_decided(name):
         assert sum(decided) == sum(
             (sim.t if rb.active else rb.settled) - rb.spawned for rb in sim.robots
         )
+
+
+@pytest.mark.parametrize("name", ["fcdfs", "fcdfs5", "rand-corner"])
+def test_a_checked_run_adds_no_bfs(name, monkeypatch):
+    """The optimum and the checker's door-distance schedule read the
+    region's door distances: a checked run of the FCDFS family on a
+    region built beforehand runs no BFS."""
+    regions = [rect(9, 7, (4, 3)), random_simply_connected(150, 7)]
+    calls = []
+    real = grid.bfs_distances_cells
+
+    def counted(cells, src):
+        calls.append(src)
+        return real(cells, src)
+
+    for module in (grid, topology):  # topology imports it by name
+        monkeypatch.setattr(module, "bfs_distances_cells", counted)
+    for r in regions:
+        _, m = run(r, make_strategy(name, r, 3), record=False, check=True)
+        assert m.optimal, name
+    assert calls == []
+    assert sum(topology.bfs_distances(r, r.door).values()) == m.optimum
+    assert len(calls) == 1
 
 
 def test_checker_residual_is_region_minus_settled_cells():
@@ -857,3 +893,44 @@ def test_checker_follow_the_leader_covers_the_robot_spawned_this_step():
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert messages[0] == "t=4: robot 2 at (0, 0) does not follow robot 1 (expected (0, 1))"
+
+
+def _stray_and_wrong_redirect(checker):
+    """Feed ``checker`` a hand-written run on a corridor in which, at t=6,
+    robot 2 stops following robot 1 and robot 3, behind it, turns its
+    primary at the door, a corner."""
+    sim = SimpleNamespace(t=0, robots=[], active=[])
+
+    def step(moves, spawn=None, turn=None):
+        checker.before_step(sim)
+        actions = [UP] * len(sim.active)  # lined up with sim.active at the start of the step
+        for robot, pos in zip(sim.active, moves):
+            robot.pos = pos
+        if turn is not None:
+            turn.mem = SimpleNamespace(primary=RIGHT)
+        sim.t += 1
+        if spawn is not None:
+            sim.robots.append(spawn)
+            sim.active.append(spawn)
+        checker.after_step(sim, actions, [])
+
+    r1, r2, r3 = (Robot(i, (0, 0), SimpleNamespace(primary=UP)) for i in (1, 2, 3))
+    step([], r1)
+    step([(0, 1)])
+    step([(0, 2)], r2)
+    step([(0, 3), (0, 1)])
+    step([(0, 4), (0, 2)], r3)
+    step([(0, 5), (0, 2), (0, 1)], turn=r3)
+
+
+def test_checker_raises_a_wrong_redirect_before_a_stray():
+    """The checks of one step raise in a fixed order: every robot's
+    redirect before any robot's follow-the-leader, whatever their ids."""
+    r = rect(1, 8, (0, 0))
+    messages = []
+    for checker in (RunChecker(r), NaiveChecker(r)):
+        with pytest.raises(InvariantViolation) as info:
+            _stray_and_wrong_redirect(checker)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0] == "t=6: robot 3 changed primary at (0, 0), a corner of the residual region"

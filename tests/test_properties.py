@@ -1,5 +1,6 @@
 """Property-based tests over generated simply connected regions."""
 
+import functools
 import hashlib
 import json
 from collections import Counter
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from dispersim import envgen
 from dispersim.engine import Simulation, SimulationTrace, run
 from dispersim.envgen import g_k, random_simply_connected, rect
-from dispersim.errors import NotSimplyConnected
+from dispersim.errors import InvariantViolation, NotSimplyConnected
 from dispersim.grid import DIR_VECTORS, RING, Layout, Region, from_ascii
 from dispersim.metrics import compute_metrics
 from dispersim.render import ascii_frame
@@ -120,31 +121,41 @@ def test_every_small_polyomino_from_every_door():
 HOLEY_10_DIGEST = "9db3827a8978674e0d95dd63f8759e99bd5cf07dbe63ddb3bfc12b3e17a6d024"
 
 
-def test_every_holey_10_cell_region_pinned():
-    """Every strategy at seed 0 on each of the 88 fixed 10-cell
-    polyominoes with a hole, with every cell as the door (880 pairs):
-    one digest over ``(cells, door, strategy, outcome kind, outcome t,
-    total travel, total moves)``, a collision's t being the last step
-    done. The local strategies deadlock or collide on every pair, which
-    takes "FCDFS deadlocks on G(k)" to every small region with a hole;
-    the baselines cover every pair, never with optimal travel."""
+@functools.cache
+def _holey_10_runs() -> list:
+    """``(cells, door, strategy, outcome, metrics)`` of every strategy at
+    seed 0 on each of the 88 fixed 10-cell polyominoes with a hole, with
+    every cell as the door (880 pairs)."""
     holey = sorted(
         tuple(sorted(cells))
         for cells in fixed_polyominoes(10)
         if len(cells) == 10 and has_hole(Region(cells, (0, 0)))
     )
     assert len(holey) == 88
-    digest = hashlib.sha256()
-    outcomes = Counter()
+    runs = []
     for cells in holey:
         for door in cells:
             r = Region(set(cells), door)
             for name in sorted(STRATEGIES):
                 trace, m = run(r, make_strategy(name, r, 0), record=False)
-                row = (cells, door, name, trace.outcome.kind, trace.outcome.t, m.total_travel, m.total_moves)
-                outcomes[name, m.outcome] += 1
-                outcomes[name, "optimal"] += m.outcome == "covered" and m.optimal
-                digest.update(repr(row).encode() + b"\n")
+                runs.append((cells, door, name, trace.outcome, m))
+    return runs
+
+
+def test_every_holey_10_cell_region_pinned():
+    """Every strategy at seed 0 on each of the 880 holey 10-cell pairs:
+    one digest over ``(cells, door, strategy, outcome kind, outcome t,
+    total travel, total moves)``, a collision's t being the last step
+    done. The local strategies deadlock or collide on every pair, which
+    takes "FCDFS deadlocks on G(k)" to every small region with a hole;
+    the baselines cover every pair, never with optimal travel."""
+    digest = hashlib.sha256()
+    outcomes = Counter()
+    for cells, door, name, outcome, m in _holey_10_runs():
+        row = (cells, door, name, outcome.kind, outcome.t, m.total_travel, m.total_moves)
+        outcomes[name, m.outcome] += 1
+        outcomes[name, "optimal"] += m.outcome == "covered" and m.optimal
+        digest.update(repr(row).encode() + b"\n")
     local = {"deadlock": 715, "collision": 165, "optimal": 0}
     assert {name: {kind: outcomes[name, kind] for kind in local} for name in sorted(STRATEGIES)} == {
         "bflf": {"deadlock": 0, "collision": 0, "optimal": 0},
@@ -156,6 +167,18 @@ def test_every_holey_10_cell_region_pinned():
     }
     assert outcomes["bflf", "covered"] == outcomes["dflf", "covered"] == 880
     assert digest.hexdigest() == HOLEY_10_DIGEST
+
+
+def test_only_a_covered_run_is_optimal():
+    """A run cut short is never ``optimal``, even when its robots have
+    travelled exactly the optimum before it ended: on the holey 10-cell
+    pairs 15 ``fcdfs`` and 20 ``left-hand`` collisions do."""
+    exact = Counter()
+    for _, _, name, outcome, m in _holey_10_runs():
+        if outcome.kind != "covered":
+            assert not m.optimal, (name, outcome)
+            exact[name] += m.total_travel == m.optimum
+    assert (exact["fcdfs"], exact["left-hand"]) == (15, 20)
 
 
 @settings(max_examples=60, deadline=None)
@@ -223,6 +246,33 @@ def test_geometric_median_requires_simple_connectivity():
 def test_ascii_map_round_trips_at_its_origin(V, seed, dx, dy):
     r = _moved(V, seed, dx, dy)
     assert from_ascii(r.to_ascii(), (r.min_x, r.min_y)) == r
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    V=st.integers(1, 150),
+    seed=st.integers(0, 2**20),
+    dx=st.integers(-60, 60),
+    dy=st.integers(-60, 60),
+    k=st.integers(2, 10),
+)
+def test_door_distances_are_the_door_bfs(V, seed, dx, dy, k):
+    """A region keeps the BFS from its door that checks its connectivity:
+    on a moved random region, on its ASCII round trip and on G(1, k) it
+    equals a fresh BFS, it cannot be written, and a checked run leaves it
+    as it was."""
+    r = _moved(V, seed, dx, dy)
+    for region in (r, from_ascii(r.to_ascii(), (r.min_x, r.min_y)), g_k(1, k)):
+        fresh = bfs_distances(region, region.door)
+        assert region.door_distances == fresh
+        with pytest.raises(TypeError):
+            region.door_distances[region.door] = 1
+        if region.cells == r.cells:
+            run(region, make_strategy("fcdfs", region, 0), record=False, check=True)
+        else:  # G(k) has a hole, and FCDFS breaks its spacing lemma there
+            with pytest.raises(InvariantViolation):
+                run(region, make_strategy("fcdfs", region, 0), record=False, check=True)
+        assert region.door_distances == fresh
 
 
 class _NoDistances:

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 from dispersim import topology as tp
 from dispersim.envgen import g_k, random_simply_connected, rect
 from dispersim.errors import NotSimplyConnected
-from dispersim.grid import Region, from_ascii
+from dispersim.grid import RING as RING_OFFSETS, Region, from_ascii
 from dispersim.strategies import make_strategy
 
-from oracles import articulation_points, fixed_polyominoes, has_hole
+from oracles import articulation_points, fixed_polyominoes, has_hole, vertex_class
 
 L_TROMINO = from_ascii("S#\n..")
 # Three halls in a row, the door in the middle one.
@@ -38,6 +38,23 @@ def test_classify_corner_vs_hall():
     assert cls.diagonal == (1, 1)
     ring_cls = tp.classify_cells(RING.cells, (0, 0))
     assert ring_cls.kind == tp.HALL
+
+
+@pytest.mark.parametrize("as_set", [frozenset, set])
+def test_classify_agrees_with_the_definitions_on_every_ring(as_set):
+    """Every one of the 256 rings of a cell, as a region's cells or a
+    residual set: the class and diagonal equal the brute-force
+    reference's, and a class without a diagonal is a shared constant."""
+    v = (5, -3)
+    kinds = Counter()
+    for mask in range(256):
+        cells = as_set([v] + [(v[0] + dx, v[1] + dy) for i, (dx, dy) in enumerate(RING_OFFSETS) if mask >> i & 1])
+        cls = tp.classify_cells(cells, v)
+        assert (cls.kind, cls.diagonal) == vertex_class(cells, v), mask
+        if cls.diagonal is None:
+            assert cls is tp.classify_cells(as_set(cells), v), mask
+        kinds[cls.kind] += 1
+    assert kinds == {tp.CORNER: 112, tp.INTERIOR: 112, tp.HALL: 32}
 
 
 def test_square_has_four_corners():
