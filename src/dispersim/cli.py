@@ -189,7 +189,7 @@ def cmd_oracle(args) -> int:
         components = len(topology.hall_tree(region).components)
         median = ";".join(f"{x},{y}" for x, y in sorted(topology.geometric_median(region)))
     print(f"hall_tree_components={components}")
-    print(f"sum_distances={topology.sum_distances(region, region.door)}")
+    print(f"sum_distances={sum(dist.values())}")
     print(f"geometric_median={median}")
     print(f"max_distance={max(dist.values())}")
     return EXIT_OK

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import CellNotInRegion, MapError
-from .grid import DIR_NAMES, Cell, Layout, Region
+from .grid import DIR_NAMES, Cell, Region
 from .metrics import RunMetrics, run_metrics
 
 # Action codes: 0..3 move in that direction, then stay, then settle.
@@ -32,7 +32,7 @@ _STAYS = bytes((A_STAY, A_SETTLE))  # the codes that leave a robot in place
 
 class Robot:
     """One robot of a run. ``pos`` is its cell and ``idx`` the same cell
-    as the run's :class:`~dispersim.grid.Layout` numbers it; the engine
+    as the region's :class:`~dispersim.grid.Layout` numbers it; the engine
     moves both together. ``mem`` is everything else it carries from one
     step to the next, set by the strategy. ``spawned`` is the step it emerged at the
     door and ``settled`` the step it settled (None while active), so its
@@ -71,31 +71,34 @@ class Outcome:
 class SimulationTrace:
     """A recorded run: one action log per robot, the paper's own unit.
 
-    ``spawns[i]`` is the step robot i+1 emerged at the door and
-    ``logs[i]`` its action log: one code per step from the next step on,
-    0..3 a move, :data:`A_STAY` or :data:`A_SETTLE`, ending at its settle
-    or at the end of the run. So a trace costs O(travel) bytes. Both are
+    ``robots`` is the run's list of :class:`Robot` records, in id order:
+    ``robot.spawned`` is the step it emerged at the door and
+    ``robot.log`` its action log, one code per step from the next step
+    on, 0..3 a move, :data:`A_STAY` or :data:`A_SETTLE`, ending at its
+    settle or at the end of the run. So a trace costs O(travel) bytes.
+    In a recorded run ``robots`` is the simulation's own list; it is
     None when the run was made without recording.
 
     :meth:`from_json_dict` checks a trace read from outside by running
     its logs through :meth:`Simulation.step`, the one home of the
-    movement, spawn and coverage rules. :meth:`states` trusts the trace
-    and jumps each robot along its log, so the recount and the renderers
-    read a trace in O(robots) per frame plus the bytes they skip.
+    movement, spawn and coverage rules, and keeps the robots of that
+    run, so a read trace holds the same records as a live one.
+    :meth:`states` trusts the trace and jumps each robot along its log,
+    so the recount and the renderers read a trace in O(robots) per frame
+    plus the bytes they skip.
     """
 
     def __init__(self, region: Region, strategy_name: str, seed: int):
         self.region = region
         self.strategy = strategy_name
         self.seed = seed
-        self.spawns: list[int] | None = []
-        self.logs: list | None = []
+        self.robots: list[Robot] | None = None
         self.outcome: Outcome | None = None
 
-    def _recorded(self) -> tuple[list[int], list]:
-        if self.logs is None:
+    def _recorded(self) -> list[Robot]:
+        if self.robots is None:
             raise ValueError("trace was recorded without logs")
-        return self.spawns, self.logs
+        return self.robots
 
     def states(self, steps):
         """Yield ``(t, robots)`` at the end of each step t of the
@@ -110,14 +113,15 @@ class SimulationTrace:
         ``count`` over the slice it skips. Settled robots are never read
         again.
         """
-        spawns, logs = self._recorded()
+        recorded = self._recorded()
         door = self.region.door
         robots: list[Robot] = []
         active: list[Robot] = []
         for t in steps:
-            while len(robots) < len(spawns) and spawns[len(robots)] <= t:
-                robot = Robot(len(robots) + 1, door, 0, spawned=spawns[len(robots)])
-                robot.log = logs[len(robots)]
+            while len(robots) < len(recorded) and recorded[len(robots)].spawned <= t:
+                src = recorded[len(robots)]
+                robot = Robot(src.id, door, 0, spawned=src.spawned)
+                robot.log = src.log
                 robots.append(robot)
                 active.append(robot)
             settled = False
@@ -142,14 +146,14 @@ class SimulationTrace:
             yield t, robots
 
     def to_json_dict(self) -> dict:
-        spawns, logs = self._recorded()
+        robots = self._recorded()
         region = self.region
         return {
             "env": region.to_ascii(),
             "origin": [region.min_x, region.min_y],
             "strategy": self.strategy,
             "seed": self.seed,
-            "robots": [[s, log.translate(_TO_LETTERS).decode()] for s, log in zip(spawns, logs)],
+            "robots": [[r.spawned, r.log.translate(_TO_LETTERS).decode()] for r in robots],
             "outcome": {"kind": self.outcome.kind, "t": self.outcome.t},
         }
 
@@ -207,8 +211,8 @@ class SimulationTrace:
             raise ValueError(f"outcome t must be an integer >= 0, got {outcome.t!r}")
         if type(rows) is not list:
             raise ValueError(f"robots must be a list, got {type(rows).__name__}")
-        trace = cls(region, strategy, seed)
         letters = ACTION_LETTERS.encode()
+        parsed = []
         for rid, row in enumerate(rows, 1):
             if type(row) is not list or [type(v) for v in row] != [int, str]:
                 raise ValueError(f"robot {rid}: a row is [spawn t, action letters]")
@@ -217,11 +221,9 @@ class SimulationTrace:
             if raw.translate(None, letters):
                 i, ch = next((i, ch) for i, ch in enumerate(actions) if ch not in ACTION_LETTERS)
                 raise ValueError(f"t={spawn + i + 1}: unknown action {ch!r} for robot {rid}")
-            trace.spawns.append(spawn)
-            trace.logs.append(raw.translate(_TO_CODES))
-        trace.outcome = outcome
+            parsed.append((spawn, raw.translate(_TO_CODES)))
         last = outcome.t
-        sim = Simulation(region, _LogPlayer(trace), record=False)
+        sim = Simulation(region, _LogPlayer(strategy, seed, parsed), record=False)
         sim.finish(last)
         ran = sim.outcome
         if ran.kind == "collision":
@@ -230,16 +232,18 @@ class SimulationTrace:
             raise ValueError(
                 f"outcome {outcome.kind} at step {last}, but the logs run to {ran.kind} at step {ran.t}"
             )
-        if len(sim.robots) < len(trace.spawns):
+        if len(sim.robots) < len(parsed):
             rid = len(sim.robots) + 1
             raise ValueError(
-                f"robot {rid} spawned at step {trace.spawns[rid - 1]}, "
+                f"robot {rid} spawned at step {parsed[rid - 1][0]}, "
                 f"but the door is not free for it by step {last}"
             )
         for robot in sim.robots:  # each log played to its end, an X only as its last code
             if robot.mem < len(robot.log):
                 end = f"the outcome at step {last}" if robot.active else "its settle"
                 raise ValueError(f"robot {robot.id} has actions past {end}")
+        trace = sim.trace
+        trace.robots, trace.outcome = sim.robots, outcome
         return trace
 
 
@@ -247,17 +251,18 @@ class _LogPlayer:
     """The strategy that plays a trace's logs back, so that
     :meth:`SimulationTrace.from_json_dict` checks a trace by running it.
 
-    A robot may emerge only at the step the trace spawns it, and takes
-    its log as ``robot.log``. Its memory is its position in the log: 0 at
-    spawn, plus 1 on every step it acts. So no configuration repeats
-    while a robot acts, and an idle one repeats as in a recorded run.
+    ``rows`` holds one ``(spawn step, action codes)`` pair per robot, in
+    id order. A robot may emerge only at the step its row spawns it, and
+    takes its log as ``robot.log``. Its memory is its position in the
+    log: 0 at spawn, plus 1 on every step it acts. So no configuration
+    repeats while a robot acts, and an idle one repeats as in a recorded
+    run.
     """
 
-    def __init__(self, trace: SimulationTrace):
-        self.name = trace.strategy
-        self.seed = trace.seed
-        self.spawns = trace.spawns
-        self.logs = trace.logs
+    def __init__(self, name: str, seed: int, rows: list[tuple[int, bytes]]):
+        self.name = name
+        self.seed = seed
+        self.rows = rows
 
     def decide_all(self, sim) -> list[int]:
         actions = []
@@ -272,13 +277,11 @@ class _LogPlayer:
     def on_spawn(self, sim, robot) -> None:
         t = sim.t + 1  # the step in progress
         rid = robot.id
-        if rid > len(self.spawns):
+        if rid > len(self.rows):
             raise ValueError(f"t={t}: the door is free, but the trace spawns no robot {rid}")
-        if self.spawns[rid - 1] != t:
-            raise ValueError(
-                f"t={t}: the door is free, but the trace spawns robot {rid} at step {self.spawns[rid - 1]}"
-            )
-        robot.log = self.logs[rid - 1]
+        spawn, robot.log = self.rows[rid - 1]
+        if spawn != t:
+            raise ValueError(f"t={t}: the door is free, but the trace spawns robot {rid} at step {spawn}")
         robot.mem = 0
 
 
@@ -292,10 +295,10 @@ class Simulation:
     to the log of each robot of ``active``.
 
     Inside the engine a cell is an int, numbered by ``layout``, the
-    region's :class:`~dispersim.grid.Layout`. The ``bytearray``
-    ``blocked`` is 1 for walls, padding and occupied cells, a ring read
-    is 8 indexed reads of it (:meth:`ring_mask`) and a move adds one of
-    the 4 ``layout.dirs``. ``blocked`` is the one record of which cells
+    region's own :class:`~dispersim.grid.Layout`, ``region.layout``. The
+    ``bytearray`` ``blocked`` is 1 for walls, padding and occupied cells,
+    a ring read is 8 indexed reads of it (:meth:`ring_mask`) and a move
+    adds one of the 4 ``layout.dirs``. ``blocked`` is the one record of which cells
     hold a robot, and the ``bytearray`` ``residual`` the one record of
     settled cells: the residual region, 1 at each region cell that
     holds no settled robot. The step's settle loop alone clears a cell
@@ -340,16 +343,15 @@ class Simulation:
         self.t = 0
         self.outcome: Outcome | None = None
         self.trace = SimulationTrace(region, strategy.name, strategy.seed)
-        if not record:
-            self.trace.spawns = self.trace.logs = None
+        if record:
+            self.trace.robots = self.robots
         self.checker = checker
         self._seen_configs: set = set()
 
-        self.layout = layout = Layout(region)
+        self.layout = layout = region.layout
         self.blocked = bytearray([cell is None for cell in layout.cell_at])
         self.residual = bytearray([cell is not None for cell in layout.cell_at])
         self._ring = layout.ring  # read once per robot per step by ring_mask
-        self._door = layout.index(region.door)
 
     @property
     def covered(self) -> bool:
@@ -382,7 +384,7 @@ class Simulation:
         t = self.t + 1
         blocked = self.blocked  # mutated only after all decisions
         strategy = self.strategy
-        door = self._door
+        door = self.layout.door
         if self.checker is not None:
             self.checker.before_step(self)
         spawn_pending = not blocked[door]
@@ -420,8 +422,8 @@ class Simulation:
             targets.append(target)
         # Recorded once the step is valid: a refused step leaves the logs
         # as they were.
-        logs = self.trace.logs
-        if logs is not None:
+        recording = self.trace.robots is not None
+        if recording:
             for robot, act in zip(stepping, actions):
                 robot.log.append(act)
 
@@ -447,10 +449,8 @@ class Simulation:
             self.robots.append(spawned)
             self.active.append(spawned)
             blocked[door] = 1
-            if logs is not None:
+            if recording:
                 spawned.log = bytearray()
-                logs.append(spawned.log)
-                self.trace.spawns.append(t)
             strategy.on_spawn(self, spawned)
 
         self.t = t

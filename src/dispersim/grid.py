@@ -89,9 +89,13 @@ class Region:
     the FCDFS checker's door-distance schedule and
     :func:`~dispersim.topology.geometric_median` read it, so none of
     them runs a BFS of its own.
+
+    ``layout`` is the region's :class:`Layout`, built once here and
+    shared by every run on the region: the engine's and the planners'
+    int cell numbering.
     """
 
-    __slots__ = ("cells", "door", "door_distances", "min_x", "max_x", "min_y", "max_y")
+    __slots__ = ("cells", "door", "door_distances", "layout", "min_x", "max_x", "min_y", "max_y")
 
     def __init__(self, cells, door: Cell):
         cells = frozenset(tuple(c) for c in cells)
@@ -112,6 +116,7 @@ class Region:
                 f"{len(cells) - len(reached)} cells unreachable from the door"
             )
         self.door_distances = MappingProxyType(reached)
+        self.layout = Layout(self)
 
     def __eq__(self, other) -> bool:
         return (
@@ -160,20 +165,24 @@ class Layout:
 
     ``index(pos)`` numbers a cell of the box or its padding, and
     ``cell_at[i]`` is the region cell numbered i, None on padding and
-    walls. ``ring`` and ``dirs`` are the offsets of the cells
-    :data:`RING` and :data:`DIR_VECTORS` away, in their order, so a
-    move in direction d is ``+ dirs[d]`` and the direction of a step
-    ``s`` is ``dirs.index(s)``.
+    walls; ``door`` is the door's number. ``ring`` and ``dirs`` are the
+    offsets of the cells :data:`RING` and :data:`DIR_VECTORS` away, in
+    their order, so a move in direction d is ``+ dirs[d]`` and the
+    direction of a step ``s`` is ``dirs.index(s)``. Every field is
+    read-only, since one layout, ``Region.layout``, serves every run on
+    its region.
     """
 
-    __slots__ = ("cell_at", "ring", "dirs", "_width", "_base")
+    __slots__ = ("cell_at", "door", "ring", "dirs", "_width", "_base")
 
     def __init__(self, region: Region):
         self._width = width = region.max_x - region.min_x + 3
         self._base = (region.min_y - 1) * width + region.min_x - 1
-        self.cell_at: list[Cell | None] = [None] * (width * (region.max_y - region.min_y + 3))
+        cell_at: list[Cell | None] = [None] * (width * (region.max_y - region.min_y + 3))
         for cell in region.cells:
-            self.cell_at[self.index(cell)] = cell
+            cell_at[self.index(cell)] = cell
+        self.cell_at = tuple(cell_at)
+        self.door = self.index(region.door)
         self.ring = tuple(dx + dy * width for dx, dy in RING)
         self.dirs = tuple(dx + dy * width for dx, dy in DIR_VECTORS)
 

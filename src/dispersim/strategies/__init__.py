@@ -16,12 +16,7 @@ from .fivebit import Fcdfs5
 from .variants import LeftHand, RandomCorner
 
 STRATEGIES: dict[str, type[Strategy]] = {
-    "fcdfs": Fcdfs,
-    "fcdfs5": Fcdfs5,
-    "rand-corner": RandomCorner,
-    "left-hand": LeftHand,
-    "dflf": Dflf,
-    "bflf": Bflf,
+    cls.name: cls for cls in (Fcdfs, Fcdfs5, RandomCorner, LeftHand, Dflf, Bflf)
 }
 
 

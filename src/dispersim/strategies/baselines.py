@@ -5,10 +5,10 @@ grants robots communication (Hsiang et al., WAFR 2002). They are
 run-level controllers: they override ``decide_all`` and ``on_spawn`` and
 plan from the whole simulation. The comparison with FCDFS targets
 metrics, not model parity; they declare no runtime invariants. Both
-plan on the region's :class:`~dispersim.grid.Layout`, the engine's own
-cell numbering, so a cell is an int and a move's action is
-``layout.dirs.index(step)``; BFLF reads the engine's ``sim.blocked``
-directly. Both read the residual region, the engine's ``sim.residual``,
+plan on the region's :class:`~dispersim.grid.Layout`,
+``region.layout``, the engine's own cell numbering, so a cell is an int
+and a move's action is ``layout.dirs.index(step)``; BFLF reads the
+engine's ``sim.blocked`` directly. Both read the residual region, the engine's ``sim.residual``,
 a ``bytearray`` that is 1 at each region cell without a settled robot,
 and never write it: the engine clears a settling robot's cell after
 every robot of the step has decided, so a planner sees only the settles
@@ -88,11 +88,12 @@ BFLF decides every settle. It grows a level at a time only as far as a
 spawn asks.
 
 - **Leaf settles.** A settle on a cell that no tree cell has as its
-  predecessor (child count 0) leaves every other cell's level and
-  predecessor as they were: the cell leaves its level, and empty tail
-  levels go. A settle on a cell the tree has not reached changes none.
-  Levels grown later read the new residual region. A settle on any
-  other tree cell drops the tree.
+  predecessor leaves every other cell's level and predecessor as they
+  were: the cell leaves its level, and empty tail levels go. Its
+  children could only be its 4-neighbors, so ``_settle`` reads their
+  four predecessors and keeps no child count. A settle on a cell the
+  tree has not reached changes none. Levels grown later read the new
+  residual region. A settle on any other tree cell drops the tree.
 - **The first level to scan.** ``low`` is the first level that can
   still hold a safe cell. Below it every unclaimed cell but the door is
   in ``cut`` (the door is level 0 and is safe only as the last
@@ -109,13 +110,12 @@ from ..grid import RING_GAPS, Layout, Region
 from .base import A_SETTLE, A_STAY, Strategy
 
 
-def _dfs_walk(region: Region, layout: Layout, rng: random.Random) -> list[int]:
+def _dfs_walk(layout: Layout, rng: random.Random) -> list[int]:
     """Full DFS traversal from the door, recording every visit including
     backtrack passes, with seeded-random tie-breaks. It ends back at the
     door, so every cell's last visit marks the completion of its
     subtree."""
-    cell_at, dirs = layout.cell_at, layout.dirs
-    door = layout.index(region.door)
+    cell_at, dirs, door = layout.cell_at, layout.dirs, layout.door
     walk = [door]
     visited = {door}
     trail = [door]
@@ -139,8 +139,8 @@ class Dflf(Strategy):
 
     def __init__(self, region: Region, seed: int = 0):
         super().__init__(region, seed)
-        self.layout = layout = Layout(region)
-        self.walk = walk = _dfs_walk(region, layout, random.Random(seed))
+        self.layout = layout = region.layout
+        self.walk = walk = _dfs_walk(layout, random.Random(seed))
         # action[i]: the move from walk[i] to walk[i + 1].
         self.action = [layout.dirs.index(b - a) for a, b in zip(walk, walk[1:])]
         # skip[i]: the walk index of the next visit to walk[i], None at
@@ -184,8 +184,8 @@ class Bflf(Strategy):
 
     def __init__(self, region: Region, seed: int = 0):
         super().__init__(region, seed)
-        self.layout = layout = Layout(region)
-        self.door = layout.index(region.door)
+        self.layout = layout = region.layout
+        self.door = layout.door
         self.rng = random.Random(seed)
         # Each active robot's remaining cells to its target, as a stack:
         # the target first, the next cell last.
@@ -205,12 +205,11 @@ class Bflf(Strategy):
                 self._join(i)
         self.cut: set[int] = set()
         # The door's BFS tree through the residual region, grown a level
-        # at a time: each reached cell's predecessor, depth and child
-        # count, and the levels. low is the first level that can still
-        # hold a safe cell. A settle on a cell with a child drops it.
+        # at a time: each reached cell's predecessor and depth, and the
+        # levels. low is the first level that can still hold a safe cell.
+        # A settle on a cell with a child drops it.
         self.prev: dict[int, int] | None = None
         self.depth: dict[int, int] = {}
-        self.kids = bytearray()
         self.levels: list[list[int]] = []
         self.low = 1
 
@@ -275,8 +274,7 @@ class Bflf(Strategy):
             return [door]
         if self.prev is None:
             self.prev, self.depth, self.levels, self.low = {door: door}, {door: 0}, [[door]], 1
-            self.kids = bytearray(len(taken))
-        levels, prev, depth, kids, dirs = self.levels, self.prev, self.depth, self.kids, self.layout.dirs
+        levels, prev, depth, dirs = self.levels, self.prev, self.depth, self.layout.dirs
         k = self.low
         while True:
             if k == len(levels):
@@ -287,7 +285,6 @@ class Bflf(Strategy):
                         if residual[nb] and nb not in prev:
                             prev[nb] = v
                             depth[nb] = k
-                            kids[v] += 1
                             reached.append(nb)
                 if not reached:
                     self.low = k
@@ -307,10 +304,10 @@ class Bflf(Strategy):
         prev = self.prev
         if prev is None or c not in prev:
             return
-        if self.kids[c] or c == self.door:
+        if c == self.door or any(prev.get(c + d) == c for d in self.layout.dirs):
             self.prev = None
             return
-        self.kids[prev.pop(c)] -= 1
+        del prev[c]
         levels = self.levels
         levels[self.depth.pop(c)].remove(c)
         while not levels[-1]:

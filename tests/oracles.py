@@ -9,6 +9,12 @@ from collections import deque
 from dispersim.grid import RING, Cell, Region, adjacent, bfs_distances_cells
 
 
+def recorded(trace) -> tuple[list[int], list]:
+    """A recorded trace's robots as two lists, their spawn steps and
+    their action logs, in id order."""
+    return [rb.spawned for rb in trace.robots], [rb.log for rb in trace.robots]
+
+
 def articulation_points(r: Region, among=None) -> set[Cell]:
     """Cells whose removal disconnects the region, of all its cells or
     only of those ``among``: one BFS per cell."""

@@ -18,7 +18,7 @@ from dispersim.grid import Region
 from dispersim.metrics import run_metrics
 from dispersim.strategies import make_strategy
 
-from oracles import articulation_points
+from oracles import articulation_points, recorded
 
 
 _CAP = None
@@ -79,7 +79,7 @@ def test_criterion_2_optimality_properties(suite):
             and sim.outcome.t == 2 * V - 1
             and total == sum(dist.values())
             and per_robot_ok
-            and not any(A_STAY in log for log in sim.trace.logs)
+            and not any(A_STAY in log for log in recorded(sim.trace)[1])
         ):
             failures.append((i, sim.outcome, total, sum(dist.values())))
     elapsed = time.monotonic() - t0
@@ -93,7 +93,7 @@ def test_criterion_3_automaton_equivalence(suite):
     for i, r in enumerate(suite):
         t1, m1 = run(r, make_strategy("fcdfs", r, 0))
         t2, m2 = run(r, make_strategy("fcdfs5", r, 0))
-        if (t1.spawns, t1.logs) != (t2.spawns, t2.logs) or t1.outcome != t2.outcome or m1 != m2:
+        if recorded(t1) != recorded(t2) or t1.outcome != t2.outcome or m1 != m2:
             diffs.append(i)
             continue
         if i % 20 == 0:

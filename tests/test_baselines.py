@@ -10,7 +10,7 @@ from dispersim.envgen import g_k, random_simply_connected, rect
 from dispersim.grid import RING, Region, from_ascii
 from dispersim.strategies import make_strategy
 
-from oracles import articulation_points, fixed_polyominoes
+from oracles import articulation_points, fixed_polyominoes, recorded
 
 
 def test_dflf_corridor_total_moves_exact():
@@ -36,7 +36,7 @@ def test_dflf_deterministic_per_seed():
     r = rect(7, 7, (0, 0))
     a, _ = run(r, make_strategy("dflf", r, 5))
     b, _ = run(r, make_strategy("dflf", r, 5))
-    assert (a.spawns, a.logs) == (b.spawns, b.logs)
+    assert recorded(a) == recorded(b)
     assert a.outcome == b.outcome
 
 
@@ -244,7 +244,8 @@ def test_bflf_pools_on_every_small_polyomino():
 def _rows(trace) -> bytes:
     """The per-robot rows of a trace, (spawn step, action log) pairs, as
     the text that the pinned digests hash."""
-    return repr(list(zip(trace.spawns, map(bytes, trace.logs)))).encode()
+    spawns, logs = recorded(trace)
+    return repr(list(zip(spawns, map(bytes, logs)))).encode()
 
 
 # BFLF's exact choices: a SHA-256 of the per-robot rows and the RunMetrics
@@ -325,8 +326,9 @@ def baseline_digest() -> str:
         for name in ("dflf", "bflf"):
             for seed in range(12):
                 trace, m = run(r, make_strategy(name, r, seed), max_steps=60 * len(r.cells))
-                logs = [bytes(log) for log in trace.logs]
-                digest.update(repr((trace.outcome.kind, trace.outcome.t, trace.spawns, logs, astuple(m))).encode())
+                spawns, logs = recorded(trace)
+                logs = [bytes(log) for log in logs]
+                digest.update(repr((trace.outcome.kind, trace.outcome.t, spawns, logs, astuple(m))).encode())
     return digest.hexdigest()
 
 

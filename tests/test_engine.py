@@ -26,6 +26,8 @@ from dispersim.strategies import STRATEGIES, make_strategy
 from dispersim.strategies.base import Strategy
 from dispersim.strategies.fcdfs import RunChecker
 
+from oracles import recorded
+
 
 def test_sensor_view_walls_and_robots_indistinguishable():
     r = rect(2, 1, (0, 0))
@@ -56,7 +58,7 @@ def test_spawn_every_other_step():
     sim = Simulation(r, make_strategy("fcdfs", r, 0))
     for _ in range(8):
         sim.step()
-    assert sim.trace.spawns == [1, 3, 5, 7]
+    assert recorded(sim.trace)[0] == [1, 3, 5, 7]
 
 
 def test_corridor_run_is_covered_in_2v_minus_1():
@@ -196,10 +198,11 @@ def test_simultaneous_same_target_collides():
 def _state(sim):
     """Everything a refused step must leave as it was."""
     robots = [(rb.id, rb.pos, rb.idx, rb.spawned, rb.settled, rb.moves) for rb in sim.robots]
-    logs = [bytes(log) for log in sim.trace.logs]
+    spawns, logs = recorded(sim.trace)
+    logs = [bytes(log) for log in logs]
     return (
         sim.t, bytes(sim.blocked), bytes(sim.residual), robots, [rb.id for rb in sim.active],
-        list(sim.trace.spawns), logs,
+        list(spawns), logs,
     )
 
 
@@ -346,7 +349,7 @@ def test_trace_json_round_trip():
     r = rect(3, 2, (1, 0))
     trace, _ = run(r, make_strategy("fcdfs", r, 0))
     clone = _json_round_trip(trace)
-    assert (clone.spawns, clone.logs) == (trace.spawns, trace.logs)
+    assert recorded(clone) == recorded(trace)
     assert clone.outcome == trace.outcome
     assert clone.region == trace.region
 
@@ -363,10 +366,27 @@ def test_trace_round_trip_keeps_a_negative_origin():
     assert list(ascii_frames(clone, steps)) == list(ascii_frames(trace, steps))
 
 
+def _robot_records(trace):
+    return [(rb.id, rb.spawned, rb.settled, rb.moves, rb.pos, bytes(rb.log)) for rb in trace.robots]
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_a_read_trace_keeps_the_robots_of_the_run(name):
+    """A recorded trace's robots are the run's own records, and a trace
+    read back from JSON holds the robots of the run that checked it:
+    the same spawn and settle steps, moves, cells and logs."""
+    for r in (rect(7, 6, (3, 2)), random_simply_connected(70, 12), g_k(1, 5)):
+        sim = Simulation(r, make_strategy(name, r, 1))
+        sim.finish(4 * len(r.cells))
+        assert sim.trace.robots is sim.robots
+        back = _json_round_trip(sim.trace)
+        assert _robot_records(back) == _robot_records(sim.trace), (name, r)
+
+
 def test_run_without_recording_keeps_metrics():
     r = rect(4, 4, (0, 0))
     trace, m = run(r, make_strategy("fcdfs", r, 0), record=False)
-    assert trace.spawns is None and trace.logs is None
+    assert trace.robots is None
     assert m.outcome == "covered"
     assert m.makespan == 31
     with pytest.raises(ValueError, match="trace was recorded without logs"):
@@ -499,6 +519,33 @@ def test_a_checked_run_adds_no_bfs(name, monkeypatch):
     assert calls == []
     assert sum(topology.bfs_distances(r, r.door).values()) == m.optimum
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_a_run_builds_no_layout(name, monkeypatch):
+    """A region builds its layout once: a run on a region built
+    beforehand, the engine's and a planner's part alike, builds none."""
+    calls = []
+    real = grid.Layout.__init__
+
+    def counted(self, region):
+        calls.append(region)
+        real(self, region)
+
+    monkeypatch.setattr(grid.Layout, "__init__", counted)
+    regions = [rect(6, 5, (2, 1)), random_simply_connected(60, 4)]
+    assert calls == regions
+    for r in regions:
+        run(r, make_strategy(name, r, 2))
+        run(r, make_strategy(name, r, 3), record=False, check=True)
+    assert calls == regions
+
+
+def test_the_engine_and_the_planners_share_the_regions_layout():
+    r = random_simply_connected(60, 4)
+    assert Simulation(r, make_strategy("fcdfs", r, 0)).layout is r.layout
+    for name in ("dflf", "bflf"):
+        assert make_strategy(name, r, 1).layout is r.layout
 
 
 def test_checker_residual_is_region_minus_settled_cells():
@@ -731,7 +778,7 @@ def test_from_json_dict_rejects_inconsistent_traces():
         with pytest.raises(ValueError, match=message):
             SimulationTrace.from_json_dict(bad)
     back = SimulationTrace.from_json_dict(data)
-    assert (back.spawns, back.logs) == (trace.spawns, trace.logs)
+    assert recorded(back) == recorded(trace)
 
 
 def test_from_json_dict_work_is_bounded_by_the_data():

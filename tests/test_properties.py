@@ -12,14 +12,14 @@ from dispersim import envgen
 from dispersim.engine import Simulation, SimulationTrace, run
 from dispersim.envgen import g_k, random_simply_connected, rect
 from dispersim.errors import InvariantViolation, NotSimplyConnected
-from dispersim.grid import DIR_VECTORS, RING, Layout, Region, from_ascii
+from dispersim.grid import DIR_VECTORS, RING, Region, from_ascii
 from dispersim.metrics import compute_metrics
 from dispersim.render import ascii_frame
 from dispersim.strategies import STRATEGIES, make_strategy
 from dispersim.strategies.fcdfs import RunChecker
 from dispersim.topology import bfs_distances, bfs_distances_cells, geometric_median, is_simply_connected
 
-from oracles import fixed_polyominoes, has_hole
+from oracles import fixed_polyominoes, has_hole, recorded
 
 
 def _moved(V, seed, dx, dy):
@@ -38,7 +38,7 @@ def test_fcdfs_trace_survives_json_round_trip(V, seed, dx, dy):
     r = _moved(V, seed, dx, dy)
     trace, m = run(r, make_strategy("fcdfs", r, 0))
     back = SimulationTrace.from_json_dict(json.loads(json.dumps(trace.to_json_dict())))
-    assert (back.spawns, back.logs) == (trace.spawns, trace.logs)
+    assert recorded(back) == recorded(trace)
     assert back.outcome == trace.outcome
     assert back.region == r
     assert compute_metrics(back, back.region) == m
@@ -72,7 +72,7 @@ def test_fcdfs_family_disperses_optimally_under_its_invariants(V, seed, strategy
         for rb in robots:
             travel = (last if rb.active else rb.settled - 1) - rb.spawned
             assert travel == dist[rb.pos], (name, rb.id)
-        logs[name] = (trace.spawns, trace.logs)
+        logs[name] = recorded(trace)
     assert logs["fcdfs"] == logs["fcdfs5"]
 
 
@@ -106,7 +106,7 @@ def check_every_small_polyomino(max_cells: int) -> int:
                 trace, m = run(r, make_strategy(name, r, seed), check=True)
                 where = (sorted(cells), door, name, seed)
                 assert (m.outcome, m.makespan, m.optimal) == ("covered", 2 * V - 1, True), where
-                logs[name] = (trace.spawns, trace.logs)
+                logs[name] = recorded(trace)
                 count += 1
             assert logs["fcdfs"] == logs["fcdfs5"], (sorted(cells), door)
     return count
@@ -347,14 +347,15 @@ def _tuple_space_mask(sim, cell):
 
 
 def _assert_layout_matches_cells(r):
-    """The layout numbers the padded bounding box one to one, ``cell_at``
-    reading back each region cell and None on padding and walls, and its
-    ``ring`` and ``dirs`` step to the cells ``RING`` and ``DIR_VECTORS``
-    away, in that order. After every step of ``fcdfs`` and
+    """The region's layout numbers the padded bounding box one to one,
+    ``cell_at`` reading back each region cell and None on padding and
+    walls, ``door`` is the door's number, and its ``ring`` and ``dirs``
+    step to the cells ``RING`` and ``DIR_VECTORS`` away, in that order. After every step of ``fcdfs`` and
     ``left-hand``, the int-indexed ring of every region cell equals its
     tuple-space definition, and every robot's ``idx`` numbers its
     ``pos``."""
-    layout = Layout(r)
+    layout = r.layout
+    assert layout.door == layout.index(r.door)
     box = [(x, y) for x in range(r.min_x - 1, r.max_x + 2) for y in range(r.min_y - 1, r.max_y + 2)]
     assert sorted(layout.index(c) for c in box) == list(range(len(layout.cell_at)))
     for c in box:

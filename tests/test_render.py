@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,8 @@ from dispersim.envgen import random_simply_connected, rect
 from dispersim.errors import StepOutOfRange
 from dispersim.render import ascii_frame, ascii_frames, svg_frames
 from dispersim.strategies import make_strategy
+
+from oracles import recorded
 
 
 def test_first_frame_shows_fresh_spawn():
@@ -40,7 +43,7 @@ def test_frame_dimensions_and_glyph_count():
         lines = frame.splitlines()
         assert len(lines) == 4 and all(len(l) == 5 for l in lines)
         live = sum(frame.count(ch) for ch in "^>v<o")
-        spawned = sum(1 for when in trace.spawns if when <= t)
+        spawned = sum(1 for when in recorded(trace)[0] if when <= t)
         assert live == spawned
 
 
@@ -63,9 +66,7 @@ def test_svg_frames_count_and_determinism(tmp_path):
     out2 = tmp_path / "b"
     files2 = svg_frames(trace, 1, out2)
     for f1, f2 in zip(files, files2):
-        assert open(f1, "rb").read().replace(b"/a/", b"/b/") == open(
-            f2, "rb"
-        ).read().replace(b"/a/", b"/b/")
+        assert Path(f1).read_bytes().replace(b"/a/", b"/b/") == Path(f2).read_bytes().replace(b"/a/", b"/b/")
 
 
 def test_svg_single_final_frame():
@@ -76,7 +77,7 @@ def test_svg_single_final_frame():
     with tempfile.TemporaryDirectory() as d:
         files = svg_frames(trace, m.makespan, d)
         assert len(files) == 1
-        body = open(files[0]).read()
+        body = Path(files[0]).read_text()
         assert body.startswith("<?xml")
         assert body.count("polygon") == 9  # nine settled diamonds
 

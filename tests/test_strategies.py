@@ -15,6 +15,8 @@ from dispersim.strategies.base import Strategy
 from dispersim.strategies.fcdfs import DIAG_BITS, RunChecker, diag_offset
 from dispersim.strategies.fivebit import FiveBitMemory
 
+from oracles import recorded
+
 
 def test_registry_names():
     assert set(STRATEGIES) == {
@@ -105,7 +107,7 @@ def test_fcdfs_and_five_bit_agree_on_small_regions():
         r = random_simply_connected(rng.randint(2, 80), seed=500 + i)
         t1, m1 = run(r, make_strategy("fcdfs", r, 0))
         t2, m2 = run(r, make_strategy("fcdfs5", r, 0))
-        assert (t1.spawns, t1.logs) == (t2.spawns, t2.logs)
+        assert recorded(t1) == recorded(t2)
         assert t1.outcome == t2.outcome
         assert m1 == m2
 
@@ -119,8 +121,9 @@ def test_rand_corner_rotations_cover_and_differ():
         assert m.total_travel == m.optimum
         assert m.makespan == 2 * len(r.cells) - 1
         # Robot 1 spawns at t=1 and moves first at t=2.
-        assert trace.spawns[0] == 1
-        first = trace.logs[0][0]
+        spawns, logs = recorded(trace)
+        assert spawns[0] == 1
+        first = logs[0][0]
         assert first < A_STAY
         seen_first_moves.add(first)
     assert len(seen_first_moves) > 1  # the rotation draw actually varies
@@ -130,7 +133,7 @@ def test_rand_corner_deterministic_per_seed():
     r = rect(6, 6, (0, 0))
     a, _ = run(r, make_strategy("rand-corner", r, 3))
     b, _ = run(r, make_strategy("rand-corner", r, 3))
-    assert (a.spawns, a.logs) == (b.spawns, b.logs)
+    assert recorded(a) == recorded(b)
     assert a.outcome == b.outcome
 
 
@@ -268,7 +271,7 @@ def test_a_second_identical_run_decides_nothing(name, monkeypatch):
     second = [run(r, make_strategy(name, r, 1)) for r in regions]
     assert calls == []
     for (t1, m1), (t2, m2) in zip(first, second):
-        assert (t1.spawns, t1.logs, t1.outcome, m1) == (t2.spawns, t2.logs, t2.outcome, m2)
+        assert (recorded(t1), t1.outcome, m1) == (recorded(t2), t2.outcome, m2)
 
 
 def test_rules_with_different_constants_share_no_row():
@@ -323,6 +326,7 @@ def test_variant_event_logs_pinned(suite, name, seed):
     h = hashlib.sha256()
     for r in suite[::10] + [rect(12, 12, (5, 5)), ring]:
         trace, m = run(r, make_strategy(name, r, seed))
-        h.update(repr(list(zip(trace.spawns, map(bytes, trace.logs)))).encode())
+        spawns, logs = recorded(trace)
+        h.update(repr(list(zip(spawns, map(bytes, logs)))).encode())
         h.update(repr(astuple(m)).encode())
     assert h.hexdigest() == VARIANTS_PINNED[name, seed]
