@@ -2,13 +2,15 @@
 
 Each step: take an occupancy snapshot, let the strategy decide every
 active robot's action (a local strategy from that robot's 8-bit ring
-mask, :meth:`Simulation.ring_mask` of its cell's int, and its memory
-alone; :meth:`Simulation.sense` is the checked entry point for an
-``(x, y)`` cell), apply all moves simultaneously (targets must have
+mask, 8 reads of ``Simulation.blocked`` around its cell's int, and its
+memory alone; :meth:`Simulation.sense` is the checked entry point for
+an ``(x, y)`` cell), apply all moves simultaneously (targets must have
 been unoccupied in the snapshot), then settle robots and spawn a new
 one at the door if the door was free in the snapshot.
 Runs end on full coverage, an exact configuration repeat (deadlock), a
-step limit or a refused step (collision).
+step limit or a refused step (collision). :meth:`Simulation.finish`
+runs the steps in one loop, and :meth:`Simulation.step` runs one
+iteration of it.
 """
 
 from __future__ import annotations
@@ -61,7 +63,10 @@ class Robot:
 @dataclass(frozen=True)
 class Outcome:
     """How a run ended, after step ``t``. ``message`` names the step a
-    collision refused, and stays out of equality and of the JSON."""
+    collision refused, and stays out of equality and of the JSON. The
+    refused step moves, settles, spawns and records nothing, but the
+    strategy has already decided it: the robots' memories are those it
+    wrote for that step."""
 
     kind: str  # "covered" | "deadlock" | "limit" | "collision"
     t: int
@@ -80,9 +85,10 @@ class SimulationTrace:
     None when the run was made without recording.
 
     :meth:`from_json_dict` checks a trace read from outside by running
-    its logs through :meth:`Simulation.step`, the one home of the
-    movement, spawn and coverage rules, and keeps the robots of that
-    run, so a read trace holds the same records as a live one.
+    its logs through the engine's one step loop
+    (:meth:`Simulation.finish`), the one home of the movement, spawn and
+    coverage rules, and keeps the robots of that run, so a read trace
+    holds the same records as a live one.
     :meth:`states` trusts the trace and jumps each robot along its log,
     so the recount and the renderers read a trace in O(robots) per frame
     plus the bytes they skip.
@@ -297,19 +303,26 @@ class Simulation:
     Inside the engine a cell is an int, numbered by ``layout``, the
     region's own :class:`~dispersim.grid.Layout`, ``region.layout``. The
     ``bytearray`` ``blocked`` is 1 for walls, padding and occupied cells,
-    a ring read is 8 indexed reads of it (:meth:`ring_mask`) and a move
-    adds one of the 4 ``layout.dirs``. ``blocked`` is the one record of which cells
+    a ring read is 8 indexed reads of it at the ``layout.ring`` offsets
+    (in :meth:`sense`, and inline in the default
+    ``Strategy.decide_all``) and a move adds one of the 4
+    ``layout.dirs``. ``blocked`` is the one record of which cells
     hold a robot, and the ``bytearray`` ``residual`` the one record of
     settled cells: the residual region, 1 at each region cell that
     holds no settled robot. The step's settle loop alone clears a cell
     of it; strategies only read it. Cells stay ``(x, y)`` tuples at the
     public boundary: ``robot.pos`` moves together with ``robot.idx``.
 
-    A move check is one read of ``blocked``: each move marks its target
-    there as it is checked, so a second robot aiming at the same cell
-    fails the same test. A move that fails it, a collision, ends the run
-    at the last step done: the step clears its marks, looks up the earlier
-    mover only then, and moves, settles, spawns and records nothing.
+    A step makes one pass over its moves. A move check is one read of
+    ``blocked``: each move is checked, marks its target there and is
+    applied at once, so a second robot aiming at the same cell fails the
+    same test, and the cells the movers leave stay marked until the pass
+    is over, so no robot enters a cell left in the same step. A move
+    that fails the check, a collision, ends the run at the last step
+    done: the step puts every earlier mover of the pass back, looks up
+    the one that took the target only then, and moves, settles, spawns
+    and records nothing. The robots' memories are the exception: the
+    strategy wrote them when it decided the refused step.
 
     Every step asks ``strategy.decide_all`` for a list of one action per
     robot of ``active``, in order, and hands a new robot to
@@ -351,23 +364,11 @@ class Simulation:
         self.layout = layout = region.layout
         self.blocked = bytearray([cell is None for cell in layout.cell_at])
         self.residual = bytearray([cell is not None for cell in layout.cell_at])
-        self._ring = layout.ring  # read once per robot per step by ring_mask
 
     @property
     def covered(self) -> bool:
         # Robots never leave the region and never share a cell.
         return len(self.robots) == len(self.region.cells)
-
-    def ring_mask(self, idx: int) -> int:
-        """The ring mask of the region cell numbered ``idx``: bit i is set
-        when the cell ``RING[i]`` away is a wall or holds a robot. Only a
-        region cell's ring is sure to lie inside the layout."""
-        b = self.blocked
-        o0, o1, o2, o3, o4, o5, o6, o7 = self._ring
-        return (
-            b[idx + o0] | b[idx + o1] << 1 | b[idx + o2] << 2 | b[idx + o3] << 3
-            | b[idx + o4] << 4 | b[idx + o5] << 5 | b[idx + o6] << 6 | b[idx + o7] << 7
-        )
 
     def sense(self, pos: Cell) -> int:
         """The ring mask of the region cell ``pos``: bit i is set when the
@@ -376,97 +377,135 @@ class Simulation:
         CellNotInRegion for any other cell."""
         if pos not in self.region.cells:
             raise CellNotInRegion(f"{pos} is not a cell of the region")
-        return self.ring_mask(self.layout.index(pos))
+        i = self.layout.index(pos)
+        b = self.blocked
+        o0, o1, o2, o3, o4, o5, o6, o7 = self.layout.ring
+        # Strategy.decide_all reads the same 8 bytes inline.
+        return (
+            b[i + o0] | b[i + o1] << 1 | b[i + o2] << 2 | b[i + o3] << 3
+            | b[i + o4] << 4 | b[i + o5] << 5 | b[i + o6] << 6 | b[i + o7] << 7
+        )
 
     def step(self) -> None:
-        """Advance one synchronized Look-Compute-Move step."""
+        """Advance one synchronized Look-Compute-Move step: one iteration
+        of the loop :meth:`finish` runs."""
         assert self.outcome is None, "simulation already terminated"
-        t = self.t + 1
-        blocked = self.blocked  # mutated only after all decisions
-        strategy = self.strategy
-        door = self.layout.door
-        if self.checker is not None:
-            self.checker.before_step(self)
-        spawn_pending = not blocked[door]
-        stepping = self.active  # robots active at the start of the step
-        actions = strategy.decide_all(self)
-        if len(actions) != len(stepping):
-            raise ValueError(f"t={t}: {len(actions)} actions for {len(stepping)} active robots")
+        self._advance(self.t + 1)
 
-        # One pass: collect the settles and validate moves against the
-        # snapshot and the targets marked so far.
-        offsets, cell_at = self.layout.dirs, self.layout.cell_at
-        movers: list[Robot] = []
-        targets: list[int] = []
-        settled_now = []
-        for robot, act in zip(stepping, actions):
-            if act == A_SETTLE:
-                settled_now.append(robot)
-                continue
-            if act == A_STAY:
-                continue
-            target = robot.idx + offsets[act]
-            if blocked[target]:
-                for marked in targets:
-                    blocked[marked] = 0
-                cell = cell_at[target]
-                if target in targets:
-                    why = f"robots {movers[targets.index(target)].id} and {robot.id} both target {cell}"
-                else:
-                    where = "off the region" if cell is None else f"into occupied cell {cell}"
-                    why = f"robot {robot.id} at {robot.pos} moved {DIR_NAMES[act]} {where}"
-                self.outcome = Outcome("collision", self.t, f"t={t}: {why}")
-                return
-            blocked[target] = 1
-            movers.append(robot)
-            targets.append(target)
-        # Recorded once the step is valid: a refused step leaves the logs
-        # as they were.
+    def finish(self, max_steps: int) -> None:
+        """Step until the run ends, a ``limit`` outcome once step
+        ``max_steps`` is done."""
+        if self.outcome is None and self.t < max_steps:
+            self._advance(max_steps)
+        if self.outcome is None:
+            self.outcome = Outcome("limit", self.t)
+        self.trace.outcome = self.outcome
+
+    def _advance(self, last: int) -> None:
+        """Run steps until the run ends or step ``last`` is done: the one
+        loop of :meth:`step` and :meth:`finish`, with the run's fields
+        bound once."""
+        decide_all, on_spawn = self.strategy.decide_all, self.strategy.on_spawn
+        checker, robots = self.checker, self.robots
+        blocked, residual, seen = self.blocked, self.residual, self._seen_configs
+        layout = self.layout
+        offsets, cell_at, door = layout.dirs, layout.cell_at, layout.door
+        door_cell, n_cells = self.region.door, len(self.region.cells)
         recording = self.trace.robots is not None
-        if recording:
+        t = self.t
+        while t < last:
+            t += 1
+            if checker is not None:
+                checker.before_step(self)
+            spawn_pending = not blocked[door]
+            stepping = self.active  # robots active at the start of the step
+            actions = decide_all(self)
+            if len(actions) != len(stepping):
+                raise ValueError(f"t={t}: {len(actions)} actions for {len(stepping)} active robots")
+
+            # One pass: a move is checked against the snapshot and the
+            # targets marked so far, marked and applied at once. The cells
+            # it leaves stay marked until the pass is over.
+            sources = []
+            settled_now = []
             for robot, act in zip(stepping, actions):
-                robot.log.append(act)
-
-        # Apply all moves simultaneously, then settles. The targets are
-        # marked already, and no target was occupied in the snapshot, so
-        # no mover's cell is another's target.
-        for robot, target in zip(movers, targets):
-            blocked[robot.idx] = 0
-            robot.idx = target
-            robot.pos = cell_at[target]
-            robot.moves += 1
-        if settled_now:
-            for robot in settled_now:
-                robot.settled = t
-                self.residual[robot.idx] = 0
-            self.active = [r for r in stepping if r.settled is None]
-
-        # Spawn: door free in the snapshot and still free after moves
-        # (a robot cycling back through the door suppresses emergence).
-        spawned = None
-        if spawn_pending and not blocked[door]:
-            spawned = Robot(len(self.robots) + 1, self.region.door, None, door, t)
-            self.robots.append(spawned)
-            self.active.append(spawned)
-            blocked[door] = 1
+                if act == A_SETTLE:
+                    settled_now.append(robot)
+                    continue
+                if act == A_STAY:
+                    continue
+                source = robot.idx
+                target = source + offsets[act]
+                if blocked[target]:
+                    why = self._refuse(robot, act, actions, sources)
+                    self.outcome = Outcome("collision", t - 1, f"t={t}: {why}")
+                    return
+                blocked[target] = 1
+                robot.idx = target
+                robot.pos = cell_at[target]
+                robot.moves += 1
+                sources.append(source)
+            for source in sources:
+                blocked[source] = 0
             if recording:
-                spawned.log = bytearray()
-            strategy.on_spawn(self, spawned)
+                for robot, act in zip(stepping, actions):
+                    robot.log.append(act)
+            if settled_now:
+                for robot in settled_now:
+                    robot.settled = t
+                    residual[robot.idx] = 0
+                self.active = [r for r in stepping if r.settled is None]
 
-        self.t = t
-        if self.checker is not None:
-            self.checker.after_step(self, actions, settled_now)
+            # Spawn: door free in the snapshot and still free after moves
+            # (a robot cycling back through the door suppresses emergence).
+            spawned = spawn_pending and not blocked[door]
+            if spawned:
+                robot = Robot(len(robots) + 1, door_cell, None, door, t)
+                robots.append(robot)
+                self.active.append(robot)
+                blocked[door] = 1
+                if recording:
+                    robot.log = bytearray()
+                on_spawn(self, robot)
 
-        if self.covered:
-            self.outcome = Outcome("covered", t)
-            return
-        if settled_now or spawned is not None:
-            self._seen_configs.clear()
-        key = self._config_key()
-        if key in self._seen_configs:
-            self.outcome = Outcome("deadlock", t)
-            return
-        self._seen_configs.add(key)
+            self.t = t
+            if checker is not None:
+                checker.after_step(self, actions, settled_now)
+
+            if len(robots) == n_cells:
+                self.outcome = Outcome("covered", t)
+                return
+            if settled_now or spawned:
+                seen.clear()
+            size = len(seen)
+            seen.add(self._config_key())
+            if len(seen) == size:
+                self.outcome = Outcome("deadlock", t)
+                return
+
+    def _refuse(self, robot: Robot, act: int, actions: list[int], sources: list[int]) -> str:
+        """Undo the moves the pass made before ``robot``'s move ``act``,
+        which it refuses, and say why. ``active`` is still the list the
+        step decided, and ``sources`` the cells its movers left."""
+        target = robot.idx + self.layout.dirs[act]
+        cell = self.layout.cell_at[target]
+        why = None
+        moved = iter(sources)
+        for mover, a in zip(self.active, actions):
+            if mover is robot:
+                break
+            if a == A_STAY or a == A_SETTLE:
+                continue
+            if mover.idx == target:
+                why = f"robots {mover.id} and {robot.id} both target {cell}"
+            self.blocked[mover.idx] = 0
+            mover.idx = source = next(moved)
+            mover.pos = self.layout.cell_at[source]
+            mover.moves -= 1
+        if why is None:
+            where = "off the region" if cell is None else f"into occupied cell {cell}"
+            why = f"robot {robot.id} at {robot.pos} moved {DIR_NAMES[act]} {where}"
+        return why
 
     def _config_key(self):
         """The run's configuration: the active robots' cells, as indices,
@@ -482,14 +521,6 @@ class Simulation:
         grows between settles, so no earlier key can equal a later one.
         """
         return tuple([(r.idx, r.mem) for r in self.active])
-
-    def finish(self, max_steps: int) -> None:
-        while self.outcome is None:
-            if self.t >= max_steps:
-                self.outcome = Outcome("limit", self.t)
-                break
-            self.step()
-        self.trace.outcome = self.outcome
 
 
 def run(

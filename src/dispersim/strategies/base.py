@@ -127,10 +127,16 @@ class Strategy:
         """Return one action per robot of ``sim.active``, in that order,
         moving each robot's memory to its next canonical memory."""
         rows = self._table.rows
-        ring_mask = sim.ring_mask
+        b = sim.blocked
+        # Simulation.sense's ring read, inline: one per active robot.
+        o0, o1, o2, o3, o4, o5, o6, o7 = sim.layout.ring
         actions = []
         for robot in sim.active:
-            view = ring_mask(robot.idx)
+            i = robot.idx
+            view = (
+                b[i + o0] | b[i + o1] << 1 | b[i + o2] << 2 | b[i + o3] << 3
+                | b[i + o4] << 4 | b[i + o5] << 5 | b[i + o6] << 6 | b[i + o7] << 7
+            )
             entry = rows[robot.mem][view]
             if entry is None:
                 entry = self._transition(robot.mem, view)

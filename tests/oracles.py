@@ -6,7 +6,8 @@ are never used by the package itself.
 
 from collections import deque
 
-from dispersim.grid import RING, Cell, Region, adjacent, bfs_distances_cells
+from dispersim.engine import A_SETTLE, A_STAY
+from dispersim.grid import DIR_NAMES, DIR_VECTORS, RING, Cell, Region, adjacent, bfs_distances_cells
 
 
 def recorded(trace) -> tuple[list[int], list]:
@@ -15,14 +16,14 @@ def recorded(trace) -> tuple[list[int], list]:
     return [rb.spawned for rb in trace.robots], [rb.log for rb in trace.robots]
 
 
-def articulation_points(r: Region, among=None) -> set[Cell]:
-    """Cells whose removal disconnects the region, of all its cells or
-    only of those ``among``: one BFS per cell."""
+def articulation_points(cells, among=None) -> set[Cell]:
+    """Cells whose removal disconnects the connected set ``cells``, of all
+    of them or only of those ``among``: one BFS per cell."""
     out = set()
-    if len(r.cells) <= 1:
+    if len(cells) <= 1:
         return out
-    for v in r.cells if among is None else among:
-        rest = set(r.cells)
+    for v in cells if among is None else among:
+        rest = set(cells)
         rest.remove(v)
         seed = next(iter(rest))
         if len(bfs_distances_cells(rest, seed)) != len(rest):
@@ -93,3 +94,96 @@ def fixed_polyominoes(n):
             poly.pop()
 
     yield from grow([(0, 0)])
+
+
+class RefRobot:
+    """One robot of a :class:`ReferenceRun`."""
+
+    def __init__(self, rid: int, pos: Cell, spawned: int):
+        self.id = rid
+        self.pos = pos
+        self.spawned = spawned
+        self.settled = None
+        self.moves = 0
+        self.log = bytearray()
+        self.mem = 0
+
+
+class ReferenceRun:
+    """The engine's rules for one step, spelled out on ``(x, y)`` tuples
+    with a snapshot of the occupied cells: the naive stepper that
+    :class:`dispersim.engine.Simulation` is tested against.
+
+    ``step(choices)`` takes one ``(action, memory)`` pair per active
+    robot, in id order. Every memory is written first. A move must stay
+    in the region, enter a cell free in the snapshot and be the only
+    move into it; the first move that is not ends the run in a
+    ``("collision", t, message)`` at the last step done, and changes
+    nothing else. Otherwise all moves, settles and log entries apply,
+    and a robot spawns at the door, with memory 0, when no robot held the
+    door in the snapshot and no move entered it. The run ends
+    ``("covered", t, "")`` when it holds a robot per cell, and
+    ``("deadlock", t, "")`` when the active robots' cells and memories
+    repeat with no spawn or settle in between.
+    """
+
+    def __init__(self, region: Region):
+        self.region = region
+        self.robots: list[RefRobot] = []
+        self.t = 0
+        self.outcome = None
+        self.seen: list = []
+
+    @property
+    def active(self) -> list[RefRobot]:
+        return [rb for rb in self.robots if rb.settled is None]
+
+    def step(self, choices) -> None:
+        t = self.t + 1
+        cells, door = self.region.cells, self.region.door
+        active = self.active
+        assert len(choices) == len(active)
+        occupied = {rb.pos for rb in self.robots}
+        for robot, (_, mem) in zip(active, choices):
+            robot.mem = mem
+        targets: dict[Cell, RefRobot] = {}
+        for robot, (act, _) in zip(active, choices):
+            if act in (A_STAY, A_SETTLE):
+                continue
+            dx, dy = DIR_VECTORS[act]
+            cell = (robot.pos[0] + dx, robot.pos[1] + dy)
+            if cell not in cells:
+                why = f"robot {robot.id} at {robot.pos} moved {DIR_NAMES[act]} off the region"
+            elif cell in occupied:
+                why = f"robot {robot.id} at {robot.pos} moved {DIR_NAMES[act]} into occupied cell {cell}"
+            elif cell in targets:
+                why = f"robots {targets[cell].id} and {robot.id} both target {cell}"
+            else:
+                targets[cell] = robot
+                continue
+            self.outcome = ("collision", self.t, f"t={t}: {why}")
+            return
+        changed = False
+        for robot, (act, _) in zip(active, choices):
+            robot.log.append(act)
+            if act == A_SETTLE:
+                robot.settled = t
+                changed = True
+            elif act != A_STAY:
+                dx, dy = DIR_VECTORS[act]
+                robot.pos = (robot.pos[0] + dx, robot.pos[1] + dy)
+                robot.moves += 1
+        if door not in occupied and door not in targets:
+            self.robots.append(RefRobot(len(self.robots) + 1, door, t))
+            changed = True
+        self.t = t
+        if len(self.robots) == len(cells):
+            self.outcome = ("covered", t, "")
+            return
+        if changed:
+            self.seen = []
+        config = [(rb.pos, rb.mem) for rb in self.active]
+        if config in self.seen:
+            self.outcome = ("deadlock", t, "")
+            return
+        self.seen.append(config)

@@ -141,7 +141,7 @@ def test_criterion_5_topology_lemmas(suite):
     bad = []
     for i, r in enumerate(suite):
         halls = {c for c in r.cells if tp.classify_cells(r.cells, c).kind == tp.HALL}
-        if not halls <= articulation_points(r):
+        if not halls <= articulation_points(r.cells):
             bad.append(("halls-not-articulation", i))
     for i, r in enumerate(suite):
         if len(r.cells) > 60:

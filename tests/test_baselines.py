@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dispersim.engine import Simulation, run
 from dispersim.envgen import g_k, random_simply_connected, rect
-from dispersim.grid import RING, Region, from_ascii
+from dispersim.grid import RING, Region, bfs_distances_cells, from_ascii
 from dispersim.strategies import make_strategy
 
 from oracles import articulation_points, fixed_polyominoes, recorded
@@ -100,7 +100,7 @@ def test_cut_cells_match_the_brute_force_oracle_under_safe_claims(V, seed, holes
     index, cell_at = strategy.layout.index, strategy.layout.cell_at
     unclaimed = set(r.cells)
     while unclaimed:
-        expected = articulation_points(Region(unclaimed, r.door))
+        expected = articulation_points(Region(unclaimed, r.door).cells)
         assert {cell_at[i] for i in strategy.cut} <= expected
         cut = {c for c in unclaimed if index(c) in strategy.cut or strategy.is_cut(index(c))}
         assert cut == expected
@@ -147,37 +147,38 @@ def _check_every_spawn(strategy, check_pool=True):
     cell in a level below ``low``. With ``check_pool``, the pool is also
     the first level of a fresh search that holds an unclaimed cell that
     is no articulation point, the door only as the last one. The
-    unclaimed cells are the region's minus the spawned robots' targets.
-    Returns the list of the targets drawn, one per spawn."""
+    unclaimed cells are the region's minus the spawned robots' targets,
+    and stay connected to the door. Returns the list of the targets
+    drawn, one per spawn."""
     on_spawn, layout, door = strategy.on_spawn, strategy.layout, strategy.door
     targets = []
 
-    def safe_cells(level, unclaimed, rest):
+    def safe_cells(level, unclaimed):
         cells = {layout.cell_at[i] for i in level if i != door or len(unclaimed) == 1} & unclaimed
-        return cells - articulation_points(rest, cells)
+        return cells - articulation_points(unclaimed, cells)
 
-    def tree_is_fresh(sim, unclaimed, rest):
+    def tree_is_fresh(sim, unclaimed):
         if strategy.prev is not None:
             fresh = _door_tree(strategy, sim.residual, len(strategy.levels))
             assert (strategy.levels, strategy.prev) == fresh, sim.t
             assert strategy.levels[-1], sim.t
             if len(unclaimed) > 1:  # the door, the last one, skips the scan
                 for level in strategy.levels[: strategy.low]:
-                    assert not safe_cells(level, unclaimed, rest), (sim.t, strategy.low)
+                    assert not safe_cells(level, unclaimed), (sim.t, strategy.low)
 
     def checked(sim, robot):
         unclaimed = sim.region.cells - {layout.cell_at[rb.mem] for rb in sim.robots if rb.mem is not None}
         assert strategy.left == len(unclaimed), sim.t
-        rest = Region(unclaimed, sim.region.door)
+        assert set(bfs_distances_cells(unclaimed, sim.region.door)) == unclaimed, sim.t
         cached = {layout.cell_at[i] for i in strategy.cut}
-        assert articulation_points(rest, cached) == cached, sim.t
-        tree_is_fresh(sim, unclaimed, rest)
+        assert articulation_points(unclaimed, cached) == cached, sim.t
+        tree_is_fresh(sim, unclaimed)
         pool = strategy.pool(sim.residual)
-        tree_is_fresh(sim, unclaimed, rest)
+        tree_is_fresh(sim, unclaimed)
         if check_pool:
             expected = []
             for level in _door_tree(strategy, sim.residual)[0]:
-                safe = safe_cells(level, unclaimed, rest)
+                safe = safe_cells(level, unclaimed)
                 if safe:
                     expected = [layout.index(c) for c in sorted(safe)]
                     break

@@ -4,6 +4,7 @@ import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dispersim import grid, topology
 from dispersim.engine import (
@@ -18,7 +19,7 @@ from dispersim.engine import (
 from dispersim.envgen import g_k, random_simply_connected, rect
 from dispersim.errors import CellNotInRegion, DispersimError, InvariantViolation
 from dispersim.grid import (
-    DIR_BITS, DIR_NAMES, DIR_VECTORS, DOWN, FREE_DIRS, LEFT, Region, UP, RIGHT, manhattan,
+    DIR_BITS, DIR_NAMES, DIR_VECTORS, DOWN, FREE_DIRS, LEFT, Region, UP, RIGHT, from_ascii, manhattan,
 )
 from dispersim.metrics import compute_metrics, run_metrics
 from dispersim.render import ascii_frame, ascii_frames, heading
@@ -26,7 +27,7 @@ from dispersim.strategies import STRATEGIES, make_strategy
 from dispersim.strategies.base import Strategy
 from dispersim.strategies.fcdfs import RunChecker
 
-from oracles import recorded
+from oracles import ReferenceRun, fixed_polyominoes, recorded
 
 
 def test_sensor_view_walls_and_robots_indistinguishable():
@@ -981,3 +982,167 @@ def test_checker_raises_a_wrong_redirect_before_a_stray():
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert messages[0] == "t=6: robot 3 changed primary at (0, 0), a corner of the residual region"
+
+
+# -- One loop: step() by hand and finish() run the same steps. -------------
+
+COLLIDE_MAP = "#...\n#.#.\nS..."
+
+
+def _run_record(sim):
+    robots = [
+        (rb.id, rb.pos, rb.idx, rb.spawned, rb.settled, rb.moves, rb.mem, bytes(rb.log)) for rb in sim.robots
+    ]
+    return robots, bytes(sim.blocked), bytes(sim.residual), sim.outcome, sim.outcome.message
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+@pytest.mark.parametrize(
+    "region",
+    [rect(12, 12, (5, 5)), random_simply_connected(90, 4), g_k(1, 5), from_ascii(COLLIDE_MAP)],
+    ids=["square", "random", "g1_5", "collide"],
+)
+def test_stepping_by_hand_equals_finish(name, region):
+    """``step()`` advances one iteration of the loop ``finish`` runs, so
+    a run stepped by hand ends with the same robots, logs, memories and
+    outcome as one run to its end at once."""
+    limit = 4 * len(region.cells)
+    by_hand = Simulation(region, make_strategy(name, region, 3))
+    while by_hand.outcome is None and by_hand.t < limit:
+        by_hand.step()
+    by_hand.finish(limit)
+    at_once = Simulation(region, make_strategy(name, region, 3))
+    at_once.finish(limit)
+    assert _run_record(by_hand) == _run_record(at_once)
+    assert by_hand.trace.outcome == at_once.trace.outcome == at_once.outcome
+
+
+# -- The engine against the reference stepper of tests/oracles.py. ---------
+
+# The codes a script draws: the four moves, a stay, a settle, and
+# FREE_MOVE, played as a move to the first 4-neighbor free in the
+# snapshot (a stay when there is none), which keeps runs going.
+FREE_MOVE = 6
+SCRIPT_CODES = (UP, RIGHT, DOWN, LEFT, A_STAY, A_SETTLE, FREE_MOVE)
+# Mostly free moves: many robots active and moving when a move collides.
+MOSTLY_FREE = SCRIPT_CODES + (FREE_MOVE,) * 10
+
+SMALL_REGIONS = [
+    rect(1, 1, (0, 0)),
+    rect(3, 1, (1, 0)),
+    rect(2, 2, (0, 0)),
+    rect(3, 2, (1, 0)),
+    rect(3, 3, (1, 1)),
+    rect(4, 3, (0, 0)),
+    rect(4, 4, (0, 0)),
+    rect(5, 2, (2, 0)),
+    from_ascii(COLLIDE_MAP),
+    from_ascii("...\n.#.\nS.."),
+    random_simply_connected(8, 0),
+    random_simply_connected(12, 1),
+]
+
+
+class _Stream:
+    """Plays a stream of ``(code, memory)`` choices, one per active robot
+    per step in id order. ``played`` holds the last step's ``(action,
+    memory)`` pairs, FREE_MOVE resolved. A robot spawns with memory 0."""
+
+    name = "stream"
+    seed = 0
+
+    def __init__(self, choices):
+        self.choices = choices
+        self.used = 0
+        self.played = []
+
+    def decide_all(self, sim):
+        batch = self.choices[self.used : self.used + len(sim.active)]
+        self.used += len(batch)
+        self.played = []
+        for robot, (code, mem) in zip(sim.active, batch):
+            if code == FREE_MOVE:
+                free = FREE_DIRS[sim.sense(robot.pos)]
+                code = free[0] if free else A_STAY
+            robot.mem = mem
+            self.played.append((code, mem))
+        return [act for act, _ in self.played]
+
+    def on_spawn(self, sim, robot):
+        robot.mem = 0
+
+
+def _engine_state(sim):
+    robots = [(rb.id, rb.pos, rb.idx, rb.spawned, rb.moves, rb.settled, bytes(rb.log)) for rb in sim.robots]
+    outcome = sim.outcome and (sim.outcome.kind, sim.outcome.t, sim.outcome.message)
+    return robots, bytes(sim.blocked), bytes(sim.residual), outcome
+
+
+def _reference_state(ref, layout):
+    index = layout.index
+    robots = [(rb.id, rb.pos, index(rb.pos), rb.spawned, rb.moves, rb.settled, bytes(rb.log)) for rb in ref.robots]
+    occupied = {rb.pos for rb in ref.robots}
+    settled = {rb.pos for rb in ref.robots if rb.settled is not None}
+    blocked = bytes(cell is None or cell in occupied for cell in layout.cell_at)
+    residual = bytes(cell is not None and cell not in settled for cell in layout.cell_at)
+    return robots, blocked, residual, ref.outcome
+
+
+def _play_against_reference(region, choices) -> str | None:
+    """Step the engine and ``ReferenceRun`` through ``choices`` until the
+    run ends or the choices run out, and compare them after every step:
+    every robot's id, cell, index, spawn step, moves, settle step and
+    log, ``blocked``, ``residual`` and the outcome with its message.
+    Returns the outcome's kind, None when the choices ran out."""
+    strategy = _Stream(choices)
+    sim = Simulation(region, strategy)
+    ref = ReferenceRun(region)
+    while sim.outcome is None and strategy.used + len(sim.active) <= len(choices):
+        sim.step()
+        ref.step(strategy.played)
+        assert _engine_state(sim) == _reference_state(ref, region.layout), (sim.t, strategy.played)
+    return sim.outcome and sim.outcome.kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    region=st.sampled_from(SMALL_REGIONS),
+    choices=st.lists(st.tuples(st.sampled_from(MOSTLY_FREE), st.integers(0, 1)), min_size=50, max_size=200),
+)
+# Robot 1 leaves (1, 0), and robot 2 may not enter it in the same step.
+@example(region=SMALL_REGIONS[2], choices=[(RIGHT, 0), (A_STAY, 1), (UP, 0), (RIGHT, 0)])
+# Robots 1 and 2 move, and robot 3's move off the region undoes both.
+@example(
+    region=SMALL_REGIONS[5],
+    choices=[(RIGHT, 0), (UP, 0), (RIGHT, 0), (UP, 0), (UP, 0), (RIGHT, 0), (RIGHT, 0), (RIGHT, 0), (DOWN, 0)],
+)
+def test_the_engine_steps_as_the_reference_stepper(region, choices):
+    """Scripts of stays, settles and moves, into free cells, off the
+    region, into occupied cells, into cells left in the same step and
+    onto one target, step the engine as the naive reference of
+    ``oracles.ReferenceRun`` does."""
+    _play_against_reference(region, choices)
+
+
+def check_engine_against_reference(max_cells: int) -> int:
+    """The reference stepper check on every fixed polyomino of at most
+    ``max_cells`` cells, holey ones included, from every door: two
+    seeded scripts of 200 choices each, one drawing every code alike and
+    one ``MOSTLY_FREE``, so that runs also cover and deadlock. Returns
+    the number of runs. CI's deep run calls it beyond tier-1's bound:
+    ``PYTHONPATH=src:tests python -c "from test_engine import
+    check_engine_against_reference as c; assert c(9) == 236_040"``."""
+    count = 0
+    for cells in fixed_polyominoes(max_cells):
+        for door in sorted(cells):
+            r = Region(cells, door)
+            for codes in (SCRIPT_CODES, MOSTLY_FREE):
+                rng = random.Random(count)
+                choices = [(rng.choice(codes), rng.randrange(2)) for _ in range(200)]
+                _play_against_reference(r, choices)
+                count += 1
+    return count
+
+
+def test_the_engine_steps_as_the_reference_on_every_small_polyomino():
+    assert check_engine_against_reference(5) == 828

@@ -183,11 +183,24 @@ def _local_strategy(name, rotation):
     return make_strategy(name, None, seed)
 
 
+# A 3x3 layout stand-in, cell 4 at its centre: the ring's offsets and
+# a ``blocked`` that spells out a view around that cell.
+_RING_3X3 = tuple(dx + 3 * dy for dx, dy in RING)
+
+
+def _blocked_3x3(view):
+    blocked = bytearray(9)
+    for i, offset in enumerate(_RING_3X3):
+        blocked[4 + offset] = view >> i & 1
+    return blocked
+
+
 def _table_entry(strategy, mem, view):
     """The (action, next memory) the default decide_all gives a robot
-    holding ``mem`` that senses ``view``."""
-    robot = Robot(1, (0, 0), mem, 0)
-    actions = strategy.decide_all(SimpleNamespace(active=[robot], ring_mask=lambda idx: view))
+    holding ``mem`` that senses ``view``, read from a 3x3 ``blocked``."""
+    robot = Robot(1, (0, 0), mem, 4)
+    sim = SimpleNamespace(active=[robot], blocked=_blocked_3x3(view), layout=SimpleNamespace(ring=_RING_3X3))
+    actions = strategy.decide_all(sim)
     assert len(actions) == 1
     return actions[0], robot.mem
 
@@ -235,6 +248,52 @@ def test_a_run_shares_memories_and_changes_none(name):
 
 
 LOCAL_NAMES = sorted(n for n, cls in STRATEGIES.items() if cls.decide_all is Strategy.decide_all)
+
+
+class _ViewsRead:
+    """A transition table's rows that record every view read from them,
+    in order, and fill entries as the table's own rows do."""
+
+    def __init__(self, rows, views):
+        self.rows = rows
+        self.views = views
+
+    def __getitem__(self, mem):
+        return _RowRead(self.rows[mem], self.views)
+
+
+class _RowRead:
+    def __init__(self, row, views):
+        self.row = row
+        self.views = views
+
+    def __getitem__(self, view):
+        self.views.append(view)
+        return self.row[view]
+
+    def __setitem__(self, view, entry):
+        self.row[view] = entry
+
+
+@pytest.mark.parametrize("name", LOCAL_NAMES)
+def test_the_inline_ring_read_is_sense(name):
+    """The default decide_all reads each robot's ring from ``blocked``
+    itself; the view it reads is ``sim.sense(robot.pos)`` for every
+    active robot at every step."""
+    for r in (rect(12, 12, (5, 5)), g_k(1, 5), random_simply_connected(90, 4)):
+        strategy = make_strategy(name, r, 2)
+        table = strategy._table
+        views = []
+        strategy._table = SimpleNamespace(rows=_ViewsRead(table.rows, views), intern=table.intern, fresh=table.fresh)
+        sim = Simulation(r, strategy, record=False)
+        read = 0
+        while sim.outcome is None and sim.t < 4 * len(r.cells):
+            sensed = [sim.sense(rb.pos) for rb in sim.active]
+            views.clear()
+            sim.step()
+            assert views == sensed, (r, sim.t)
+            read += len(views)
+        assert read > len(r.cells)
 
 
 def _spawned_memory(strategy):

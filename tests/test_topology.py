@@ -138,7 +138,7 @@ def _cut_cells(r, root):
 
 def test_articulation_points_corridor():
     corridor = rect(5, 1, (0, 0))
-    arts = articulation_points(corridor)
+    arts = articulation_points(corridor.cells)
     assert arts == {(1, 0), (2, 0), (3, 0)}
     for root in corridor.cells:
         assert _cut_cells(corridor, root) == arts
@@ -174,7 +174,7 @@ def test_simple_connectivity_matches_the_flood_fill_on_every_small_polyomino():
 @pytest.mark.parametrize("r", [RING, g_k(1, 5), WALLED], ids=["ring", "g1_5", "walled"])
 def test_cut_cells_match_the_oracle_from_every_root(r):
     assert not tp.is_simply_connected(r)
-    arts = articulation_points(r)
+    arts = articulation_points(r.cells)
     for root in r.cells:
         assert _cut_cells(r, root) == arts, root
 
