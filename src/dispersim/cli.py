@@ -177,7 +177,7 @@ def cmd_oracle(args) -> int:
     simply = topology.is_simply_connected(region)
     kinds = {topology.CORNER: 0, topology.HALL: 0, topology.INTERIOR: 0}
     for cell in region.cells:
-        kinds[topology.classify_cells(region.cells, cell).kind] += 1
+        kinds[topology.classify_cells(region.cells, cell)] += 1
     dist = topology.bfs_distances(region, region.door)
     print(f"V={len(region.cells)}")
     print(f"simply_connected={str(simply).lower()}")

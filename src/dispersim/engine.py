@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import CellNotInRegion, MapError
+from .errors import DispersimError, MapError
 from .grid import DIR_NAMES, Cell, Region
 from .metrics import RunMetrics, run_metrics
 
@@ -81,8 +81,10 @@ class SimulationTrace:
     ``robot.log`` its action log, one code per step from the next step
     on, 0..3 a move, :data:`A_STAY` or :data:`A_SETTLE`, ending at its
     settle or at the end of the run. So a trace costs O(travel) bytes.
-    In a recorded run ``robots`` is the simulation's own list; it is
-    None when the run was made without recording.
+    A trace is built whole from its run (:attr:`Simulation.trace`):
+    ``robots`` is the simulation's own list in a recorded run and None
+    in one made without recording, and ``outcome`` is the run's, None
+    while it runs.
 
     :meth:`from_json_dict` checks a trace read from outside by running
     its logs through the engine's one step loop
@@ -94,12 +96,14 @@ class SimulationTrace:
     plus the bytes they skip.
     """
 
-    def __init__(self, region: Region, strategy_name: str, seed: int):
+    def __init__(
+        self, region: Region, strategy: str, seed: int, robots: list[Robot] | None, outcome: Outcome | None
+    ):
         self.region = region
-        self.strategy = strategy_name
+        self.strategy = strategy
         self.seed = seed
-        self.robots: list[Robot] | None = None
-        self.outcome: Outcome | None = None
+        self.robots = robots
+        self.outcome = outcome
 
     def _recorded(self) -> list[Robot]:
         if self.robots is None:
@@ -229,7 +233,7 @@ class SimulationTrace:
                 raise ValueError(f"t={spawn + i + 1}: unknown action {ch!r} for robot {rid}")
             parsed.append((spawn, raw.translate(_TO_CODES)))
         last = outcome.t
-        sim = Simulation(region, _LogPlayer(strategy, seed, parsed), record=False)
+        sim = Simulation(region, _LogPlayer(parsed), record=False)
         sim.finish(last)
         ran = sim.outcome
         if ran.kind == "collision":
@@ -248,9 +252,7 @@ class SimulationTrace:
             if robot.mem < len(robot.log):
                 end = f"the outcome at step {last}" if robot.active else "its settle"
                 raise ValueError(f"robot {robot.id} has actions past {end}")
-        trace = sim.trace
-        trace.robots, trace.outcome = sim.robots, outcome
-        return trace
+        return cls(region, strategy, seed, sim.robots, outcome)
 
 
 class _LogPlayer:
@@ -265,9 +267,7 @@ class _LogPlayer:
     run.
     """
 
-    def __init__(self, name: str, seed: int, rows: list[tuple[int, bytes]]):
-        self.name = name
-        self.seed = seed
+    def __init__(self, rows: list[tuple[int, bytes]]):
         self.rows = rows
 
     def decide_all(self, sim) -> list[int]:
@@ -326,7 +326,8 @@ class Simulation:
 
     Every step asks ``strategy.decide_all`` for a list of one action per
     robot of ``active``, in order, and hands a new robot to
-    ``strategy.on_spawn``; the trace records ``strategy.seed``. A list
+    ``strategy.on_spawn``; :attr:`trace` records ``strategy.name`` and
+    ``strategy.seed``. A list
     of another length raises ValueError before anything moves.
     ``checker``, when given, is called as ``before_step(sim)`` and
     ``after_step(sim, actions, settled_now)``, ``actions`` lined up with
@@ -355,9 +356,7 @@ class Simulation:
         self.active: list[Robot] = []
         self.t = 0
         self.outcome: Outcome | None = None
-        self.trace = SimulationTrace(region, strategy.name, strategy.seed)
-        if record:
-            self.trace.robots = self.robots
+        self.record = record
         self.checker = checker
         self._seen_configs: set = set()
 
@@ -366,17 +365,20 @@ class Simulation:
         self.residual = bytearray([cell is not None for cell in layout.cell_at])
 
     @property
-    def covered(self) -> bool:
-        # Robots never leave the region and never share a cell.
-        return len(self.robots) == len(self.region.cells)
+    def trace(self) -> SimulationTrace:
+        """The run so far as a :class:`SimulationTrace`, built from the
+        run itself: its robots when it records, and its outcome."""
+        strategy = self.strategy
+        robots = self.robots if self.record else None
+        return SimulationTrace(self.region, strategy.name, strategy.seed, robots, self.outcome)
 
     def sense(self, pos: Cell) -> int:
         """The ring mask of the region cell ``pos``: bit i is set when the
         cell ``pos + RING[i]`` is a wall or holds a robot. Walls and
         robots, active or settled, set the same bit. Raises
-        CellNotInRegion for any other cell."""
+        DispersimError for any other cell."""
         if pos not in self.region.cells:
-            raise CellNotInRegion(f"{pos} is not a cell of the region")
+            raise DispersimError(f"{pos} is not a cell of the region")
         i = self.layout.index(pos)
         b = self.blocked
         o0, o1, o2, o3, o4, o5, o6, o7 = self.layout.ring
@@ -399,7 +401,6 @@ class Simulation:
             self._advance(max_steps)
         if self.outcome is None:
             self.outcome = Outcome("limit", self.t)
-        self.trace.outcome = self.outcome
 
     def _advance(self, last: int) -> None:
         """Run steps until the run ends or step ``last`` is done: the one
@@ -411,7 +412,7 @@ class Simulation:
         layout = self.layout
         offsets, cell_at, door = layout.dirs, layout.cell_at, layout.door
         door_cell, n_cells = self.region.door, len(self.region.cells)
-        recording = self.trace.robots is not None
+        record = self.record
         t = self.t
         while t < last:
             t += 1
@@ -447,7 +448,7 @@ class Simulation:
                 sources.append(source)
             for source in sources:
                 blocked[source] = 0
-            if recording:
+            if record:
                 for robot, act in zip(stepping, actions):
                     robot.log.append(act)
             if settled_now:
@@ -464,7 +465,7 @@ class Simulation:
                 robots.append(robot)
                 self.active.append(robot)
                 blocked[door] = 1
-                if recording:
+                if record:
                     robot.log = bytearray()
                 on_spawn(self, robot)
 

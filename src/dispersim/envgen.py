@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 
-from .errors import BadParameters, DoorOutOfBounds
+from .errors import BadParameters
 from .grid import RING, RING_GAPS, Cell, Region, adjacent
 
 
@@ -15,7 +15,7 @@ def rect(w: int, h: int, door: Cell) -> Region:
         raise BadParameters(f"rectangle sides must be >= 1, got {w}x{h}")
     dx, dy = door
     if not (0 <= dx < w and 0 <= dy < h):
-        raise DoorOutOfBounds(f"door {door} outside {w}x{h} rectangle")
+        raise BadParameters(f"door {door} outside {w}x{h} rectangle")
     cells = frozenset((x, y) for x in range(w) for y in range(h))
     return Region(cells, door)
 

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package: the classes a caller
+tells apart. Every error the package raises is one of them."""
 
 
 class DispersimError(Exception):
@@ -6,47 +7,12 @@ class DispersimError(Exception):
 
 
 class MapError(DispersimError):
-    """Problems parsing or validating an ASCII map."""
-
-
-class MalformedMap(MapError):
-    pass
-
-
-class NoDoor(MapError):
-    pass
-
-
-class MultipleDoors(MapError):
-    pass
-
-
-class DisconnectedRegion(MapError):
-    pass
-
-
-class CellNotInRegion(DispersimError):
-    pass
-
-
-class NotSimplyConnected(DispersimError):
-    pass
+    """A map or region that is not one: an ASCII map that does not
+    parse, no door or two, or cells cut off from the door."""
 
 
 class BadParameters(DispersimError):
-    pass
-
-
-class DoorOutOfBounds(BadParameters):
-    pass
-
-
-class StepOutOfRange(DispersimError):
-    pass
-
-
-class TraceRegionMismatch(DispersimError):
-    pass
+    """Arguments out of range: the CLI exits 2 on it."""
 
 
 class InvariantViolation(DispersimError):

@@ -9,12 +9,7 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
-from .errors import (
-    DisconnectedRegion,
-    MalformedMap,
-    MultipleDoors,
-    NoDoor,
-)
+from .errors import MapError
 
 Cell = tuple[int, int]
 
@@ -100,10 +95,10 @@ class Region:
     def __init__(self, cells, door: Cell):
         cells = frozenset(tuple(c) for c in cells)
         if not cells:
-            raise DisconnectedRegion("region has no cells")
+            raise MapError("region has no cells")
         door = tuple(door)
         if door not in cells:
-            raise NoDoor(f"door {door} is not a cell of the region")
+            raise MapError(f"door {door} is not a cell of the region")
         self.cells = cells
         self.door = door
         xs = [c[0] for c in cells]
@@ -112,7 +107,7 @@ class Region:
         self.min_y, self.max_y = min(ys), max(ys)
         reached = bfs_distances_cells(cells, door)
         if len(reached) != len(cells):
-            raise DisconnectedRegion(
+            raise MapError(
                 f"{len(cells) - len(reached)} cells unreachable from the door"
             )
         self.door_distances = MappingProxyType(reached)
@@ -230,30 +225,30 @@ def from_ascii(text: str, origin: Cell = (0, 0)) -> Region:
     if lines and lines[-1] == "":
         lines = lines[:-1]
     if not lines:
-        raise MalformedMap("empty map")
+        raise MapError("empty map")
     width = len(lines[0])
     if width == 0:
-        raise MalformedMap("empty first line")
+        raise MapError("empty first line")
     cells = set()
     door = None
     height = len(lines)
     x0, y0 = origin
     for row, line in enumerate(lines):
         if len(line) != width:
-            raise MalformedMap(f"line {row} has length {len(line)}, expected {width}")
+            raise MapError(f"line {row} has length {len(line)}, expected {width}")
         y = y0 + height - 1 - row
         for x, ch in enumerate(line, x0):
             if ch == WALL_CHAR:
                 continue
             if ch == DOOR_CHAR:
                 if door is not None:
-                    raise MultipleDoors(f"second door at {(x, y)}")
+                    raise MapError(f"second door at {(x, y)}")
                 door = (x, y)
                 cells.add((x, y))
             elif ch == FLOOR_CHAR:
                 cells.add((x, y))
             else:
-                raise MalformedMap(f"bad character {ch!r} at row {row}, col {x - x0}")
+                raise MapError(f"bad character {ch!r} at row {row}, col {x - x0}")
     if door is None:
-        raise NoDoor("map has no 'S' cell")
+        raise MapError("map has no 'S' cell")
     return Region(cells, door)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 
-from .errors import TraceRegionMismatch
+from .errors import DispersimError
 from .grid import Region
 
 CSV_HEADER = (
@@ -92,7 +92,7 @@ def compute_metrics(trace, r: Region) -> RunMetrics:
     and its moves, and :func:`run_metrics` turns those into travel.
     """
     if trace.region.cells != r.cells or trace.region.door != r.door:
-        raise TraceRegionMismatch("trace does not belong to this region")
+        raise DispersimError("trace does not belong to this region")
     _, robots = next(trace.states([trace.outcome.t]))
     return run_metrics(r, trace.outcome, robots)
 

@@ -149,11 +149,11 @@ class RunChecker:
             rid = primaries[actions.index(A_STAY)][0].id
             raise InvariantViolation(f"t={t}: robot {rid} issued Stay")
         for robot in settled_now:
-            cls = topology.classify_cells(residual, robot.pos)
-            if cls.kind != topology.CORNER:
+            kind = topology.classify_cells(residual, robot.pos)
+            if kind != topology.CORNER:
                 raise InvariantViolation(
                     f"t={t}: robot {robot.id} settled at {robot.pos}, a "
-                    f"{cls.kind} of the residual region"
+                    f"{kind} of the residual region"
                 )
         # Follow the leader: position of A_{i+1} at the end of this step
         # must equal A_i's position at the start of the previous step, as
@@ -171,11 +171,11 @@ class RunChecker:
                 if after != before and after is not None:
                     # Position at the start of the step, where the redirect happened.
                     at = at_start[robot.id]
-                    cls = topology.classify_cells(residual, at)
-                    if cls.kind != topology.HALL:
+                    kind = topology.classify_cells(residual, at)
+                    if kind != topology.HALL:
                         raise InvariantViolation(
                             f"t={t}: robot {robot.id} changed primary at {at}, a "
-                            f"{cls.kind} of the residual region"
+                            f"{kind} of the residual region"
                         )
             if stray is None:
                 pred = robot.id - 1

@@ -16,18 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CellNotInRegion, NotSimplyConnected
+from .errors import DispersimError
 from .grid import Cell, Region, adjacent, bfs_distances_cells
 
 CORNER = "corner"
 HALL = "hall"
 INTERIOR = "interior"
-
-
-@dataclass(frozen=True)
-class VertexClass:
-    kind: str
-    diagonal: Cell | None = None
 
 
 @dataclass(frozen=True)
@@ -45,22 +39,17 @@ class HallTree:
     root: int
 
 
-# The classes without a diagonal, shared by every call that returns one.
-_CORNER = VertexClass(CORNER)
-_INTERIOR = VertexClass(INTERIOR)
-
-
-def classify_cells(cells: frozenset | set, v: Cell) -> VertexClass:
-    """Classify ``v`` against an explicit cell set (used both for full
-    regions and for residual regions during runtime checks).
+def classify_cells(cells: frozenset | set, v: Cell) -> str:
+    """The kind of ``v`` in an explicit cell set (used both for full
+    regions and for residual regions during runtime checks): CORNER,
+    HALL or INTERIOR.
 
     A cell with at most one neighbor in ``cells`` is a corner, one with
     three or four, or with two opposite ones, is interior. With two
     neighbors at a right angle (an L) it is a corner when the diagonal
-    cell between them is in ``cells`` and a hall when it is not; only
-    this class carries its diagonal, and only it is built per call."""
+    cell between them is in ``cells`` and a hall when it is not."""
     if v not in cells:
-        raise CellNotInRegion(f"{v} is not in the cell set")
+        raise DispersimError(f"{v} is not in the cell set")
     x, y = v
     # adjacent(), inline: the checker classifies every settle.
     up = (x, y + 1) in cells
@@ -69,16 +58,16 @@ def classify_cells(cells: frozenset | set, v: Cell) -> VertexClass:
     left = (x - 1, y) in cells
     n = up + right + down + left
     if n <= 1:
-        return _CORNER
+        return CORNER
     if n >= 3 or up == down:  # up == down: a straight corridor
-        return _INTERIOR
+        return INTERIOR
     # L-configuration: the unique common neighbor of the two, other than v.
     w = (x + 1 if right else x - 1, y + 1 if up else y - 1)
-    return VertexClass(CORNER if w in cells else HALL, w)
+    return CORNER if w in cells else HALL
 
 
 def halls(r: Region) -> list[Cell]:
-    return [v for v in sorted(r.cells) if classify_cells(r.cells, v).kind == HALL]
+    return [v for v in sorted(r.cells) if classify_cells(r.cells, v) == HALL]
 
 
 def is_simply_connected(r: Region) -> bool:
@@ -103,7 +92,7 @@ def hall_tree(r: Region) -> HallTree:
     joined to.
     """
     if not is_simply_connected(r):
-        raise NotSimplyConnected(
+        raise DispersimError(
             "hall tree is only defined for simply connected regions"
         )
     hall_set = set(halls(r))
@@ -141,14 +130,8 @@ def hall_tree(r: Region) -> HallTree:
 def bfs_distances(r: Region, src: Cell) -> dict[Cell, int]:
     """Exact 4-neighbor shortest-path distances within the region."""
     if src not in r.cells:
-        raise CellNotInRegion(f"{src} is not a cell of the region")
+        raise DispersimError(f"{src} is not a cell of the region")
     return bfs_distances_cells(r.cells, src)
-
-
-def sum_distances(r: Region, src: Cell) -> int:
-    """Sum of shortest-path distances from src to every cell; the lower
-    bound on total travel for any dispersal strategy."""
-    return sum(bfs_distances(r, src).values())
 
 
 def geometric_median(r: Region) -> set[Cell]:
@@ -161,14 +144,14 @@ def geometric_median(r: Region) -> set[Cell]:
     and along an edge u→w every cell of the half holding w comes one step
     closer while the rest go one step farther: S(w) = S(u) + V - 2·|W_w|.
     The region's door distances give S at the door and one more pass
-    gives every other S. Raises NotSimplyConnected on a region with a
+    gives every other S. Raises DispersimError on a region with a
     hole.
     """
     cells = r.cells
     V = len(cells)
     runs = _column_runs(cells)
     if not _is_tree(runs):
-        raise NotSimplyConnected(
+        raise DispersimError(
             "geometric median is only computed for simply connected regions"
         )
     half: dict[tuple[Cell, Cell], int] = {}  # (u, w) -> |half holding w|

@@ -47,7 +47,7 @@ def _report(n: int, ok: bool, note: str = "") -> None:
 def test_criterion_1_central_door_grid_exact():
     r = rect(30, 30, (13, 13))
     # Pre-verify the door coordinate against the distance oracle.
-    assert tp.sum_distances(r, (13, 13)) == 13620
+    assert sum(tp.bfs_distances(r, (13, 13)).values()) == 13620
     t0 = time.monotonic()
     _, m = run(r, make_strategy("fcdfs", r, 0), record=False)
     elapsed = time.monotonic() - t0
@@ -140,14 +140,14 @@ def test_criterion_4_variant_equivalence(suite, tmp_path_factory):
 def test_criterion_5_topology_lemmas(suite):
     bad = []
     for i, r in enumerate(suite):
-        halls = {c for c in r.cells if tp.classify_cells(r.cells, c).kind == tp.HALL}
+        halls = {c for c in r.cells if tp.classify_cells(r.cells, c) == tp.HALL}
         if not halls <= articulation_points(r.cells):
             bad.append(("halls-not-articulation", i))
     for i, r in enumerate(suite):
         if len(r.cells) > 60:
             continue
         corners = [
-            c for c in r.cells if tp.classify_cells(r.cells, c).kind == tp.CORNER
+            c for c in r.cells if tp.classify_cells(r.cells, c) == tp.CORNER
         ]
         base = {c: tp.bfs_distances(r, c) for c in r.cells}
         for c in corners:

@@ -54,6 +54,32 @@ def test_gen_bad_arguments():
     assert main(["gen", "--shape", "gk", "--r", "1", "--k", "99"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, text, code, message",
+    [
+        (["run", "--strategy", "fcdfs"], "S..\n....\n", 1, "line 1 has length 4, expected 3"),
+        (["run", "--strategy", "fcdfs"], "S.x\n", 1, "bad character 'x' at row 0, col 2"),
+        (["run", "--strategy", "fcdfs"], "S.S\n", 1, "second door at (2, 0)"),
+        (["run", "--strategy", "fcdfs"], "...\n", 1, "map has no 'S' cell"),
+        (["run", "--strategy", "fcdfs"], "", 1, "empty map"),
+        (["run", "--strategy", "fcdfs"], "S#.\n", 1, "1 cells unreachable from the door"),
+        (["gen", "--shape", "rect", "--w", "3", "--h", "3", "--door", "5,5"], None, 2, "door (5, 5) outside 3x3 rectangle"),
+    ],
+    ids=["ragged", "bad-character", "two-doors", "no-door", "empty", "cut-off", "door-outside"],
+)
+def test_map_and_generator_errors_keep_their_exit_and_message(tmp_path, capsys, argv, text, code, message):
+    """Every way a map or a generator's door can be wrong exits with its
+    code and one ``error:`` line naming the fault."""
+    if text is not None:
+        env = tmp_path / "bad.map"
+        env.write_text(text)
+        argv = argv + ["--env", str(env)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_run_covered_exit_zero(corridor_map, capsys):
     code = main(["run", "--env", corridor_map, "--strategy", "fcdfs"])
     assert code == 0
@@ -175,6 +201,16 @@ def test_readme_cli_examples_parse():
     parser = build_parser()
     for line in examples:
         parser.parse_args(shlex.split(line)[1:])
+
+
+def test_readme_library_example_runs(capsys):
+    """README's Library block runs as written and prints the 30x30
+    run's outcome, makespan and total travel."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme.read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out == "covered 1799 13620\n"
 
 
 def test_compare_unknown_strategy(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 from types import SimpleNamespace
 
@@ -17,7 +18,7 @@ from dispersim.engine import (
     run,
 )
 from dispersim.envgen import g_k, random_simply_connected, rect
-from dispersim.errors import CellNotInRegion, DispersimError, InvariantViolation
+from dispersim.errors import DispersimError, InvariantViolation
 from dispersim.grid import (
     DIR_BITS, DIR_NAMES, DIR_VECTORS, DOWN, FREE_DIRS, LEFT, Region, UP, RIGHT, from_ascii, manhattan,
 )
@@ -154,7 +155,7 @@ def test_sense_takes_region_cells_only():
     r = rect(1, 3, (0, 0))
     sim = Simulation(r, make_strategy("fcdfs", r, 0))
     for cell in ((1, 0), (0, -1), (0, 3), (-1, 1), (7, -9)):
-        with pytest.raises(CellNotInRegion):
+        with pytest.raises(DispersimError, match=re.escape(f"{cell} is not a cell of the region")):
             sim.sense(cell)
 
 
@@ -831,7 +832,7 @@ class NaiveChecker:
             if act == A_STAY:
                 raise InvariantViolation(f"t={t}: robot {rb.id} issued Stay")
         for rb in settled_now:
-            kind = topology.classify_cells(self.residual, rb.pos).kind
+            kind = topology.classify_cells(self.residual, rb.pos)
             if kind != topology.CORNER:
                 raise InvariantViolation(
                     f"t={t}: robot {rb.id} settled at {rb.pos}, a "
@@ -846,7 +847,7 @@ class NaiveChecker:
                 continue
             hist = self.positions.get(rb.id)
             at = hist[-1] if hist else rb.pos
-            kind = topology.classify_cells(self.residual, at).kind
+            kind = topology.classify_cells(self.residual, at)
             if kind != topology.HALL:
                 raise InvariantViolation(
                     f"t={t}: robot {rb.id} changed primary at {at}, a "
@@ -1005,11 +1006,16 @@ def _run_record(sim):
 def test_stepping_by_hand_equals_finish(name, region):
     """``step()`` advances one iteration of the loop ``finish`` runs, so
     a run stepped by hand ends with the same robots, logs, memories and
-    outcome as one run to its end at once."""
+    outcome as one run to its end at once. Its trace is built from the
+    run, so before any ``finish()`` it holds the run's outcome and reads
+    back through JSON to the same robots."""
     limit = 4 * len(region.cells)
     by_hand = Simulation(region, make_strategy(name, region, 3))
     while by_hand.outcome is None and by_hand.t < limit:
         by_hand.step()
+    assert by_hand.outcome is not None
+    assert by_hand.trace.outcome == by_hand.outcome
+    assert _robot_records(_json_round_trip(by_hand.trace)) == _robot_records(by_hand.trace)
     by_hand.finish(limit)
     at_once = Simulation(region, make_strategy(name, region, 3))
     at_once.finish(limit)

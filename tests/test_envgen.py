@@ -5,7 +5,7 @@ import pytest
 
 from dispersim import topology as tp
 from dispersim.envgen import g_k, random_simply_connected, rect
-from dispersim.errors import BadParameters, DoorOutOfBounds
+from dispersim.errors import BadParameters
 
 
 def test_rect_shapes():
@@ -15,13 +15,13 @@ def test_rect_shapes():
     assert len(r.cells) == 900
     assert tp.is_simply_connected(r)
     r = rect(2, 2, (0, 0))
-    assert all(tp.classify_cells(r.cells, c).kind == tp.CORNER for c in r.cells)
+    assert all(tp.classify_cells(r.cells, c) == tp.CORNER for c in r.cells)
 
 
 def test_rect_rejects_bad_parameters():
     with pytest.raises(BadParameters):
         rect(0, 3, (0, 0))
-    with pytest.raises(DoorOutOfBounds):
+    with pytest.raises(BadParameters, match=r"door \(3, 0\) outside 3x3 rectangle"):
         rect(3, 3, (3, 0))
 
 

@@ -1,12 +1,7 @@
 import pytest
 
 from dispersim import grid
-from dispersim.errors import (
-    DisconnectedRegion,
-    MalformedMap,
-    MultipleDoors,
-    NoDoor,
-)
+from dispersim.errors import MapError
 from dispersim.grid import Region, from_ascii
 
 
@@ -39,14 +34,14 @@ def test_manhattan():
 
 
 def test_region_rejects_missing_door():
-    with pytest.raises(NoDoor):
+    with pytest.raises(MapError, match=r"door \(5, 5\) is not a cell of the region"):
         Region({(0, 0), (1, 0)}, (5, 5))
 
 
 def test_region_rejects_disconnected():
-    with pytest.raises(DisconnectedRegion):
+    with pytest.raises(MapError, match="1 cells unreachable from the door"):
         Region({(0, 0), (2, 0)}, (0, 0))
-    with pytest.raises(DisconnectedRegion):
+    with pytest.raises(MapError, match="region has no cells"):
         Region(set(), (0, 0))
 
 
@@ -63,13 +58,13 @@ def test_from_ascii_round_trip():
 
 
 def test_from_ascii_errors():
-    with pytest.raises(NoDoor):
+    with pytest.raises(MapError, match="map has no 'S' cell"):
         from_ascii("...\n...")
-    with pytest.raises(MultipleDoors):
+    with pytest.raises(MapError, match=r"second door at \(2, 0\)"):
         from_ascii("S.S")
-    with pytest.raises(MalformedMap):
+    with pytest.raises(MapError, match="line 1 has length 4, expected 3"):
         from_ascii("S..\n....")
-    with pytest.raises(DisconnectedRegion):
+    with pytest.raises(MapError, match="1 cells unreachable from the door"):
         from_ascii("S#.")
 
 

@@ -2,7 +2,7 @@ import pytest
 
 from dispersim.engine import run
 from dispersim.envgen import rect
-from dispersim.errors import TraceRegionMismatch
+from dispersim.errors import DispersimError
 from dispersim.metrics import CSV_HEADER, compare_runs, compute_metrics
 from dispersim.strategies import make_strategy
 
@@ -26,7 +26,7 @@ def test_trace_recount_with_pauses():
 def test_compute_metrics_rejects_wrong_region():
     r = rect(3, 3, (0, 0))
     trace, _ = run(r, make_strategy("fcdfs", r, 0))
-    with pytest.raises(TraceRegionMismatch):
+    with pytest.raises(DispersimError, match="trace does not belong to this region"):
         compute_metrics(trace, rect(3, 3, (1, 1)))
 
 

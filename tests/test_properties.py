@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from dispersim import envgen
 from dispersim.engine import Simulation, SimulationTrace, run
 from dispersim.envgen import g_k, random_simply_connected, rect
-from dispersim.errors import InvariantViolation, NotSimplyConnected
+from dispersim.errors import DispersimError, InvariantViolation
 from dispersim.grid import DIR_VECTORS, RING, Region, from_ascii
 from dispersim.metrics import compute_metrics
 from dispersim.render import ascii_frame
@@ -232,7 +232,7 @@ def test_geometric_median_equals_brute_force_on_rectangles(w, h, data):
 def test_geometric_median_requires_simple_connectivity():
     ring = Region({(x, y) for x in range(3) for y in range(3)} - {(1, 1)}, (0, 0))
     for r in (ring, g_k(1, 5)):
-        with pytest.raises(NotSimplyConnected):
+        with pytest.raises(DispersimError, match="geometric median is only computed for simply connected regions"):
             geometric_median(r)
 
 

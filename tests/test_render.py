@@ -5,7 +5,7 @@ import pytest
 
 from dispersim.engine import run
 from dispersim.envgen import random_simply_connected, rect
-from dispersim.errors import StepOutOfRange
+from dispersim.errors import DispersimError
 from dispersim.render import ascii_frame, ascii_frames, svg_frames
 from dispersim.strategies import make_strategy
 
@@ -50,10 +50,11 @@ def test_frame_dimensions_and_glyph_count():
 def test_frame_out_of_range():
     r = rect(2, 1, (0, 0))
     trace, _ = run(r, make_strategy("fcdfs", r, 0))
-    with pytest.raises(StepOutOfRange):
+    last = trace.outcome.t
+    with pytest.raises(DispersimError, match=rf"step 0 not in \[1, {last}\]"):
         ascii_frame(trace, 0)
-    with pytest.raises(StepOutOfRange):
-        ascii_frame(trace, trace.outcome.t + 1)
+    with pytest.raises(DispersimError, match=rf"step {last + 1} not in \[1, {last}\]"):
+        ascii_frame(trace, last + 1)
 
 
 def test_svg_frames_count_and_determinism(tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from dispersim import topology as tp
 from dispersim.envgen import g_k, random_simply_connected, rect
-from dispersim.errors import NotSimplyConnected
+from dispersim.errors import DispersimError
 from dispersim.grid import RING as RING_OFFSETS, Region, from_ascii
 from dispersim.strategies import make_strategy
 
@@ -19,48 +19,38 @@ RING = Region({(x, y) for x in range(3) for y in range(3)} - {(1, 1)}, (0, 0))
 
 def test_classify_dead_end():
     corridor = rect(3, 1, (0, 0))
-    cls = tp.classify_cells(corridor.cells, (0, 0))
-    assert cls.kind == tp.CORNER
-    assert cls.diagonal is None
-    assert tp.classify_cells(corridor.cells, (1, 0)).kind == tp.INTERIOR
+    assert tp.classify_cells(corridor.cells, (0, 0)) == tp.CORNER == vertex_class(corridor.cells, (0, 0))[0]
+    assert tp.classify_cells(corridor.cells, (1, 0)) == tp.INTERIOR == vertex_class(corridor.cells, (1, 0))[0]
 
 
 def test_classify_corner_vs_hall():
     # 2x2 block: two blocked sides, diagonal inside the region: corner.
     sq = rect(2, 2, (0, 0))
-    cls = tp.classify_cells(sq.cells, (0, 0))
-    assert cls.kind == tp.CORNER
-    assert cls.diagonal == (1, 1)
+    assert tp.classify_cells(sq.cells, (0, 0)) == tp.CORNER == vertex_class(sq.cells, (0, 0))[0]
     # The tromino bend has the same neighbor shape, but its diagonal
     # is a wall: a hall.
-    cls = tp.classify_cells(L_TROMINO.cells, (0, 0))
-    assert cls.kind == tp.HALL
-    assert cls.diagonal == (1, 1)
-    ring_cls = tp.classify_cells(RING.cells, (0, 0))
-    assert ring_cls.kind == tp.HALL
+    assert tp.classify_cells(L_TROMINO.cells, (0, 0)) == tp.HALL == vertex_class(L_TROMINO.cells, (0, 0))[0]
+    assert tp.classify_cells(RING.cells, (0, 0)) == tp.HALL == vertex_class(RING.cells, (0, 0))[0]
 
 
 @pytest.mark.parametrize("as_set", [frozenset, set])
 def test_classify_agrees_with_the_definitions_on_every_ring(as_set):
     """Every one of the 256 rings of a cell, as a region's cells or a
-    residual set: the class and diagonal equal the brute-force
-    reference's, and a class without a diagonal is a shared constant."""
+    residual set: the kind equals the brute-force reference's."""
     v = (5, -3)
     kinds = Counter()
     for mask in range(256):
         cells = as_set([v] + [(v[0] + dx, v[1] + dy) for i, (dx, dy) in enumerate(RING_OFFSETS) if mask >> i & 1])
-        cls = tp.classify_cells(cells, v)
-        assert (cls.kind, cls.diagonal) == vertex_class(cells, v), mask
-        if cls.diagonal is None:
-            assert cls is tp.classify_cells(as_set(cells), v), mask
-        kinds[cls.kind] += 1
+        kind = tp.classify_cells(cells, v)
+        assert kind == vertex_class(cells, v)[0], mask
+        kinds[kind] += 1
     assert kinds == {tp.CORNER: 112, tp.INTERIOR: 112, tp.HALL: 32}
 
 
 def test_square_has_four_corners():
     sq = rect(2, 2, (0, 0))
     for cell in sq.cells:
-        assert tp.classify_cells(sq.cells, cell).kind == tp.CORNER
+        assert tp.classify_cells(sq.cells, cell) == tp.CORNER
 
 
 def test_simple_connectivity():
@@ -116,13 +106,13 @@ def test_hall_tree_is_a_tree_covering_the_region(V, seed):
 
 
 def test_hall_tree_requires_simple_connectivity():
-    with pytest.raises(NotSimplyConnected):
+    with pytest.raises(DispersimError, match="hall tree is only defined for simply connected regions"):
         tp.hall_tree(RING)
 
 
 def test_rectangle_has_no_halls():
     r = rect(6, 5, (0, 0))
-    assert all(tp.classify_cells(r.cells, c).kind != tp.HALL for c in r.cells)
+    assert all(tp.classify_cells(r.cells, c) != tp.HALL for c in r.cells)
     tree = tp.hall_tree(r)
     assert len(tree.components) == 1
     assert tree.edges == ()
@@ -183,13 +173,14 @@ def test_bfs_distances_and_sum():
     r = rect(3, 3, (0, 0))
     d = tp.bfs_distances(r, (0, 0))
     assert d[(2, 2)] == 4
-    assert tp.sum_distances(r, (0, 0)) == sum(x + y for x in range(3) for y in range(3))
+    assert sum(d.values()) == sum(x + y for x in range(3) for y in range(3))
 
 
 def test_sum_distances_table_value():
     r = rect(30, 30, (13, 13))
-    assert tp.sum_distances(r, (13, 13)) == 13620
-    assert max(tp.bfs_distances(r, (13, 13)).values()) == 32
+    d = tp.bfs_distances(r, (13, 13))
+    assert sum(d.values()) == 13620
+    assert max(d.values()) == 32
 
 
 def test_geometric_median_of_square():
