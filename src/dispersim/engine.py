@@ -92,8 +92,10 @@ class SimulationTrace:
     coverage rules, and keeps the robots of that run, so a read trace
     holds the same records as a live one.
     :meth:`states` trusts the trace and jumps each robot along its log,
-    so the recount and the renderers read a trace in O(robots) per frame
-    plus the bytes they skip.
+    and keeps each robot's record from its settle on, so after the first
+    read the recount and the renderers pay per frame for the robots
+    still active and the bytes they skip, plus one list append per
+    settled robot.
     """
 
     def __init__(
@@ -104,6 +106,7 @@ class SimulationTrace:
         self.seed = seed
         self.robots = robots
         self.outcome = outcome
+        self._finished: list[Robot | None] = []  # at id - 1, a robot's record from its settle on
 
     def _recorded(self) -> list[Robot]:
         if self.robots is None:
@@ -117,19 +120,32 @@ class SimulationTrace:
         ``robots`` lists a :class:`Robot` per robot spawned by t, in id
         order, holding its ``log``; its ``mem`` is the number of codes of
         the log applied so far, as in :class:`_LogPlayer`. The next step
-        updates the list in place.
+        updates the list in place. The records are read-only.
 
         Between two steps each active robot jumps along its log by
-        ``count`` over the slice it skips. Settled robots are never read
-        again.
+        ``count`` over the slice it skips. The pass that reaches a
+        robot's settle stores its finished record on the trace, and every
+        frame at or after that step, in this pass or a later one, lists
+        the stored record: a frame builds and jumps only the robots
+        still active at t. Of the trace's robots only ``id``,
+        ``spawned`` and ``log`` are read, never the ``pos``, ``moves`` or
+        ``settled`` the engine keeps, and a settled robot's log is final,
+        so a trace of a run still going stays right as the run goes on.
         """
         recorded = self._recorded()
+        finished = self._finished
+        finished += [None] * (len(recorded) - len(finished))
         door = self.region.door
         robots: list[Robot] = []
         active: list[Robot] = []
         for t in steps:
             while len(robots) < len(recorded) and recorded[len(robots)].spawned <= t:
-                src = recorded[len(robots)]
+                i = len(robots)
+                done = finished[i]
+                if done is not None and done.settled <= t:
+                    robots.append(done)
+                    continue
+                src = recorded[i]
                 robot = Robot(src.id, door, 0, spawned=src.spawned)
                 robot.log = src.log
                 robots.append(robot)
@@ -150,6 +166,7 @@ class SimulationTrace:
                     robot.moves += up + right + down + left
                 if log[j - 1] == A_SETTLE:
                     robot.settled = robot.spawned + j
+                    finished[robot.id - 1] = robot
                     settled = True
             if settled:
                 active = [rb for rb in active if rb.settled is None]
@@ -263,8 +280,9 @@ class _LogPlayer:
     id order. A robot may emerge only at the step its row spawns it, and
     takes its log as ``robot.log``. Its memory is its position in the
     log: 0 at spawn, plus 1 on every step it acts. So no configuration
-    repeats while a robot acts, and an idle one repeats as in a recorded
-    run.
+    repeats while a robot acts, and the engine takes no deadlock key
+    then; one with no robot active, a settled robot on the door, repeats
+    as in a recorded run.
     """
 
     def __init__(self, rows: list[tuple[int, bytes]]):
@@ -340,7 +358,9 @@ class Simulation:
     spawn, which loses no repeat: the number of active robots is part of
     the key, and between two settles it only grows, so no key taken
     before a spawn can equal one taken after it. The set holds only the
-    steps since the last settle or spawn.
+    steps since the last settle or spawn. Under :class:`_LogPlayer` a
+    key can repeat only with no robot active, so only such steps take
+    one.
     """
 
     def __init__(
@@ -413,6 +433,9 @@ class Simulation:
         offsets, cell_at, door = layout.dirs, layout.cell_at, layout.door
         door_cell, n_cells = self.region.door, len(self.region.cells)
         record = self.record
+        # Under the log player every active robot's memory rises by one
+        # each step, so only the key of no active robot can repeat.
+        keyed = type(self.strategy) is not _LogPlayer
         t = self.t
         while t < last:
             t += 1
@@ -478,11 +501,12 @@ class Simulation:
                 return
             if settled_now or spawned:
                 seen.clear()
-            size = len(seen)
-            seen.add(self._config_key())
-            if len(seen) == size:
-                self.outcome = Outcome("deadlock", t)
-                return
+            if keyed or not self.active:
+                size = len(seen)
+                seen.add(self._config_key())
+                if len(seen) == size:
+                    self.outcome = Outcome("deadlock", t)
+                    return
 
     def _refuse(self, robot: Robot, act: int, actions: list[int], sources: list[int]) -> str:
         """Undo the moves the pass made before ``robot``'s move ``act``,

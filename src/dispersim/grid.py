@@ -76,7 +76,9 @@ def manhattan(a: Cell, b: Cell) -> int:
 class Region:
     """A finite 4-connected set of lattice cells with a designated door.
 
-    Immutable after construction; safe to share between threads.
+    Immutable after construction; safe to share between threads. (Its
+    unmarked ASCII map is drawn on the first :meth:`to_ascii`; threads
+    that race there draw the same string.)
 
     ``door_distances`` is the read-only map from every cell to its
     4-neighbor distance from the door: the BFS that checks connectivity
@@ -90,7 +92,7 @@ class Region:
     int cell numbering.
     """
 
-    __slots__ = ("cells", "door", "door_distances", "layout", "min_x", "max_x", "min_y", "max_y")
+    __slots__ = ("cells", "door", "door_distances", "layout", "min_x", "max_x", "min_y", "max_y", "_ascii")
 
     def __init__(self, cells, door: Cell):
         cells = frozenset(tuple(c) for c in cells)
@@ -112,6 +114,7 @@ class Region:
             )
         self.door_distances = MappingProxyType(reached)
         self.layout = Layout(self)
+        self._ascii = None  # the unmarked map, drawn by the first to_ascii
 
     def __eq__(self, other) -> bool:
         return (
@@ -130,27 +133,32 @@ class Region:
         """Render the bounding box as an ASCII map, padding with '#'.
 
         ``marks`` maps region cells to the characters drawn on them in
-        place of '.' or 'S'. Without marks this is the inverse of
-        :func:`from_ascii` given the bounding box's minimum corner
-        ``(min_x, min_y)`` as its origin.
+        place of '.' or 'S'; a mark on any other cell is ignored. Without
+        marks this is the inverse of :func:`from_ascii` given the
+        bounding box's minimum corner ``(min_x, min_y)`` as its origin.
+
+        The unmarked map is drawn once per region, on the first call, and
+        marks are written into a copy of it.
         """
-        marks = marks or {}
         cells = self.cells
-        rows = []
-        for y in range(self.max_y, self.min_y - 1, -1):
-            row = []
-            for x in range(self.min_x, self.max_x + 1):
-                cell = (x, y)
-                if cell not in cells:
-                    row.append(WALL_CHAR)
-                elif cell in marks:
-                    row.append(marks[cell])
-                elif cell == self.door:
-                    row.append(DOOR_CHAR)
-                else:
-                    row.append(FLOOR_CHAR)
-            rows.append("".join(row))
-        return "\n".join(rows)
+        text = self._ascii
+        if text is None:
+            rows = []
+            for y in range(self.max_y, self.min_y - 1, -1):
+                rows.append("".join(
+                    WALL_CHAR if (x, y) not in cells else DOOR_CHAR if (x, y) == self.door else FLOOR_CHAR
+                    for x in range(self.min_x, self.max_x + 1)
+                ))
+            self._ascii = text = "\n".join(rows)
+        if not marks:
+            return text
+        chars = list(text)
+        stride = self.max_x - self.min_x + 2  # a row and its newline
+        top, left = self.max_y, self.min_x
+        for cell, ch in marks.items():
+            if cell in cells:
+                chars[(top - cell[1]) * stride + cell[0] - left] = ch
+        return "".join(chars)
 
 
 class Layout:

@@ -86,10 +86,13 @@ def run_metrics(r: Region, outcome, robots) -> RunMetrics:
 def compute_metrics(trace, r: Region) -> RunMetrics:
     """Recompute metrics from a recorded trace.
 
-    Independent of the engine's robots: the trace's
-    :meth:`~dispersim.engine.SimulationTrace.states` jumps every robot
-    along its action log to the last step, which gives its settle step
-    and its moves, and :func:`run_metrics` turns those into travel.
+    Independent of the engine's counters: the trace's
+    :meth:`~dispersim.engine.SimulationTrace.states` reads each robot's
+    spawn step and action log alone and jumps it along the log to the
+    last step, which gives its settle step and its moves, and
+    :func:`run_metrics` turns those into travel. The records of settled
+    robots are those the trace stored at an earlier read, if any, and
+    are only read here.
     """
     if trace.region.cells != r.cells or trace.region.door != r.door:
         raise DispersimError("trace does not belong to this region")

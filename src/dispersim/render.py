@@ -67,34 +67,44 @@ def ascii_frame(trace, t: int) -> str:
     return next(ascii_frames(trace, [t]))[1]
 
 
-def _svg_frame(region, robots, t: int) -> str:
-    x0, x1, y0, y1 = region.min_x, region.max_x, region.min_y, region.max_y
-    w = x1 - x0 + 1
-    h = y1 - y0 + 1
-    s = 20  # pixels per cell
+_SVG_CELL = 20  # pixels per cell
+
+
+def _svg_corner(region, cell: Cell) -> tuple[int, int]:
+    # y axis points up in grid space, down in SVG space
+    return (cell[0] - region.min_x) * _SVG_CELL, (region.max_y - cell[1]) * _SVG_CELL
+
+
+def _svg_map(region) -> str:
+    """The lines every frame of ``region`` starts with: the header, the
+    background, the walls and the door."""
+    s = _SVG_CELL
+    w = region.max_x - region.min_x + 1
+    h = region.max_y - region.min_y + 1
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{w * s}" height="{h * s}" viewBox="0 0 {w * s} {h * s}">',
         f'<rect width="{w * s}" height="{h * s}" fill="white"/>',
     ]
-
-    def corner(cell: Cell) -> tuple[int, int]:
-        # y axis points up in grid space, down in SVG space
-        return (cell[0] - x0) * s, (y1 - cell[1]) * s
-
-    for y in range(y1, y0 - 1, -1):
-        for x in range(x0, x1 + 1):
+    for y in range(region.max_y, region.min_y - 1, -1):
+        for x in range(region.min_x, region.max_x + 1):
             if (x, y) not in region.cells:
-                px, py = corner((x, y))
+                px, py = _svg_corner(region, (x, y))
                 parts.append(f'<rect x="{px}" y="{py}" width="{s}" height="{s}" fill="#444"/>')
-    dx, dy = corner(region.door)
+    dx, dy = _svg_corner(region, region.door)
     parts.append(
         f'<rect x="{dx}" y="{dy}" width="{s}" height="{s}" fill="none" '
         f'stroke="#2a7" stroke-width="2"/>'
     )
+    return "\n".join(parts)
+
+
+def _svg_frame(region, background: str, robots, t: int) -> str:
+    s = _SVG_CELL
+    parts = [background]
     for rb in robots:
-        px, py = corner(rb.pos)
+        px, py = _svg_corner(region, rb.pos)
         cx, cy = px + s // 2, py + s // 2
         if not rb.active:
             pts = f"{cx},{py + 3} {px + s - 3},{cy} {cx},{py + s - 3} {px + 3},{cy}"
@@ -113,13 +123,16 @@ def _svg_frame(region, robots, t: int) -> str:
 
 def svg_frames(trace, every: int, out_dir) -> list[str]:
     """Write frame_%06d.svg for steps every, 2*every, ... plus the final
-    step, in one forward pass; returns the file paths written."""
+    step, in one forward pass; returns the file paths written. The
+    walls and the door are drawn once, for every frame."""
     steps = frame_steps(trace, every)
     os.makedirs(out_dir, exist_ok=True)
+    region = trace.region
+    background = _svg_map(region)
     written = []
     for t, robots in _frames(trace, steps):
         path = os.path.join(out_dir, f"frame_{t:06d}.svg")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_svg_frame(trace.region, robots, t))
+            fh.write(_svg_frame(region, background, robots, t))
         written.append(path)
     return written

@@ -16,6 +16,23 @@ def recorded(trace) -> tuple[list[int], list]:
     return [rb.spawned for rb in trace.robots], [rb.log for rb in trace.robots]
 
 
+def ascii_map(r: Region, marks: dict) -> str:
+    """``Region.to_ascii(marks)`` written one cell at a time: '#' off the
+    region, else the cell's mark, else 'S' on the door and '.'."""
+    rows = []
+    for y in range(r.max_y, r.min_y - 1, -1):
+        row = ""
+        for x in range(r.min_x, r.max_x + 1):
+            if (x, y) not in r.cells:
+                row += "#"
+            elif (x, y) in marks:
+                row += marks[(x, y)]
+            else:
+                row += "S" if (x, y) == r.door else "."
+        rows.append(row)
+    return "\n".join(rows)
+
+
 def articulation_points(cells, among=None) -> set[Cell]:
     """Cells whose removal disconnects the connected set ``cells``, of all
     of them or only of those ``among``: one BFS per cell."""

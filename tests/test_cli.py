@@ -192,15 +192,21 @@ def test_compare_csv_quotes_error_text(corridor_map, tmp_path, monkeypatch):
     assert text.splitlines()[1] == f"{corridor_map},0,0,5,fcdfs,0,covered,9,10,4,10,4,10,true"
 
 
-def test_readme_cli_examples_parse():
+def test_readme_cli_examples_parse(tmp_path, monkeypatch, capsys):
+    """README's ``dispersim`` lines parse, and run in order in an empty
+    directory, each exiting 0."""
     readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
     examples = [
         line for line in readme.read_text().splitlines() if line.startswith("dispersim ")
     ]
     assert len(examples) >= 6
+    assert sum(line.startswith("dispersim render ") for line in examples) == 2
     parser = build_parser()
     for line in examples:
         parser.parse_args(shlex.split(line)[1:])
+    monkeypatch.chdir(tmp_path)
+    for line in examples:
+        assert main(shlex.split(line)[1:]) == 0, (line, capsys.readouterr().err)
 
 
 def test_readme_library_example_runs(capsys):

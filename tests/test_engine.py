@@ -648,18 +648,42 @@ def test_frames_by_jumps_equal_frames_by_steps(name):
     JSON advances one code per step. Both draw the same frames, and the
     robots they rebuild equal the engine's own, on runs with ring
     deadlocks, the baselines' stays and robots active at the end (the
-    last run is cut short by ``max_steps``)."""
+    last run is cut short by ``max_steps``). Single frames of the read
+    trace, latest first and then in order, draw the same again: a
+    settled robot's record, stored by the first read that reaches its
+    settle, serves every later frame."""
     runs = [(r, None) for r in LOG_REGIONS] + [(LOG_REGIONS[0], 9)]
     for r, max_steps in runs:
         trace, m = run(r, make_strategy(name, r, 3), max_steps=max_steps)
         back = _json_round_trip(trace)
         steps = range(1, trace.outcome.t + 1)
         one_by_one = [ascii_frame(trace, t) for t in steps]
+        assert [ascii_frame(back, t) for t in reversed(steps)] == one_by_one[::-1], (name, r)
+        assert [ascii_frame(back, t) for t in steps] == one_by_one, (name, r)
         assert [frame for _, frame in ascii_frames(back, steps)] == one_by_one, (name, r)
         stepped = _stepped_rows(Simulation(r, make_strategy(name, r, 3), record=False), max_steps)
         assert [_rows(robots) for _, robots in back.states(steps)] == stepped
         assert [_rows(next(trace.states([t]))[1]) for t in steps] == stepped
         assert compute_metrics(back, r) == compute_metrics(trace, r) == m
+
+
+def test_a_trace_read_while_its_run_goes_on_stays_right():
+    """A trace taken from a run in progress and read before the run ends
+    keeps its stored records: read again once the run is over, it gives
+    the robots of the finished run's own trace at every step."""
+    r = LOG_REGIONS[1]
+    sim = Simulation(r, make_strategy("fcdfs", r, 0))
+    trace = sim.trace
+    for _ in range(30):
+        sim.step()
+    early = [_rows(robots) for _, robots in trace.states(range(1, 31))]
+    sim.finish(4 * len(r.cells))
+    done, _ = run(r, make_strategy("fcdfs", r, 0))
+    steps = range(1, done.outcome.t + 1)
+    rows = [_rows(robots) for _, robots in done.states(steps)]
+    assert any(not active for _, _, _, active, _ in early[-1])  # records were stored
+    assert early == rows[:30]
+    assert [_rows(robots) for _, robots in trace.states(steps)] == rows
 
 
 # Runs that end in a collision: fcdfs on a 3x4 map with one wall cell

@@ -4,6 +4,8 @@ from dispersim import grid
 from dispersim.errors import MapError
 from dispersim.grid import Region, from_ascii
 
+from oracles import ascii_map
+
 
 def test_direction_tables():
     assert grid.DIR_VECTORS[grid.UP] == (0, 1)
@@ -55,6 +57,19 @@ def test_from_ascii_round_trip():
     assert r.door == (0, 2)  # top row is the highest y
     assert len(r.cells) == 7
     assert r.to_ascii() == text
+
+
+def test_to_ascii_matches_a_cell_by_cell_writer(suite):
+    """The map drawn once and marked in a copy equals one written cell by
+    cell, before and after marks, with marks off the region ignored."""
+    for i, r in enumerate(suite):
+        box = [(x, y) for x in range(r.min_x, r.max_x + 1) for y in range(r.min_y, r.max_y + 1)]
+        marks = {c: "o^>v<"[k % 5] for k, c in enumerate(sorted(r.cells)[i % 3::3])}
+        marks.update({c: "x" for c in box if c not in r.cells})  # walls in the box
+        marks[(r.min_x - 1, r.max_y)] = "x"  # outside the box
+        assert r.to_ascii() == ascii_map(r, {})
+        assert r.to_ascii(marks) == ascii_map(r, marks), i
+        assert r.to_ascii() == ascii_map(r, {})
 
 
 def test_from_ascii_errors():

@@ -1,9 +1,12 @@
+import json
+
 import pytest
 
-from dispersim.engine import run
-from dispersim.envgen import rect
+from dispersim.engine import SimulationTrace, run
+from dispersim.envgen import random_simply_connected, rect
 from dispersim.errors import DispersimError
 from dispersim.metrics import CSV_HEADER, compare_runs, compute_metrics
+from dispersim.render import ascii_frame
 from dispersim.strategies import make_strategy
 
 
@@ -21,6 +24,25 @@ def test_trace_recount_with_pauses():
     recount = compute_metrics(trace, r)
     assert recount == m
     assert recount.total_travel >= recount.total_moves
+
+
+def test_recount_reads_only_spawn_steps_and_logs():
+    """The recount and the frames of a trace read its robots' ``spawned``
+    and ``log`` alone: with the engine's ``pos``, ``moves`` and
+    ``settled`` overwritten before the first read, a recorded trace and
+    one read back from JSON still give the live run's metrics and
+    frames."""
+    r = random_simply_connected(40, seed=10)
+    live, m = run(r, make_strategy("fcdfs", r, 0))
+    steps = range(1, m.makespan + 1)
+    frames = [ascii_frame(live, t) for t in steps]
+    trace, _ = run(r, make_strategy("fcdfs", r, 0))
+    back = SimulationTrace.from_json_dict(json.loads(json.dumps(trace.to_json_dict())))
+    for read in (trace, back):
+        for rb in read.robots:
+            rb.pos, rb.moves, rb.settled = r.door, -1, 0
+        assert compute_metrics(read, r) == m
+        assert [ascii_frame(read, t) for t in steps] == frames
 
 
 def test_compute_metrics_rejects_wrong_region():

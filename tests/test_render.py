@@ -83,16 +83,21 @@ def test_svg_single_final_frame():
         assert body.count("polygon") == 9  # nine settled diamonds
 
 
-def test_fcdfs_frames_pinned(suite):
+def test_fcdfs_frames_pinned(suite, tmp_path):
     # Every ASCII frame of fcdfs on 20 suite regions and on a region with
     # negative coordinates. The digest was computed when render had a map
     # writer of its own; Region.to_ascii with an overlay must draw the
-    # same characters.
+    # same characters. The SVG files of every 7th step and the last, named
+    # and in order, were pinned when each frame drew its own walls and door.
     regions = suite[::10] + [random_simply_connected(40, seed=10)]
     assert len(regions) == 21 and min(regions[-1].min_x, regions[-1].min_y) < 0
     h = hashlib.sha256()
-    for r in regions:
+    svg = hashlib.sha256()
+    for i, r in enumerate(regions):
         trace, m = run(r, make_strategy("fcdfs", r, 0))
         for t, frame in ascii_frames(trace, range(1, m.makespan + 1)):
             h.update(f"{t}\n{frame}\n".encode())
+        for f in svg_frames(trace, 7, tmp_path / str(i)):
+            svg.update(Path(f).name.encode() + b"\n" + Path(f).read_bytes())
     assert h.hexdigest() == "11fcf34aec92610c707dba190a4ca5ba18dace61dac96ee5d5f5d133c0080673"
+    assert svg.hexdigest() == "9112b253e7408617441ce4643ad48d74bd815e330687d1bffbdaf01b5d698c4e"
