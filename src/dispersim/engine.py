@@ -92,10 +92,8 @@ class SimulationTrace:
     coverage rules, and keeps the robots of that run, so a read trace
     holds the same records as a live one.
     :meth:`states` trusts the trace and jumps each robot along its log,
-    and keeps each robot's record from its settle on, so after the first
-    read the recount and the renderers pay per frame for the robots
-    still active and the bytes they skip, plus one list append per
-    settled robot.
+    so the recount and the renderers read a trace in O(robots) per frame
+    plus the bytes they skip.
     """
 
     def __init__(
@@ -106,7 +104,6 @@ class SimulationTrace:
         self.seed = seed
         self.robots = robots
         self.outcome = outcome
-        self._finished: list[Robot | None] = []  # at id - 1, a robot's record from its settle on
 
     def _recorded(self) -> list[Robot]:
         if self.robots is None:
@@ -120,32 +117,21 @@ class SimulationTrace:
         ``robots`` lists a :class:`Robot` per robot spawned by t, in id
         order, holding its ``log``; its ``mem`` is the number of codes of
         the log applied so far, as in :class:`_LogPlayer`. The next step
-        updates the list in place. The records are read-only.
+        updates the list in place.
 
         Between two steps each active robot jumps along its log by
-        ``count`` over the slice it skips. The pass that reaches a
-        robot's settle stores its finished record on the trace, and every
-        frame at or after that step, in this pass or a later one, lists
-        the stored record: a frame builds and jumps only the robots
-        still active at t. Of the trace's robots only ``id``,
-        ``spawned`` and ``log`` are read, never the ``pos``, ``moves`` or
-        ``settled`` the engine keeps, and a settled robot's log is final,
-        so a trace of a run still going stays right as the run goes on.
+        ``count`` over the slice it skips. Settled robots are never read
+        again. Of the trace's robots only ``id``, ``spawned`` and ``log``
+        are read, never the ``pos``, ``moves`` or ``settled`` the engine
+        keeps, so a trace of a run still going reads right.
         """
         recorded = self._recorded()
-        finished = self._finished
-        finished += [None] * (len(recorded) - len(finished))
         door = self.region.door
         robots: list[Robot] = []
         active: list[Robot] = []
         for t in steps:
             while len(robots) < len(recorded) and recorded[len(robots)].spawned <= t:
-                i = len(robots)
-                done = finished[i]
-                if done is not None and done.settled <= t:
-                    robots.append(done)
-                    continue
-                src = recorded[i]
+                src = recorded[len(robots)]
                 robot = Robot(src.id, door, 0, spawned=src.spawned)
                 robot.log = src.log
                 robots.append(robot)
@@ -166,7 +152,6 @@ class SimulationTrace:
                     robot.moves += up + right + down + left
                 if log[j - 1] == A_SETTLE:
                     robot.settled = robot.spawned + j
-                    finished[robot.id - 1] = robot
                     settled = True
             if settled:
                 active = [rb for rb in active if rb.settled is None]

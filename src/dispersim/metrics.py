@@ -90,9 +90,7 @@ def compute_metrics(trace, r: Region) -> RunMetrics:
     :meth:`~dispersim.engine.SimulationTrace.states` reads each robot's
     spawn step and action log alone and jumps it along the log to the
     last step, which gives its settle step and its moves, and
-    :func:`run_metrics` turns those into travel. The records of settled
-    robots are those the trace stored at an earlier read, if any, and
-    are only read here.
+    :func:`run_metrics` turns those into travel.
     """
     if trace.region.cells != r.cells or trace.region.door != r.door:
         raise DispersimError("trace does not belong to this region")

@@ -649,9 +649,8 @@ def test_frames_by_jumps_equal_frames_by_steps(name):
     robots they rebuild equal the engine's own, on runs with ring
     deadlocks, the baselines' stays and robots active at the end (the
     last run is cut short by ``max_steps``). Single frames of the read
-    trace, latest first and then in order, draw the same again: a
-    settled robot's record, stored by the first read that reaches its
-    settle, serves every later frame."""
+    trace, latest first and then in order on the same trace object,
+    draw the same again: no read leaves state behind for the next."""
     runs = [(r, None) for r in LOG_REGIONS] + [(LOG_REGIONS[0], 9)]
     for r, max_steps in runs:
         trace, m = run(r, make_strategy(name, r, 3), max_steps=max_steps)
@@ -669,8 +668,8 @@ def test_frames_by_jumps_equal_frames_by_steps(name):
 
 def test_a_trace_read_while_its_run_goes_on_stays_right():
     """A trace taken from a run in progress and read before the run ends
-    keeps its stored records: read again once the run is over, it gives
-    the robots of the finished run's own trace at every step."""
+    gives the robots of the finished run's own trace, and read again once
+    the run is over it gives them at every step."""
     r = LOG_REGIONS[1]
     sim = Simulation(r, make_strategy("fcdfs", r, 0))
     trace = sim.trace
@@ -681,7 +680,7 @@ def test_a_trace_read_while_its_run_goes_on_stays_right():
     done, _ = run(r, make_strategy("fcdfs", r, 0))
     steps = range(1, done.outcome.t + 1)
     rows = [_rows(robots) for _, robots in done.states(steps)]
-    assert any(not active for _, _, _, active, _ in early[-1])  # records were stored
+    assert any(not active for _, _, _, active, _ in early[-1])  # a robot settled by step 30
     assert early == rows[:30]
     assert [_rows(robots) for _, robots in trace.states(steps)] == rows
 
