@@ -3,10 +3,9 @@
 Each step: take an occupancy snapshot, let the strategy decide every
 active robot's action (a local strategy from that robot's 8-bit ring
 mask, 8 reads of ``Simulation.blocked`` around its cell's int, and its
-memory alone; :meth:`Simulation.sense` is the checked entry point for
-an ``(x, y)`` cell), apply all moves simultaneously (targets must have
-been unoccupied in the snapshot), then settle robots and spawn a new
-one at the door if the door was free in the snapshot.
+memory alone), apply all moves simultaneously (targets must have been
+unoccupied in the snapshot), then settle robots and spawn a new one at
+the door if the door was free in the snapshot.
 Runs end on full coverage, an exact configuration repeat (deadlock), a
 step limit or a refused step (collision). :meth:`Simulation.finish`
 runs the steps in one loop, and :meth:`Simulation.step` runs one
@@ -17,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DispersimError, MapError
+from .errors import MapError
 from .grid import DIR_NAMES, Cell, Region
 from .metrics import RunMetrics, run_metrics
 
@@ -84,7 +83,8 @@ class SimulationTrace:
     A trace is built whole from its run (:attr:`Simulation.trace`):
     ``robots`` is the simulation's own list in a recorded run and None
     in one made without recording, and ``outcome`` is the run's, None
-    while it runs.
+    while it runs. Every reader but :meth:`states` needs the outcome
+    (:meth:`ended`), so it raises ValueError on a run still going.
 
     :meth:`from_json_dict` checks a trace read from outside by running
     its logs through the engine's one step loop
@@ -109,6 +109,12 @@ class SimulationTrace:
         if self.robots is None:
             raise ValueError("trace was recorded without logs")
         return self.robots
+
+    def ended(self) -> Outcome:
+        """The run's outcome; ValueError while the run goes on."""
+        if self.outcome is None:
+            raise ValueError("the run has no outcome yet")
+        return self.outcome
 
     def states(self, steps):
         """Yield ``(t, robots)`` at the end of each step t of the
@@ -159,6 +165,7 @@ class SimulationTrace:
 
     def to_json_dict(self) -> dict:
         robots = self._recorded()
+        outcome = self.ended()
         region = self.region
         return {
             "env": region.to_ascii(),
@@ -166,7 +173,7 @@ class SimulationTrace:
             "strategy": self.strategy,
             "seed": self.seed,
             "robots": [[r.spawned, r.log.translate(_TO_LETTERS).decode()] for r in robots],
-            "outcome": {"kind": self.outcome.kind, "t": self.outcome.t},
+            "outcome": {"kind": outcome.kind, "t": outcome.t},
         }
 
     @classmethod
@@ -307,13 +314,12 @@ class Simulation:
     region's own :class:`~dispersim.grid.Layout`, ``region.layout``. The
     ``bytearray`` ``blocked`` is 1 for walls, padding and occupied cells,
     a ring read is 8 indexed reads of it at the ``layout.ring`` offsets
-    (in :meth:`sense`, and inline in the default
-    ``Strategy.decide_all``) and a move adds one of the 4
-    ``layout.dirs``. ``blocked`` is the one record of which cells
-    hold a robot, and the ``bytearray`` ``residual`` the one record of
-    settled cells: the residual region, 1 at each region cell that
-    holds no settled robot. The step's settle loop alone clears a cell
-    of it; strategies only read it. Cells stay ``(x, y)`` tuples at the
+    (inline in the default ``Strategy.decide_all``, its one reader) and
+    a move adds one of the 4 ``layout.dirs``. ``blocked`` is the one
+    record of which cells hold a robot, and the ``bytearray``
+    ``residual`` the one record of settled cells: the residual region,
+    1 at each region cell that holds no settled robot. The step's
+    settle loop alone clears a cell of it; strategies only read it. Cells stay ``(x, y)`` tuples at the
     public boundary: ``robot.pos`` moves together with ``robot.idx``.
 
     A step makes one pass over its moves. A move check is one read of
@@ -376,22 +382,6 @@ class Simulation:
         strategy = self.strategy
         robots = self.robots if self.record else None
         return SimulationTrace(self.region, strategy.name, strategy.seed, robots, self.outcome)
-
-    def sense(self, pos: Cell) -> int:
-        """The ring mask of the region cell ``pos``: bit i is set when the
-        cell ``pos + RING[i]`` is a wall or holds a robot. Walls and
-        robots, active or settled, set the same bit. Raises
-        DispersimError for any other cell."""
-        if pos not in self.region.cells:
-            raise DispersimError(f"{pos} is not a cell of the region")
-        i = self.layout.index(pos)
-        b = self.blocked
-        o0, o1, o2, o3, o4, o5, o6, o7 = self.layout.ring
-        # Strategy.decide_all reads the same 8 bytes inline.
-        return (
-            b[i + o0] | b[i + o1] << 1 | b[i + o2] << 2 | b[i + o3] << 3
-            | b[i + o4] << 4 | b[i + o5] << 5 | b[i + o6] << 6 | b[i + o7] << 7
-        )
 
     def step(self) -> None:
         """Advance one synchronized Look-Compute-Move step: one iteration

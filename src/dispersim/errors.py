@@ -1,5 +1,15 @@
 """Exception hierarchy shared across the package: the classes a caller
-tells apart. Every error the package raises is one of them."""
+tells apart. Every error the package raises is one of them, except
+these, which raise ValueError:
+
+- a malformed or inconsistent trace read by
+  ``SimulationTrace.from_json_dict`` (``dispersim render`` prints it as
+  ``bad trace:``);
+- a trace read for its outcome while its run goes on, or for its logs
+  when it was recorded without them;
+- ``run(max_steps < 1)`` and ``frame_steps(every < 1)``;
+- a strategy whose ``decide_all`` returns the wrong number of actions.
+"""
 
 
 class DispersimError(Exception):

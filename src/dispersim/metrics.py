@@ -94,8 +94,9 @@ def compute_metrics(trace, r: Region) -> RunMetrics:
     """
     if trace.region.cells != r.cells or trace.region.door != r.door:
         raise DispersimError("trace does not belong to this region")
-    _, robots = next(trace.states([trace.outcome.t]))
-    return run_metrics(r, trace.outcome, robots)
+    outcome = trace.ended()
+    _, robots = next(trace.states([outcome.t]))
+    return run_metrics(r, outcome, robots)
 
 
 @dataclass(frozen=True)

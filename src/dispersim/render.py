@@ -31,7 +31,7 @@ def frame_steps(trace, every: int) -> list[int]:
     """Steps every, 2*every, ... plus the final step, in order."""
     if every < 1:
         raise ValueError("every must be >= 1")
-    last = trace.outcome.t
+    last = trace.ended().t
     steps = list(range(every, last + 1, every))
     if last % every:
         steps.append(last)
@@ -42,7 +42,7 @@ def _frames(trace, steps):
     """Yield ``(t, robots)`` for each t of ``steps`` in ascending order,
     all from one forward pass of the trace's :meth:`states`."""
     steps = sorted(set(steps))
-    last = trace.outcome.t
+    last = trace.ended().t
     for t in steps:
         if not 1 <= t <= last:
             raise DispersimError(f"step {t} not in [1, {last}]")

@@ -125,10 +125,15 @@ class Strategy:
 
     def decide_all(self, sim) -> list[int]:
         """Return one action per robot of ``sim.active``, in that order,
-        moving each robot's memory to its next canonical memory."""
+        moving each robot's memory to its next canonical memory.
+
+        A robot's view is the package's one ring read of
+        ``sim.blocked``: 8 indexed reads around ``robot.idx``, inline,
+        one per active robot. Bit i is set when the cell
+        ``grid.RING[i]`` away is blocked: a wall, padding and a robot,
+        active or settled, all set the same bit."""
         rows = self._table.rows
         b = sim.blocked
-        # Simulation.sense's ring read, inline: one per active robot.
         o0, o1, o2, o3, o4, o5, o6, o7 = sim.layout.ring
         actions = []
         for robot in sim.active:

@@ -16,6 +16,20 @@ def recorded(trace) -> tuple[list[int], list]:
     return [rb.spawned for rb in trace.robots], [rb.log for rb in trace.robots]
 
 
+def tuple_space_mask(sim, cell) -> int:
+    """The ring mask of ``cell`` by its definition over cells: bit i is
+    set when ``cell + RING[i]`` is not a region cell or holds a robot,
+    active or settled. The one view the engine's ring read is checked
+    against."""
+    occupied = {rb.pos for rb in sim.robots}
+    mask = 0
+    for i, (dx, dy) in enumerate(RING):
+        nb = (cell[0] + dx, cell[1] + dy)
+        if nb not in sim.region.cells or nb in occupied:
+            mask |= 1 << i
+    return mask
+
+
 def ascii_map(r: Region, marks: dict) -> str:
     """``Region.to_ascii(marks)`` written one cell at a time: '#' off the
     region, else the cell's mark, else 'S' on the door and '.'."""

@@ -1,6 +1,5 @@
 import json
 import random
-import re
 import time
 from types import SimpleNamespace
 
@@ -23,36 +22,35 @@ from dispersim.grid import (
     DIR_BITS, DIR_NAMES, DIR_VECTORS, DOWN, FREE_DIRS, LEFT, Region, UP, RIGHT, from_ascii, manhattan,
 )
 from dispersim.metrics import compute_metrics, run_metrics
-from dispersim.render import ascii_frame, ascii_frames, heading
+from dispersim.render import ascii_frame, ascii_frames, frame_steps, heading
 from dispersim.strategies import STRATEGIES, make_strategy
 from dispersim.strategies.base import Strategy
 from dispersim.strategies.fcdfs import RunChecker
 
-from oracles import ReferenceRun, fixed_polyominoes, recorded
+from oracles import ReferenceRun, fixed_polyominoes, recorded, tuple_space_mask
 
 
 def test_sensor_view_walls_and_robots_indistinguishable():
     r = rect(2, 1, (0, 0))
     sim = Simulation(r, make_strategy("fcdfs", r, 0))
     sim.step()  # spawns a robot at the door
-    view = sim.sense((1, 0))
+    view = tuple_space_mask(sim, (1, 0))
     assert view & 1 << grid.RING.index((-1, 0))  # robot
     assert view & 1 << grid.RING.index((0, 1))  # wall
     assert view == 255
     assert FREE_DIRS[view] == ()
-    # Bit i is RING[i], a wall or a robot, active or settled.
+    # Bit i is RING[i], set by the cell's byte of ``blocked``: a wall,
+    # padding or a robot, active or settled.
     r = rect(4, 4, (0, 0))
     sim = Simulation(r, make_strategy("fcdfs", r, 0), record=False)
     sim.finish(12)
     settled = [rb for rb in sim.robots if not rb.active]
     assert settled and sim.active
-    occupied = {rb.pos for rb in sim.robots}
     for cell in r.cells:
-        view = sim.sense(cell)
-        assert 0 <= view < 256
+        view = tuple_space_mask(sim, cell)
         for i, (dx, dy) in enumerate(grid.RING):
             nb = (cell[0] + dx, cell[1] + dy)
-            assert bool(view >> i & 1) == (nb not in r.cells or nb in occupied)
+            assert view >> i & 1 == sim.blocked[sim.layout.index(nb)]
 
 
 def test_spawn_every_other_step():
@@ -149,14 +147,6 @@ def test_moving_off_a_corridor_edge_raises(direction, door, target):
     sim.step()
     assert sim.outcome == Outcome("collision", 1)
     assert sim.outcome.message == f"t=2: robot 1 at {door} moved {DIR_NAMES[direction]} off the region"
-
-
-def test_sense_takes_region_cells_only():
-    r = rect(1, 3, (0, 0))
-    sim = Simulation(r, make_strategy("fcdfs", r, 0))
-    for cell in ((1, 0), (0, -1), (0, 3), (-1, 1), (7, -9)):
-        with pytest.raises(DispersimError, match=re.escape(f"{cell} is not a cell of the region")):
-            sim.sense(cell)
 
 
 class _Heading:
@@ -685,6 +675,41 @@ def test_a_trace_read_while_its_run_goes_on_stays_right():
     assert [_rows(robots) for _, robots in trace.states(steps)] == rows
 
 
+def test_a_trace_whose_run_goes_on_has_no_outcome_to_read():
+    """Every reader of a trace but ``states`` needs the run's outcome: on
+    a run still going each raises ValueError saying so, and ``states``
+    still reads it."""
+    r = rect(4, 4, (1, 1))
+    sim = Simulation(r, make_strategy("fcdfs", r, 0))
+    sim.step()
+    trace = sim.trace
+    readers = (
+        trace.to_json_dict,
+        lambda: compute_metrics(trace, r),
+        lambda: ascii_frame(trace, 1),
+        lambda: frame_steps(trace, 1),
+    )
+    for read in readers:
+        with pytest.raises(ValueError, match="the run has no outcome yet"):
+            read()
+    assert [(t, [rb.pos for rb in robots]) for t, robots in trace.states([1])] == [(1, [r.door])]
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_a_covered_run_ends_as_its_last_robot_emerges(name):
+    """A run is covered once every cell holds a robot, settled or not: it
+    ends at the step its V-th robot emerges, and that robot is still
+    active on the door."""
+    regions = (rect(5, 5, (2, 2)), rect(8, 8, (3, 4)), random_simply_connected(30, 0), random_simply_connected(60, 1))
+    for r in regions:
+        for seed in range(3):
+            sim = Simulation(r, make_strategy(name, r, seed), record=False)
+            sim.finish(4 * len(r.cells))
+            last = sim.robots[-1]
+            assert sim.outcome.kind == "covered", (r.door, seed, sim.outcome)
+            assert (last.id, last.spawned, last.active, last.pos) == (len(r.cells), sim.outcome.t, True, r.door)
+
+
 # Runs that end in a collision: fcdfs on a 3x4 map with one wall cell
 # inside, and for each local strategy a holey 10-cell region and door.
 COLLIDED_RUNS = [
@@ -1091,7 +1116,7 @@ class _Stream:
         self.played = []
         for robot, (code, mem) in zip(sim.active, batch):
             if code == FREE_MOVE:
-                free = FREE_DIRS[sim.sense(robot.pos)]
+                free = FREE_DIRS[tuple_space_mask(sim, robot.pos)]
                 code = free[0] if free else A_STAY
             robot.mem = mem
             self.played.append((code, mem))

@@ -19,7 +19,7 @@ from dispersim.strategies import STRATEGIES, make_strategy
 from dispersim.strategies.fcdfs import RunChecker
 from dispersim.topology import bfs_distances, bfs_distances_cells, geometric_median, is_simply_connected
 
-from oracles import fixed_polyominoes, has_hole, recorded
+from oracles import fixed_polyominoes, has_hole, recorded, tuple_space_mask
 
 
 def _moved(V, seed, dx, dy):
@@ -334,26 +334,14 @@ def test_variant_covers_in_2v_minus_1_with_optimal_travel(name, V, seed, strateg
     assert m.total_travel == m.optimum
 
 
-def _tuple_space_mask(sim, cell):
-    """The ring mask by its definition over cells: bit i is set when
-    ``cell + RING[i]`` is not a region cell or holds a robot."""
-    occupied = {rb.pos for rb in sim.robots}
-    mask = 0
-    for i, (dx, dy) in enumerate(RING):
-        nb = (cell[0] + dx, cell[1] + dy)
-        if nb not in sim.region.cells or nb in occupied:
-            mask |= 1 << i
-    return mask
-
-
 def _assert_layout_matches_cells(r):
     """The region's layout numbers the padded bounding box one to one,
     ``cell_at`` reading back each region cell and None on padding and
     walls, ``door`` is the door's number, and its ``ring`` and ``dirs``
     step to the cells ``RING`` and ``DIR_VECTORS`` away, in that order. After every step of ``fcdfs`` and
-    ``left-hand``, the int-indexed ring of every region cell equals its
-    tuple-space definition, and every robot's ``idx`` numbers its
-    ``pos``."""
+    ``left-hand``, 8 reads of ``blocked`` at the ``ring`` offsets around
+    every region cell give its tuple-space view, and every robot's
+    ``idx`` numbers its ``pos``."""
     layout = r.layout
     assert layout.door == layout.index(r.door)
     box = [(x, y) for x in range(r.min_x - 1, r.max_x + 2) for y in range(r.min_y - 1, r.max_y + 2)]
@@ -368,7 +356,9 @@ def _assert_layout_matches_cells(r):
         while sim.outcome is None and sim.t < 4 * len(r.cells):
             sim.step()
             for cell in r.cells:
-                assert sim.sense(cell) == _tuple_space_mask(sim, cell), (name, sim.t, cell)
+                i = layout.index(cell)
+                read = sum(sim.blocked[i + offset] << bit for bit, offset in enumerate(layout.ring))
+                assert read == tuple_space_mask(sim, cell), (name, sim.t, cell)
             for robot in sim.robots:
                 assert robot.idx == sim.layout.index(robot.pos), (name, sim.t, robot.id)
 

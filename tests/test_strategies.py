@@ -12,10 +12,10 @@ from dispersim.envgen import g_k, random_simply_connected, rect
 from dispersim.grid import DIR_BITS, DOWN, LEFT, RIGHT, RING, UP, Region
 from dispersim.strategies import STRATEGIES, make_strategy
 from dispersim.strategies.base import Strategy
-from dispersim.strategies.fcdfs import DIAG_BITS, RunChecker, diag_offset
+from dispersim.strategies.fcdfs import DIAG_BITS, FcdfsMemory, RunChecker, diag_offset
 from dispersim.strategies.fivebit import FiveBitMemory
 
-from oracles import recorded
+from oracles import recorded, tuple_space_mask
 
 
 def test_registry_names():
@@ -165,7 +165,7 @@ def test_memory_key_reflects_state():
     strat = make_strategy("fcdfs", r, 0)
     m = strat.fresh_memory()
     k0 = m.key()
-    act = strat.decide(Simulation(r, strat).sense((0, 0)), m)
+    act = strat.decide(tuple_space_mask(Simulation(r, strat), (0, 0)), m)
     assert act == RIGHT
     assert m.key() != k0
 
@@ -232,6 +232,65 @@ def test_transition_table_matches_the_rule(name, rotation):
     assert all(mem.key() == key for key, mem in canonical.items())
 
 
+def _turn_offset(offset, k):
+    """``offset`` turned k quarter turns clockwise, None staying None."""
+    if offset is None:
+        return None
+    dx, dy = offset
+    for _ in range(k):
+        dx, dy = dy, -dx
+    return dx, dy
+
+
+def _turn_memory(mem, k):
+    turned = FcdfsMemory()
+    turned.primary = None if mem.primary is None else (mem.primary + k) % 4
+    turned.prev = _turn_offset(mem.prev, k)
+    turned.prev2 = _turn_offset(mem.prev2, k)
+    return turned
+
+
+def test_rand_corner_is_fcdfs_turned():
+    """``rand-corner`` at rotation k decides every turned input as
+    ``fcdfs`` decides the original, turned k quarter turns clockwise.
+    Turning rotates a view's ring bits 2k places, adds k to the primary
+    and to a move code, and turns the memory's two offsets. Every memory
+    ``fcdfs`` reaches from the fresh one, a turn of itself, is checked
+    under all 256 views, so by induction over the steps ``rand-corner``
+    at rotation k runs on every region as ``fcdfs`` does on that region
+    turned k quarter turns counter-clockwise."""
+    fcdfs = make_strategy("fcdfs", None, 0)
+    fresh = fcdfs.fresh_memory()
+    reached = {fresh.key(): fresh}
+    todo = [fresh]
+    while todo:
+        mem = todo.pop()
+        for view in range(256):
+            after = copy.copy(mem)
+            fcdfs.decide(view, after)
+            if after.key() not in reached:
+                reached[after.key()] = after
+                todo.append(after)
+    assert len(reached) == 25
+    assert _turn_memory(fresh, 1).key() == fresh.key()
+    checked = 0
+    for k in range(4):
+        turned_rule = _local_strategy("rand-corner", k)
+        for mem in reached.values():
+            for view in range(256):
+                after = copy.copy(mem)
+                action = fcdfs.decide(view, after)
+                turned_view = (view << 2 * k | view >> 8 - 2 * k) & 255
+                turned_after = _turn_memory(mem, k)
+                turned_action = turned_rule.decide(turned_view, turned_after)
+                expected = action if action in (A_STAY, A_SETTLE) else (action + k) % 4
+                assert (turned_action, turned_after.key()) == (expected, _turn_memory(after, k).key()), (
+                    k, mem.key(), view,
+                )
+                checked += 1
+    assert checked == 25_600
+
+
 @pytest.mark.parametrize("name", ["fcdfs", "fcdfs5", "rand-corner", "left-hand"])
 def test_a_run_shares_memories_and_changes_none(name):
     for r in (rect(12, 12, (5, 5)), g_k(1, 5)):
@@ -278,8 +337,9 @@ class _RowRead:
 @pytest.mark.parametrize("name", LOCAL_NAMES)
 def test_the_inline_ring_read_is_sense(name):
     """The default decide_all reads each robot's ring from ``blocked``
-    itself; the view it reads is ``sim.sense(robot.pos)`` for every
-    active robot at every step."""
+    itself, the package's one ring read; the view it reads is the
+    tuple-space view of the robot's cell for every active robot at every
+    step."""
     for r in (rect(12, 12, (5, 5)), g_k(1, 5), random_simply_connected(90, 4)):
         strategy = make_strategy(name, r, 2)
         table = strategy._table
@@ -288,7 +348,7 @@ def test_the_inline_ring_read_is_sense(name):
         sim = Simulation(r, strategy, record=False)
         read = 0
         while sim.outcome is None and sim.t < 4 * len(r.cells):
-            sensed = [sim.sense(rb.pos) for rb in sim.active]
+            sensed = [tuple_space_mask(sim, rb.pos) for rb in sim.active]
             views.clear()
             sim.step()
             assert views == sensed, (r, sim.t)
