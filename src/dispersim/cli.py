@@ -6,7 +6,10 @@ write, 2 bad arguments, unknown strategy or ``--check`` on a strategy
 that declares no runtime invariants, 3 deadlock, 4 step limit, 5
 invariant violation, 6 collision (two robots targeted one cell, or a
 move targeted an occupied one or left the region: a run's outcome, so
-``run`` still prints its CSV row and writes its ``--trace``).
+``run`` still prints its CSV row and writes its ``--trace``). On a
+deadlock or a collision ``run`` also prints the outcome's message on
+stderr: the step the repeated configuration first appeared and the
+period, or the refused move.
 """
 
 from __future__ import annotations
@@ -122,8 +125,8 @@ def cmd_run(args) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    if trace.outcome.kind == "collision":
-        print(f"collision: {trace.outcome.message}", file=sys.stderr)
+    if trace.outcome.kind in ("deadlock", "collision"):
+        print(f"{trace.outcome.kind}: {trace.outcome.message}", file=sys.stderr)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
     writer.writerow(metrics.csv_fields(args.env, region, args.strategy, args.seed))

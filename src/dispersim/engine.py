@@ -62,7 +62,9 @@ class Robot:
 @dataclass(frozen=True)
 class Outcome:
     """How a run ended, after step ``t``. ``message`` names the step a
-    collision refused, and stays out of equality and of the JSON. The
+    collision refused, or the step a deadlock's configuration first
+    appeared and the cycle's period, and stays out of equality and of
+    the JSON. The
     refused step moves, settles, spawns and records nothing, but the
     strategy has already decided it: the robots' memories are those it
     wrote for that step."""
@@ -272,10 +274,13 @@ class _LogPlayer:
     id order. A robot may emerge only at the step its row spawns it, and
     takes its log as ``robot.log``. Its memory is its position in the
     log: 0 at spawn, plus 1 on every step it acts. So no configuration
-    repeats while a robot acts, and the engine takes no deadlock key
-    then; one with no robot active, a settled robot on the door, repeats
+    repeats while a robot acts, and it declares
+    ``never_repeats_while_active``: the engine takes no deadlock key
+    then. One with no robot active, a settled robot on the door, repeats
     as in a recorded run.
     """
+
+    never_repeats_while_active = True
 
     def __init__(self, rows: list[tuple[int, bytes]]):
         self.rows = rows
@@ -348,10 +353,14 @@ class Simulation:
     spawns or settles. The seen set is cleared on every settle and every
     spawn, which loses no repeat: the number of active robots is part of
     the key, and between two settles it only grows, so no key taken
-    before a spawn can equal one taken after it. The set holds only the
-    steps since the last settle or spawn. Under :class:`_LogPlayer` a
-    key can repeat only with no robot active, so only such steps take
-    one.
+    before a spawn can equal one taken after it. ``_seen_configs`` maps
+    each key of the steps since the last settle or spawn to the step it
+    was taken, so a deadlock's message names the step its configuration
+    first appeared and the cycle's period. A strategy that declares
+    ``never_repeats_while_active`` (``dflf`` and :class:`_LogPlayer`,
+    whose every active memory grows each step) can repeat a key only
+    with no robot active, so only such steps take one; one that does
+    not declare it is keyed every step.
     """
 
     def __init__(
@@ -369,7 +378,7 @@ class Simulation:
         self.outcome: Outcome | None = None
         self.record = record
         self.checker = checker
-        self._seen_configs: set = set()
+        self._seen_configs: dict = {}
 
         self.layout = layout = region.layout
         self.blocked = bytearray([cell is None for cell in layout.cell_at])
@@ -408,9 +417,7 @@ class Simulation:
         offsets, cell_at, door = layout.dirs, layout.cell_at, layout.door
         door_cell, n_cells = self.region.door, len(self.region.cells)
         record = self.record
-        # Under the log player every active robot's memory rises by one
-        # each step, so only the key of no active robot can repeat.
-        keyed = type(self.strategy) is not _LogPlayer
+        keyed = not getattr(self.strategy, "never_repeats_while_active", False)
         t = self.t
         while t < last:
             t += 1
@@ -477,10 +484,10 @@ class Simulation:
             if settled_now or spawned:
                 seen.clear()
             if keyed or not self.active:
-                size = len(seen)
-                seen.add(self._config_key())
-                if len(seen) == size:
-                    self.outcome = Outcome("deadlock", t)
+                first = seen.setdefault(self._config_key(), t)
+                if first != t:
+                    why = f"t={t}: the configuration of step {first} repeats (period {t - first})"
+                    self.outcome = Outcome("deadlock", t, why)
                     return
 
     def _refuse(self, robot: Robot, act: int, actions: list[int], sources: list[int]) -> str:

@@ -7,7 +7,8 @@ these, which raise ValueError:
   ``bad trace:``);
 - a trace read for its outcome while its run goes on, or for its logs
   when it was recorded without them;
-- ``run(max_steps < 1)`` and ``frame_steps(every < 1)``;
+- ``run(max_steps < 1)``, ``frame_steps(every < 1)`` and a frame step
+  outside ``[1, last]`` asked of ``ascii_frame`` or ``ascii_frames``;
 - a strategy whose ``decide_all`` returns the wrong number of actions.
 """
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import os
 
 from .engine import A_STAY
-from .errors import DispersimError
 from .grid import DIR_NAMES, Cell
 
 _ARROWS = {"U": "^", "R": ">", "D": "v", "L": "<"}
@@ -45,7 +44,7 @@ def _frames(trace, steps):
     last = trace.ended().t
     for t in steps:
         if not 1 <= t <= last:
-            raise DispersimError(f"step {t} not in [1, {last}]")
+            raise ValueError(f"step {t} not in [1, {last}]")
     yield from trace.states(steps)
 
 

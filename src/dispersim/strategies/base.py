@@ -51,6 +51,12 @@ change only when a robot spawns, and its routes stay out of the key:
 the tests check that two steps with one key between two clears hold
 the same routes.
 
+A strategy under which no configuration with an active robot can
+repeat declares ``never_repeats_while_active``, and the engine then
+takes the key only on a step with no robot active. ``dflf`` declares it:
+a robot's walk index grows on every step it stays active. The default
+is False, a key every step.
+
 ``invariants`` names the runtime checker of the lemmas a strategy
 guarantees, built as ``invariants(region)`` when a run is checked; None
 declares no lemmas beyond the engine's own checks.
@@ -94,6 +100,7 @@ class _Table:
 class Strategy:
     name = "?"
     invariants = None
+    never_repeats_while_active = False
 
     def __init__(self, region=None, seed: int = 0):
         # Local strategies must not look at the region; the argument only

@@ -26,6 +26,11 @@ pick one target in a step, so DFLF keeps no claims: every move enters a
 child of the mover's cell, each cell has one parent, and two robots
 never share a cell.
 
+A DFLF robot's ``mem`` is its walk index, which grows on every step
+the robot stays active, skips included. So no configuration with an
+active robot repeats, and ``Dflf`` declares
+``never_repeats_while_active``: the engine takes no deadlock key then.
+
 DFLF never stays, so its ``decide_all`` reads no ``sim.blocked``: a
 settled robot's cell is skipped, and no active robot holds the next
 walk cell (below), so no DFLF move collides. Nor can the residual's
@@ -87,13 +92,18 @@ residual region alone, which changes only when a robot settles, and
 BFLF decides every settle. It grows a level at a time only as far as a
 spawn asks.
 
-- **Leaf settles.** A settle on a cell that no tree cell has as its
-  predecessor leaves every other cell's level and predecessor as they
-  were: the cell leaves its level, and empty tail levels go. Its
-  children could only be its 4-neighbors, so ``_settle`` reads their
-  four predecessors and keeps no child count. A settle on a cell the
-  tree has not reached changes none. Levels grown later read the new
-  residual region. A settle on any other tree cell drops the tree.
+- **A settle keeps the tree down to its level.** A settle on a tree
+  cell c at level d takes c out of its level and, when c has a child,
+  drops the levels below d; an empty tail level goes. What is kept is
+  the fresh search's: c takes part only in discovering level d + 1, so
+  the levels 0..d of a search without c, their order and predecessors
+  included, are those with c, and a leaf c discovered nothing, so
+  every level stays. Its children could only be its 4-neighbors, so
+  ``_settle`` reads their four predecessors and keeps no child count.
+  A settle on a cell the tree has not reached changes none, and the
+  door's own settle, as the last cell, drops the tree. Dropped levels
+  grow again, through the new residual region, only as far as a spawn
+  asks.
 - **The first level to scan.** ``low`` is the first level that can
   still hold a safe cell. Below it every unclaimed cell but the door is
   in ``cut`` (the door is level 0 and is safe only as the last
@@ -136,6 +146,7 @@ def _dfs_walk(layout: Layout, rng: random.Random) -> list[int]:
 
 class Dflf(Strategy):
     name = "dflf"
+    never_repeats_while_active = True
 
     def __init__(self, region: Region, seed: int = 0):
         super().__init__(region, seed)
@@ -207,7 +218,7 @@ class Bflf(Strategy):
         # The door's BFS tree through the residual region, grown a level
         # at a time: each reached cell's predecessor and depth, and the
         # levels. low is the first level that can still hold a safe cell.
-        # A settle on a cell with a child drops it.
+        # A settle on a cell with a child drops the levels below it.
         self.prev: dict[int, int] | None = None
         self.depth: dict[int, int] = {}
         self.levels: list[list[int]] = []
@@ -297,19 +308,26 @@ class Bflf(Strategy):
             k += 1
 
     def _settle(self, c: int) -> None:
-        """Keep the door's tree across the settle on ``c`` when no tree
-        cell has ``c`` as its predecessor: every other cell keeps its
-        level and predecessor, and the levels grown later read the new
-        residual region. Otherwise drop it."""
+        """Keep the door's tree across the settle on ``c`` down to
+        ``c``'s level: ``c`` leaves its level and, when it has a child,
+        the deeper levels go, with their cells' predecessors and depths,
+        to be grown again through the new residual region. The door's
+        settle drops the tree."""
         prev = self.prev
         if prev is None or c not in prev:
             return
-        if c == self.door or any(prev.get(c + d) == c for d in self.layout.dirs):
+        if c == self.door:
             self.prev = None
             return
+        levels, depth = self.levels, self.depth
+        d = depth.pop(c)
         del prev[c]
-        levels = self.levels
-        levels[self.depth.pop(c)].remove(c)
+        levels[d].remove(c)
+        if any(prev.get(c + o) == c for o in self.layout.dirs):
+            for level in levels[d + 1 :]:
+                for v in level:
+                    del prev[v], depth[v]
+            del levels[d + 1 :]
         while not levels[-1]:
             levels.pop()
         self.low = min(self.low, len(levels))

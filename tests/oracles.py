@@ -154,8 +154,9 @@ class ReferenceRun:
     and a robot spawns at the door, with memory 0, when no robot held the
     door in the snapshot and no move entered it. The run ends
     ``("covered", t, "")`` when it holds a robot per cell, and
-    ``("deadlock", t, "")`` when the active robots' cells and memories
-    repeat with no spawn or settle in between.
+    ``("deadlock", t, message)`` when the active robots' cells and
+    memories repeat with no spawn or settle in between, the message
+    naming the step they were first seen and the period.
     """
 
     def __init__(self, region: Region):
@@ -214,7 +215,9 @@ class ReferenceRun:
         if changed:
             self.seen = []
         config = [(rb.pos, rb.mem) for rb in self.active]
-        if config in self.seen:
-            self.outcome = ("deadlock", t, "")
-            return
-        self.seen.append(config)
+        for first, seen in self.seen:
+            if seen == config:
+                why = f"t={t}: the configuration of step {first} repeats (period {t - first})"
+                self.outcome = ("deadlock", t, why)
+                return
+        self.seen.append((t, config))

@@ -141,8 +141,9 @@ def _check_every_spawn(strategy, check_pool=True):
     """Wrap ``strategy.on_spawn`` to check BFLF's claim state against
     fresh computations at every spawn: the cells cached in ``cut`` are
     cut cells of the unclaimed cells (``oracles.articulation_points``),
-    and the kept door tree equals a fresh search through the residual
-    region, before and after the spawn grows it, with no empty tail
+    and the kept door tree, its levels, predecessors and depths, equals
+    a fresh search through the residual region, before and after the
+    spawn grows it, with no empty tail
     level and, while more than the door is unclaimed, no safe unclaimed
     cell in a level below ``low``. With ``check_pool``, the pool is also
     the first level of a fresh search that holds an unclaimed cell that
@@ -161,6 +162,7 @@ def _check_every_spawn(strategy, check_pool=True):
         if strategy.prev is not None:
             fresh = _door_tree(strategy, sim.residual, len(strategy.levels))
             assert (strategy.levels, strategy.prev) == fresh, sim.t
+            assert strategy.depth == {c: k for k, level in enumerate(fresh[0]) for c in level}, sim.t
             assert strategy.levels[-1], sim.t
             if len(unclaimed) > 1:  # the door, the last one, skips the scan
                 for level in strategy.levels[: strategy.low]:
@@ -339,7 +341,10 @@ def test_dflf_steps_only_from_a_cell_to_its_dfs_child():
     one parent and two robots never share a cell, so no two robots
     move into one cell in a step. No robot ever stays either: the
     premise of the ``baselines`` docstring's argument that seeing a
-    settle within its own step could not change a DFLF run."""
+    settle within its own step could not change a DFLF run. And every
+    robot active before and after a step ends it with a larger ``mem``,
+    its walk index, so no configuration with an active robot repeats:
+    why ``Dflf`` declares ``never_repeats_while_active``."""
     regions = [rect(12, 12, (5, 5)), random_simply_connected(70, 31), g_k(1, 5)]
     for r in regions:
         for seed in range(5):
@@ -350,14 +355,16 @@ def test_dflf_steps_only_from_a_cell_to_its_dfs_child():
                 parent.setdefault(cell, prev)
             sim = Simulation(r, strategy, record=False)
             while sim.outcome is None and sim.t < 60 * len(r.cells):
-                before = [(robot, robot.pos) for robot in sim.active]
+                before = [(robot, robot.pos, robot.mem) for robot in sim.active]
                 sim.step()
-                moves = [(pos, robot.pos) for robot, pos in before if robot.pos != pos]
+                moves = [(pos, robot.pos) for robot, pos, _ in before if robot.pos != pos]
                 for src, dst in moves:
                     assert parent[dst] == src, (r.door, seed, sim.t, src, dst)
                 assert len({dst for _, dst in moves}) == len(moves), (r.door, seed, sim.t)
-                stays = [robot.id for robot, pos in before if robot.active and robot.pos == pos]
+                stays = [robot.id for robot, pos, _ in before if robot.active and robot.pos == pos]
                 assert not stays, (r.door, seed, sim.t, stays)
+                held = [robot.id for robot, _, mem in before if robot.active and robot.mem <= mem]
+                assert not held, (r.door, seed, sim.t, held)
             assert sim.outcome.kind == "covered", (r.door, seed)
 
 

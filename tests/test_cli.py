@@ -112,6 +112,18 @@ def test_run_deadlock_exit_three(ring_map):
     assert main(["run", "--env", ring_map, "--strategy", "fcdfs"]) == 3
 
 
+def test_run_names_a_deadlocks_cycle_on_stderr(tmp_path, capsys):
+    """``run`` prints a deadlock's message on stderr, as it prints a
+    collision's: the step its configuration first appeared and the
+    period. Its CSV row is still printed."""
+    path = tmp_path / "square.map"
+    path.write_text(rect(12, 12, (5, 5)).to_ascii() + "\n")
+    assert main(["run", "--env", str(path), "--strategy", "bflf", "--seed", "69"]) == 3
+    out, err = capsys.readouterr()
+    assert err == "deadlock: t=71: the configuration of step 69 repeats (period 2)\n"
+    assert ",deadlock,,305,26,239,26," in out
+
+
 def test_run_step_limit_exit_four(corridor_map):
     code = main(["run", "--env", corridor_map, "--strategy", "fcdfs",
                  "--max-steps", "2"])

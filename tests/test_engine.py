@@ -14,6 +14,7 @@ from dispersim.engine import (
     Robot,
     Simulation,
     SimulationTrace,
+    _LogPlayer,
     run,
 )
 from dispersim.envgen import g_k, random_simply_connected, rect
@@ -843,6 +844,54 @@ def test_from_json_dict_work_is_bounded_by_the_data():
     with pytest.raises(ValueError, match="deadlock at step 3"):
         SimulationTrace.from_json_dict(data)
     assert time.perf_counter() - start < 0.01
+
+
+def test_a_declaring_strategy_takes_no_key_while_a_robot_is_active():
+    """``dflf`` and the log player declare ``never_repeats_while_active``,
+    so the seen keys stay empty after every step that ends with a robot
+    active. Keyed every step instead, each run ends alike. A step with no
+    robot active still takes its key, mapped to its step: a robot
+    settled on the door deadlocks the step after."""
+    regions = [rect(12, 12, (5, 5)), random_simply_connected(70, 31), g_k(1, 5)]
+    trace, _ = run(regions[0], make_strategy("fcdfs", regions[0], 0))
+    runs = [(r, lambda r=r, seed=seed: make_strategy("dflf", r, seed)) for r in regions for seed in range(3)]
+    runs.append((regions[0], lambda: _LogPlayer([(rb.spawned, bytes(rb.log)) for rb in trace.robots])))
+    for r, strategy in runs:
+        ends = []
+        for declared in (True, False):
+            sim = Simulation(r, strategy(), record=False)
+            assert sim.strategy.never_repeats_while_active
+            sim.strategy.never_repeats_while_active = declared
+            while sim.outcome is None:
+                sim.step()
+                if declared and sim.active:
+                    assert not sim._seen_configs, (r.door, sim.t)
+            ends.append(sim.outcome)
+        assert ends[0] == ends[1] == Outcome("covered", 2 * len(r.cells) - 1), (r.door, ends)
+    idle = Simulation(from_ascii("S.."), _LogPlayer([(1, bytes([A_SETTLE]))]), record=False)
+    idle.finish(10)
+    assert idle._seen_configs == {(): 2}
+    assert idle.outcome == Outcome("deadlock", 3)
+    assert idle.outcome.message == "t=3: the configuration of step 2 repeats (period 1)"
+
+
+@pytest.mark.parametrize("name, region, seed, t, first", [
+    ("bflf", "rect(12,12,(5,5))", 69, 71, 69),
+    ("fcdfs", "g_k(1,5)", 0, 177, 89),
+])
+def test_a_deadlock_names_the_step_its_cycle_starts(name, region, seed, t, first):
+    """A deadlock's message names the step its configuration was first
+    seen and the period. That step is the one other step of the run with
+    the same robots spawned, the same active and the same key."""
+    r = PINNED_REGIONS[region]()
+    sim = Simulation(r, make_strategy(name, r, seed), record=False)
+    keys = {}
+    while sim.outcome is None:
+        sim.step()
+        keys[sim.t] = (len(sim.robots), len(sim.active), sim._config_key())
+    assert sim.outcome == Outcome("deadlock", t)
+    assert sim.outcome.message == f"t={t}: the configuration of step {first} repeats (period {t - first})"
+    assert [s for s in keys if keys[s] == keys[t]] == [first, t]
 
 
 class NaiveChecker:

@@ -5,8 +5,7 @@ import pytest
 
 from dispersim.engine import run
 from dispersim.envgen import random_simply_connected, rect
-from dispersim.errors import DispersimError
-from dispersim.render import ascii_frame, ascii_frames, svg_frames
+from dispersim.render import ascii_frame, ascii_frames, frame_steps, svg_frames
 from dispersim.strategies import make_strategy
 
 from oracles import recorded
@@ -48,13 +47,17 @@ def test_frame_dimensions_and_glyph_count():
 
 
 def test_frame_out_of_range():
+    """A frame step outside the run is a bad argument, as ``every < 1``
+    is: both raise ValueError."""
     r = rect(2, 1, (0, 0))
     trace, _ = run(r, make_strategy("fcdfs", r, 0))
     last = trace.outcome.t
-    with pytest.raises(DispersimError, match=rf"step 0 not in \[1, {last}\]"):
+    with pytest.raises(ValueError, match=rf"step 0 not in \[1, {last}\]"):
         ascii_frame(trace, 0)
-    with pytest.raises(DispersimError, match=rf"step {last + 1} not in \[1, {last}\]"):
-        ascii_frame(trace, last + 1)
+    with pytest.raises(ValueError, match=rf"step {last + 1} not in \[1, {last}\]"):
+        next(ascii_frames(trace, [1, last + 1]))
+    with pytest.raises(ValueError, match="every must be >= 1"):
+        frame_steps(trace, 0)
 
 
 def test_svg_frames_count_and_determinism(tmp_path):
