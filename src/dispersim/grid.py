@@ -126,6 +126,11 @@ class Region:
     def __hash__(self) -> int:
         return hash((self.cells, self.door))
 
+    def __reduce__(self):
+        # Pickled as its cells and door and rebuilt from them: the
+        # read-only ``door_distances`` does not pickle.
+        return Region, (self.cells, self.door)
+
     def __repr__(self) -> str:
         return f"Region({len(self.cells)} cells, door={self.door})"
 

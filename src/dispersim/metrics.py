@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import statistics
 from dataclasses import dataclass
 
@@ -126,34 +127,75 @@ def compare_runs(
 ) -> ComparisonTable:
     """Run every (strategy, seed) cell and aggregate per strategy.
 
-    Per-run failures are recorded in the row, not fatal to the table.
-    """
-    from . import engine
-    from .strategies import make_strategy
+    The cells run in one worker process per CPU this process may use,
+    capped at the number of cells; with one worker they run here, one
+    after another, and no pool is made. There is no option: every cell
+    is a deterministic run, so the rows, in table order (strategies
+    outermost, then seeds), and the summaries equal those of a serial
+    run.
 
-    rows = []
-    for name in strategies:
-        for seed in seeds:
-            strategy = make_strategy(name, r, seed)
-            try:
-                _, metrics = engine.run(r, strategy, max_steps=max_steps, record=False)
-                rows.append((name, seed, metrics, None))
-            except Exception as exc:  # recorded per cell
-                rows.append((name, seed, None, f"{type(exc).__name__}: {exc}"))
+    Per-run failures are recorded in the row, not fatal to the table. An
+    error outside a run, such as an unknown strategy name, propagates:
+    the first in table order.
+    """
+    cells = [(name, seed) for name in strategies for seed in seeds]
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(cells))
+    if workers <= 1:
+        rows = [_run_cell(r, max_steps, cell) for cell in cells]
+    else:
+        import multiprocessing  # here, not at the top: the CLI need not pay for it
+
+        # On an error ``with`` terminates the pool, which joins its workers.
+        with multiprocessing.Pool(workers, _pool_init, (r, max_steps)) as pool:
+            rows = list(pool.imap(_pool_cell, cells, chunksize=1))
+            pool.close()
+            pool.join()
     summaries = []
     for name in strategies:
-        cells = [m for (n, _, m, _) in rows if n == name and m is not None]
+        runs = [m for (n, _, m, _) in rows if n == name and m is not None]
         failures = sum(1 for (n, _, m, _) in rows if n == name and m is None)
-        if not cells:
+        if not runs:
             summaries.append(StrategySummary(name, 0, 0.0, 0.0, failures))
             continue
         summaries.append(
             StrategySummary(
                 strategy=name,
-                runs=len(cells),
-                mean_total_moves=statistics.mean(m.total_moves for m in cells),
-                mean_max_moves=statistics.mean(m.max_moves for m in cells),
+                runs=len(runs),
+                mean_total_moves=statistics.mean(m.total_moves for m in runs),
+                mean_max_moves=statistics.mean(m.max_moves for m in runs),
                 failures=failures,
             )
         )
     return ComparisonTable(rows=rows, summaries=summaries)
+
+
+def _run_cell(r: Region, max_steps: int | None, cell: tuple[str, int]) -> tuple:
+    """One row of :func:`compare_runs`: the run of ``cell``'s strategy and
+    seed on ``r``. An error of the run is recorded in the row; one of
+    :func:`~dispersim.strategies.make_strategy` propagates."""
+    from . import engine
+    from .strategies import make_strategy
+
+    name, seed = cell
+    strategy = make_strategy(name, r, seed)
+    try:
+        _, metrics = engine.run(r, strategy, max_steps=max_steps, record=False)
+        return (name, seed, metrics, None)
+    except Exception as exc:  # recorded per cell
+        return (name, seed, None, f"{type(exc).__name__}: {exc}")
+
+
+_pool_job = None  # (region, max_steps) in a compare_runs worker, set once by _pool_init
+
+
+def _pool_init(r: Region, max_steps: int | None) -> None:
+    global _pool_job
+    _pool_job = (r, max_steps)
+
+
+def _pool_cell(cell: tuple[str, int]) -> tuple:
+    return _run_cell(*_pool_job, cell)

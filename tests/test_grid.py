@@ -1,6 +1,9 @@
+import pickle
+
 import pytest
 
 from dispersim import grid
+from dispersim.envgen import g_k, random_simply_connected, rect
 from dispersim.errors import MapError
 from dispersim.grid import Region, from_ascii
 
@@ -70,6 +73,23 @@ def test_to_ascii_matches_a_cell_by_cell_writer(suite):
         assert r.to_ascii() == ascii_map(r, {})
         assert r.to_ascii(marks) == ascii_map(r, marks), i
         assert r.to_ascii() == ascii_map(r, {})
+
+
+@pytest.mark.parametrize("region", [
+    rect(7, 4, (3, 0)),
+    random_simply_connected(60, 1),  # min corner (-8, -3)
+    g_k(1, 5),
+], ids=["rect", "random-negative-origin", "g_k"])
+def test_region_pickles_as_its_cells_and_door(region):
+    """A region crosses a process boundary: the copy has the same cells,
+    door, door distances, int layout and map."""
+    copy = pickle.loads(pickle.dumps(region))
+    assert copy is not region
+    assert copy.cells == region.cells
+    assert copy.door == region.door
+    assert dict(copy.door_distances) == dict(region.door_distances)
+    assert copy.layout.cell_at == region.layout.cell_at
+    assert copy.to_ascii() == region.to_ascii()
 
 
 def test_from_ascii_errors():

@@ -1,11 +1,14 @@
 import json
+import multiprocessing
+import os
+import statistics
 
 import pytest
 
 from dispersim.engine import SimulationTrace, run
 from dispersim.envgen import random_simply_connected, rect
-from dispersim.errors import DispersimError
-from dispersim.metrics import CSV_HEADER, compare_runs, compute_metrics
+from dispersim.errors import BadParameters, DispersimError
+from dispersim.metrics import CSV_HEADER, StrategySummary, compare_runs, compute_metrics
 from dispersim.render import ascii_frame
 from dispersim.strategies import make_strategy
 
@@ -100,3 +103,79 @@ def test_compare_runs_records_failures():
     (_, _, metrics, err) = table.rows[0]
     assert err is None
     assert metrics.outcome == "deadlock"
+
+
+def reference_table(r, names, seeds, max_steps=None):
+    """compare_runs's rows and summaries, run here cell by cell."""
+    rows = []
+    for name in names:
+        for seed in seeds:
+            strategy = make_strategy(name, r, seed)
+            try:
+                _, m = run(r, strategy, max_steps=max_steps, record=False)
+                rows.append((name, seed, m, None))
+            except Exception as exc:
+                rows.append((name, seed, None, f"{type(exc).__name__}: {exc}"))
+    summaries = []
+    for name in names:
+        done = [m for (n, _, m, _) in rows if n == name and m is not None]
+        failed = sum(1 for (n, _, m, _) in rows if n == name and m is None)
+        summaries.append(StrategySummary(
+            name,
+            len(done),
+            statistics.mean(m.total_moves for m in done) if done else 0.0,
+            statistics.mean(m.max_moves for m in done) if done else 0.0,
+            failed,
+        ))
+    return rows, summaries
+
+
+@pytest.fixture(params=[1, 2], ids=["one-worker", "pool"])
+def pools(request, monkeypatch):
+    """Sets the CPU count compare_runs sees and lists the sizes of the
+    pools it makes, so both paths run whatever this machine has; after
+    the test, returned or raised, no worker is left."""
+    cpus = set(range(request.param))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: len(cpus))
+    made = []
+    real = multiprocessing.Pool
+
+    def spy(processes, *args, **kwargs):
+        made.append(processes)
+        return real(processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", spy)
+    yield made
+    assert made == ([] if request.param == 1 else [request.param])
+    assert multiprocessing.active_children() == []
+
+
+def test_compare_runs_equals_a_run_of_each_cell(pools):
+    """Rows in table order and summaries equal a cell-by-cell run,
+    bflf seed 69's deadlock included."""
+    r = rect(12, 12, (5, 5))
+    names, seeds = ["dflf", "bflf", "fcdfs"], [68, 69, 70]
+    table = compare_runs(r, names, seeds)
+    rows, summaries = reference_table(r, names, seeds)
+    assert table.rows == rows
+    assert table.summaries == summaries
+    assert [(n, s) for (n, s, m, _) in rows if m.outcome != "covered"] == [("bflf", 69)]
+
+
+def test_compare_runs_records_each_cells_error(pools):
+    """An error of a run crosses back from its worker as the row's text."""
+    r = rect(4, 3, (0, 0))
+    table = compare_runs(r, ["fcdfs", "bflf"], [0, 1], max_steps=0)
+    rows, summaries = reference_table(r, ["fcdfs", "bflf"], [0, 1], max_steps=0)
+    assert table.rows == rows
+    assert table.summaries == summaries
+    assert all(m is None and err.startswith("ValueError: ") for (_, _, m, err) in rows)
+    assert [s.failures for s in summaries] == [2, 2]
+
+
+def test_compare_runs_raises_an_error_outside_a_run(pools):
+    """A strategy that cannot be made fails the table, as its own error."""
+    r = rect(4, 3, (0, 0))
+    with pytest.raises(BadParameters, match="^unknown strategy: 'nope'$"):
+        compare_runs(r, ["fcdfs", "nope", "dflf"], [0, 1])
