@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import multiprocessing.context
 import os
 import statistics
 
@@ -10,7 +11,7 @@ from dispersim.envgen import random_simply_connected, rect
 from dispersim.errors import BadParameters, DispersimError
 from dispersim.metrics import CSV_HEADER, StrategySummary, compare_runs, compute_metrics
 from dispersim.render import ascii_frame
-from dispersim.strategies import make_strategy
+from dispersim.strategies import STRATEGIES, Fcdfs, make_strategy
 
 
 def test_trace_recount_matches_engine_counters():
@@ -130,24 +131,27 @@ def reference_table(r, names, seeds, max_steps=None):
     return rows, summaries
 
 
-@pytest.fixture(params=[1, 2], ids=["one-worker", "pool"])
+@pytest.fixture(params=["one-worker", "pool", "no-fork"])
 def pools(request, monkeypatch):
-    """Sets the CPU count compare_runs sees and lists the sizes of the
-    pools it makes, so both paths run whatever this machine has; after
-    the test, returned or raised, no worker is left."""
-    cpus = set(range(request.param))
+    """Sets the CPU count compare_runs sees, and whether the platform can
+    fork, and lists the pools it makes as (size, start method), so every
+    path runs whatever this machine has; after the test, returned or
+    raised, no worker is left."""
+    cpus = set(range(1 if request.param == "one-worker" else 2))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: len(cpus))
+    if request.param == "no-fork":
+        monkeypatch.delattr(os, "fork")
     made = []
-    real = multiprocessing.Pool
+    real = multiprocessing.context.BaseContext.Pool
 
-    def spy(processes, *args, **kwargs):
-        made.append(processes)
-        return real(processes, *args, **kwargs)
+    def spy(ctx, processes=None, *args, **kwargs):
+        made.append((processes, ctx.get_start_method()))
+        return real(ctx, processes, *args, **kwargs)
 
-    monkeypatch.setattr(multiprocessing, "Pool", spy)
+    monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", spy)
     yield made
-    assert made == ([] if request.param == 1 else [request.param])
+    assert made == ([(2, "fork")] if request.param == "pool" else [])
     assert multiprocessing.active_children() == []
 
 
@@ -179,3 +183,23 @@ def test_compare_runs_raises_an_error_outside_a_run(pools):
     r = rect(4, 3, (0, 0))
     with pytest.raises(BadParameters, match="^unknown strategy: 'nope'$"):
         compare_runs(r, ["fcdfs", "nope", "dflf"], [0, 1])
+
+
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+def test_compare_runs_forks_whatever_the_default_start_method(pools, method, monkeypatch):
+    """The workers are forked under any default start method, so a
+    strategy registered at run time, here a class no pickle can name,
+    reaches them."""
+    class Renamed(Fcdfs):
+        name = "renamed"
+
+    monkeypatch.setitem(STRATEGIES, "renamed", Renamed)
+    before = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(method, force=True)
+    try:
+        r = rect(6, 5, (2, 0))
+        table = compare_runs(r, ["renamed", "dflf"], [0, 1])
+    finally:
+        multiprocessing.set_start_method(before, force=True)
+    assert (table.rows, table.summaries) == reference_table(r, ["renamed", "dflf"], [0, 1])
+    assert all(m.outcome == "covered" for (_, _, m, _) in table.rows)
