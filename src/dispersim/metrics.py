@@ -128,18 +128,22 @@ def compare_runs(
     """Run every (strategy, seed) cell and aggregate per strategy.
 
     The cells run in one worker process per CPU this process may use,
-    capped at the number of cells; with one worker, or where the platform
-    cannot fork (Windows), they run here, one after another, and no pool
-    is made. There is no option: every cell is a deterministic run, so
-    the rows, in table order (strategies outermost, then seeds), and the
-    summaries equal those of a serial run. The workers are forked
+    capped at the number of cells, and each worker runs one strided share
+    of them: worker i the cells at table positions i, i + w, i + 2w, ...
+    of w workers, in that order, so each gets an equal share (within one)
+    of every strategy's seeds. With one worker, or where the platform
+    cannot fork (Windows), the cells run here, one after another, and no
+    pool is made. There is no option: every cell is a deterministic run,
+    so the rows, in table order (strategies outermost, then seeds), and
+    the summaries equal those of a serial run. The workers are forked
     whatever the default start method is, so they see the strategy
     registry as it stands in this process, strategies registered at run
     time included.
 
     Per-run failures are recorded in the row, not fatal to the table. An
     error outside a run, such as an unknown strategy name, propagates:
-    the first in table order.
+    the first in table order. It ends its worker's share, and the least
+    indexed of the workers' errors is raised.
     """
     cells = [(name, seed) for name in strategies for seed in seeds]
     try:
@@ -152,16 +156,27 @@ def compare_runs(
     else:
         import multiprocessing  # here, not at the top: the CLI need not pay for it
 
-        # Forked, so that the workers see this process's registry. The
-        # region reaches each worker once, through the initializer: a
-        # ``functools.partial`` sending it with every cell read 4-6%
-        # fewer robot-steps/s on the benchmark's ``baselines`` workload.
-        # On an error ``with`` terminates the pool, which joins its workers.
+        # Forked, so that the workers see this process's registry, and so
+        # that the region reaches them through the initializer unpickled:
+        # no worker rebuilds its BFS and layout. One task per worker, so
+        # the rows cross back once per worker, not once per cell. On an
+        # error ``with`` terminates the pool, which joins its workers.
         fork = multiprocessing.get_context("fork")
         with fork.Pool(workers, _pool_init, (r, max_steps)) as pool:
-            rows = list(pool.imap(_pool_cell, cells, chunksize=1))
+            shares = pool.map(_pool_share, [cells[i::workers] for i in range(workers)], chunksize=1)
             pool.close()
             pool.join()
+        # A share stops at its error, so the rows it ran give its index.
+        errors = [
+            (i + len(done) * workers, exc)
+            for i, (done, exc) in enumerate(shares)
+            if exc is not None
+        ]
+        if errors:
+            raise min(errors, key=lambda error: error[0])[1]
+        rows = [None] * len(cells)
+        for i, (done, _) in enumerate(shares):
+            rows[i::workers] = done
     summaries = []
     for name in strategies:
         runs = [m for (n, _, m, _) in rows if n == name and m is not None]
@@ -205,5 +220,14 @@ def _pool_init(r: Region, max_steps: int | None) -> None:
     _pool_job = (r, max_steps)
 
 
-def _pool_cell(cell: tuple[str, int]) -> tuple:
-    return _run_cell(*_pool_job, cell)
+def _pool_share(cells: list[tuple[str, int]]) -> tuple:
+    """A worker's share of :func:`compare_runs`: the rows of ``cells``, run
+    in order, and ``None``; or, once a cell raises outside its run, the
+    rows before it and that error."""
+    rows = []
+    for cell in cells:
+        try:
+            rows.append(_run_cell(*_pool_job, cell))
+        except Exception as exc:  # raised by the parent, if first in table order
+            return rows, exc
+    return rows, None

@@ -44,9 +44,7 @@ class FiveBitMemory:
     @property
     def primary(self) -> int | None:
         # Before initialization (b4b5 = 00) no direction has been chosen.
-        if (self.b4, self.b5) == (0, 0):
-            return None
-        return self.b12
+        return self.b12 if self.b4 or self.b5 else None
 
     def key(self):
         return (self.b12, self.b3, self.b4, self.b5)

@@ -3,6 +3,7 @@ import multiprocessing
 import multiprocessing.context
 import os
 import statistics
+import time
 
 import pytest
 
@@ -131,13 +132,16 @@ def reference_table(r, names, seeds, max_steps=None):
     return rows, summaries
 
 
-@pytest.fixture(params=["one-worker", "pool", "no-fork"])
+POOL_SIZES = {"one-worker": 1, "pool": 2, "three-cpus": 3, "no-fork": 2}
+
+
+@pytest.fixture(params=list(POOL_SIZES))
 def pools(request, monkeypatch):
     """Sets the CPU count compare_runs sees, and whether the platform can
     fork, and lists the pools it makes as (size, start method), so every
-    path runs whatever this machine has; after the test, returned or
-    raised, no worker is left."""
-    cpus = set(range(1 if request.param == "one-worker" else 2))
+    path runs whatever this machine has; three CPUs split a table of 4
+    cells 2, 1, 1. After the test, returned or raised, no worker is left."""
+    cpus = set(range(POOL_SIZES[request.param]))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: len(cpus))
     if request.param == "no-fork":
@@ -151,7 +155,8 @@ def pools(request, monkeypatch):
 
     monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", spy)
     yield made
-    assert made == ([(2, "fork")] if request.param == "pool" else [])
+    forks = request.param in ("pool", "three-cpus")
+    assert made == ([(len(cpus), "fork")] if forks else [])
     assert multiprocessing.active_children() == []
 
 
@@ -183,6 +188,26 @@ def test_compare_runs_raises_an_error_outside_a_run(pools):
     r = rect(4, 3, (0, 0))
     with pytest.raises(BadParameters, match="^unknown strategy: 'nope'$"):
         compare_runs(r, ["fcdfs", "nope", "dflf"], [0, 1])
+
+
+def test_compare_runs_raises_the_least_indexed_error(pools, monkeypatch):
+    """Of two strategies that cannot be made, the first in table order
+    fails the table, though its worker's share, held up behind a slow
+    cell, ends after the other's: on two or three workers cell 6 shares
+    a worker with the slow cell 0, and cell 7 does not."""
+    class Picky(Fcdfs):
+        name = "picky"
+
+        def __init__(self, region=None, seed=0):
+            if seed == 0:
+                time.sleep(0.5)
+            if seed >= 6:
+                raise BadParameters(f"picky refuses seed {seed}")
+            super().__init__(region, seed)
+
+    monkeypatch.setitem(STRATEGIES, "picky", Picky)
+    with pytest.raises(BadParameters, match="^picky refuses seed 6$"):
+        compare_runs(rect(4, 3, (0, 0)), ["picky"], list(range(8)))
 
 
 @pytest.mark.parametrize("method", ["forkserver", "spawn"])
