@@ -301,6 +301,7 @@ DEADLOCK_STEPS_PINNED = [
     ("fcdfs5", "g_k(2,5)", 0, 568),
     ("rand-corner", "g_k(2,5)", 0, 569),
     ("left-hand", "g_k(2,5)", 0, 4319),
+    ("fcdfs", "g_k(3,10)", 0, 1341),
     ("bflf", "rect(12,12,(5,5))", 69, 71),
 ]
 
@@ -308,6 +309,8 @@ PINNED_REGIONS = {
     "ring": lambda: Region({(x, y) for x in range(3) for y in range(3)} - {(1, 1)}, (0, 0)),
     "g_k(1,5)": lambda: g_k(1, 5),
     "g_k(2,5)": lambda: g_k(2, 5),
+    "g_k(2,20)": lambda: g_k(2, 20),
+    "g_k(3,10)": lambda: g_k(3, 10),
     "rect(12,12,(5,5))": lambda: rect(12, 12, (5, 5)),
 }
 
@@ -870,7 +873,7 @@ def test_a_declaring_strategy_takes_no_key_while_a_robot_is_active():
         assert ends[0] == ends[1] == Outcome("covered", 2 * len(r.cells) - 1), (r.door, ends)
     idle = Simulation(from_ascii("S.."), _LogPlayer([(1, bytes([A_SETTLE]))]), record=False)
     idle.finish(10)
-    assert idle._seen_configs == {(): 2}
+    assert idle._seen_configs == {((), ()): 2}
     assert idle.outcome == Outcome("deadlock", 3)
     assert idle.outcome.message == "t=3: the configuration of step 2 repeats (period 1)"
 
@@ -878,6 +881,7 @@ def test_a_declaring_strategy_takes_no_key_while_a_robot_is_active():
 @pytest.mark.parametrize("name, region, seed, t, first", [
     ("bflf", "rect(12,12,(5,5))", 69, 71, 69),
     ("fcdfs", "g_k(1,5)", 0, 177, 89),
+    ("fcdfs", "g_k(2,20)", 0, 869, 435),
 ])
 def test_a_deadlock_names_the_step_its_cycle_starts(name, region, seed, t, first):
     """A deadlock's message names the step its configuration was first
@@ -892,6 +896,31 @@ def test_a_deadlock_names_the_step_its_cycle_starts(name, region, seed, t, first
     assert sim.outcome == Outcome("deadlock", t)
     assert sim.outcome.message == f"t={t}: the configuration of step {first} repeats (period {t - first})"
     assert [s for s in keys if keys[s] == keys[t]] == [first, t]
+
+
+def test_a_deadlock_key_is_two_flat_tuples():
+    """Every seen key is the active robots' cells, as ints, then their
+    memories, each a flat tuple as long as ``active``: no tuple inside,
+    and the memories themselves, in ``active`` order."""
+    r = g_k(1, 5)
+    sim = Simulation(r, make_strategy("fcdfs", r, 0), record=False)
+    sizes = set()
+    while sim.outcome is None:
+        sim.step()
+        n = len(sim.active)
+        for key in sim._seen_configs:
+            assert type(key) is tuple and len(key) == 2, sim.t
+            cells, mems = key
+            assert type(cells) is tuple and type(mems) is tuple, sim.t
+            assert len(cells) == len(mems) == n, sim.t
+            assert all(type(c) is int for c in cells), sim.t
+            assert not any(isinstance(m, tuple) for m in mems), sim.t
+        cells, mems = sim._config_key()
+        assert cells == tuple(rb.idx for rb in sim.active)
+        assert all(m is rb.mem for m, rb in zip(mems, sim.active, strict=True))
+        sizes.add(n)
+    assert sim.outcome == Outcome("deadlock", 177)
+    assert len(sizes) > 1
 
 
 class NaiveChecker:

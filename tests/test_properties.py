@@ -316,6 +316,25 @@ def test_fcdfs_family_keeps_the_door_distance_schedule(V, seed, strategy_seed, d
         assert sim.outcome.kind == "covered" and sim.t == 2 * V - 1, name
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    V=st.integers(1, 100),
+    seed=st.integers(0, 2**20),
+    strategy_seed=st.integers(0, 2**20),
+    dx=st.integers(-60, 60),
+    dy=st.integers(-60, 60),
+)
+def test_every_covered_run_moves_at_least_the_optimum(V, seed, strategy_seed, dx, dy):
+    """Robots settle on distinct cells and each moves at least its
+    cell's door distance, so a covered run of any strategy has
+    ``total_travel >= total_moves >= optimum``."""
+    r = _moved(V, seed, dx, dy)
+    for name in STRATEGIES:
+        _, m = run(r, make_strategy(name, r, strategy_seed), record=False)
+        if m.outcome == "covered":
+            assert m.total_travel >= m.total_moves >= m.optimum, (name, m)
+
+
 @pytest.mark.parametrize("name", ["rand-corner", "left-hand"])
 @settings(max_examples=100, deadline=None)
 @given(

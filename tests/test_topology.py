@@ -47,6 +47,20 @@ def test_classify_agrees_with_the_definitions_on_every_ring(as_set):
     assert kinds == {tp.CORNER: 112, tp.INTERIOR: 112, tp.HALL: 32}
 
 
+def test_classify_is_the_same_on_every_quarter_turn_of_a_ring():
+    """Each of the 256 rings of a cell and its 3 other quarter turns
+    give one kind, so the corner and hall lemmas check a turned run as
+    they check the run it turns."""
+    v = (5, -3)
+    for mask in range(256):
+        ring = [offset for i, offset in enumerate(RING_OFFSETS) if mask >> i & 1]
+        kinds = set()
+        for _ in range(4):
+            kinds.add(tp.classify_cells(frozenset([v] + [(v[0] + dx, v[1] + dy) for dx, dy in ring]), v))
+            ring = [(-dy, dx) for dx, dy in ring]
+        assert len(kinds) == 1, (mask, kinds)
+
+
 def test_square_has_four_corners():
     sq = rect(2, 2, (0, 0))
     for cell in sq.cells:
