@@ -316,16 +316,20 @@ class Simulation:
     to the log of each robot of ``active``.
 
     Inside the engine a cell is an int, numbered by ``layout``, the
-    region's own :class:`~dispersim.grid.Layout`, ``region.layout``. The
-    ``bytearray`` ``blocked`` is 1 for walls, padding and occupied cells,
-    a ring read is 8 indexed reads of it at the ``layout.ring`` offsets
-    (inline in the default ``Strategy.decide_all``, its one reader) and
-    a move adds one of the 4 ``layout.dirs``. ``blocked`` is the one
-    record of which cells hold a robot, and the ``bytearray``
-    ``residual`` the one record of settled cells: the residual region,
-    1 at each region cell that holds no settled robot. The step's
-    settle loop alone clears a cell of it; strategies only read it. Cells stay ``(x, y)`` tuples at the
-    public boundary: ``robot.pos`` moves together with ``robot.idx``.
+    region's own :class:`~dispersim.grid.Layout`, ``region.layout``.
+    ``blocked``, a list of the ints 0 and 1, is 1 for walls, padding and
+    occupied cells, a ring read is 8 indexed reads of it at the
+    ``layout.ring`` offsets (inline in the default
+    ``Strategy.decide_all``, its one reader) and a move adds one of the
+    4 ``layout.dirs``. ``blocked`` is the one record of which cells hold
+    a robot, and ``residual``, a second list of ints, the one record of
+    settled cells: the residual region, 1 at each region cell that holds
+    no settled robot. The step's settle loop alone clears a cell of it;
+    strategies only read it. Both are lists of ints, not bytearrays,
+    because CPython 3.11 specializes indexing a list by an int and not
+    indexing a bytearray, and every ring read and move check indexes
+    them. Cells stay ``(x, y)`` tuples at the public boundary:
+    ``robot.pos`` moves together with ``robot.idx``.
 
     A step makes one pass over its moves. A move check is one read of
     ``blocked``: each move is checked, marks its target there and is
@@ -381,8 +385,8 @@ class Simulation:
         self._seen_configs: dict = {}
 
         self.layout = layout = region.layout
-        self.blocked = bytearray([cell is None for cell in layout.cell_at])
-        self.residual = bytearray([cell is not None for cell in layout.cell_at])
+        self.blocked = [0 if cell is not None else 1 for cell in layout.cell_at]
+        self.residual = [1 if cell is not None else 0 for cell in layout.cell_at]
 
     @property
     def trace(self) -> SimulationTrace:

@@ -40,7 +40,7 @@ def test_sensor_view_walls_and_robots_indistinguishable():
     assert view & 1 << grid.RING.index((0, 1))  # wall
     assert view == 255
     assert FREE_DIRS[view] == ()
-    # Bit i is RING[i], set by the cell's byte of ``blocked``: a wall,
+    # Bit i is RING[i], set by the cell's entry of ``blocked``: a wall,
     # padding or a robot, active or settled.
     r = rect(4, 4, (0, 0))
     sim = Simulation(r, make_strategy("fcdfs", r, 0), record=False)
@@ -593,6 +593,31 @@ def test_residual_is_the_region_minus_the_settled_cells(name):
 
 RING = Region({(x, y) for x in range(3) for y in range(3)} - {(1, 1)}, (0, 0))
 LOG_REGIONS = [rect(5, 4, (2, 1)), random_simply_connected(40, seed=10), RING]
+
+
+def _zeros_and_ones(cells) -> bool:
+    return type(cells) is list and all(type(v) is int and v in (0, 1) for v in cells)
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_the_per_cell_arrays_are_lists_of_the_ints_0_and_1(name):
+    """``sim.blocked`` and ``sim.residual``, and ``bflf``'s ``taken``,
+    stay lists whose entries are the ints 0 and 1 after every step. The
+    engine's speed rests on it: CPython 3.11 specializes indexing a list
+    by an int, not a bytearray, and every ring read and move check
+    indexes ``blocked``. A bool or a bytearray would still give every
+    answer right, so no output test would notice it creep in."""
+    r = RESIDUAL_REGIONS["random"]
+    strategy = make_strategy(name, r, 1)
+    sim = Simulation(r, strategy, record=False)
+    while True:
+        assert _zeros_and_ones(sim.blocked) and _zeros_and_ones(sim.residual), sim.t
+        if name == "bflf":
+            assert _zeros_and_ones(strategy.taken), sim.t
+        if sim.outcome is not None:
+            break
+        sim.step()
+    assert sim.outcome.kind == "covered"
 
 
 @pytest.mark.parametrize("name", sorted(STRATEGIES))

@@ -189,7 +189,7 @@ _RING_3X3 = tuple(dx + 3 * dy for dx, dy in RING)
 
 
 def _blocked_3x3(view):
-    blocked = bytearray(9)
+    blocked = [0] * 9
     for i, offset in enumerate(_RING_3X3):
         blocked[4 + offset] = view >> i & 1
     return blocked
